@@ -3,19 +3,19 @@ polynomial families attached to Hermitian symmetric-pair data, their
 level-shifted relatives, and the rank-one coideal computations that
 produce the level-shift factors."""
 
-from .scalars import Scalar, TruncSeries, scalar_bar, scalar_normalize, scalar_to_series
+from .scalars import Scalar, TruncSeries, scalar_to_series
 from .roots import (
     RootSystem,
     SatakeEntry,
-    bottom_of_well,
     build_root_system,
     catalog_entries,
     dominance_leq,
     dominant_weights_below,
+    dominant_weights_upto,
     satake_catalog,
     weyl_orbit,
 )
-from .galg import GAElem, ga_divexact, m_basis, orbit_sum, symmetrize
+from .galg import GAElem, ga_divexact, m_basis, orbit_sum
 from .weights import (
     KLabel,
     PochProduct,
@@ -24,7 +24,6 @@ from .weights import (
     half_density,
     inner_product,
     koornwinder_weight,
-    poch_ratio,
     poch_to_gaelem,
     shift_factor,
     shifted_weight,

@@ -1,0 +1,211 @@
+"""The acceptance checks, each defined once.
+
+`mkpolys verify` runs them and tests/test_acceptance.py parametrizes over
+them.  A check names its `verify` suite, the claim its rows print
+("{order}" stands for M + 1), its cases as (row id, arguments) pairs of
+plain data, and the function that decides one case at series precision
+M.  Families are built on first use and shared between checks for the
+life of the process; importing this module builds nothing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable
+
+from .galg import GAElem
+from .mkengine import (
+    _family_engine,
+    build_family,
+    build_polynomial_gs,
+    check_bar_invariance,
+    connection_coeffs,
+    dual_path_agree,
+    eigenvalue_identity_check,
+    verify_orthogonality,
+)
+from .qsp1 import aiiia_parameter, build_rank1, chain_res, fundamental_res, solve_spherical
+from .roots import DEFAULT_D, build_root_system, dominant_weights_upto, satake_catalog
+from .scalars import SC_ONE
+from .weights import KLabel, koornwinder_weight, poch_to_gaelem, shift_factor, shifted_weight
+
+S0 = Fraction(0)
+
+
+@dataclass(frozen=True)
+class Check:
+    suite: str
+    claim: str
+    cases: tuple
+    holds: Callable             # (M, *arguments) -> bool
+    show: Callable = None       # (*arguments) -> str, shown beside the row
+
+    def row(self, case, M: int) -> dict:
+        row_id, args = case
+        out = {
+            "id": row_id,
+            "claim": self.claim.format(order=M + 1),
+            "pass": bool(self.holds(M, *args)),
+        }
+        if self.show is not None:
+            out["show"] = self.show(*args)
+        return out
+
+
+@lru_cache(maxsize=None)
+def family(tag: str, n: int, m: int, l: int, bound: int) -> dict:
+    """The operator-exact level-l family through bound, built once per
+    process; callers must not modify it."""
+    return build_family(satake_catalog(tag, n, m), l, bound)
+
+
+def _weight_shift(M, tag, n, m, sigma, l):
+    entry = satake_catalog(tag, n, m)
+    rs = build_root_system(entry.n)
+    lhs = shifted_weight(KLabel.from_entry(entry, 0, sigma), entry, l, rs, sigma)
+    return lhs == koornwinder_weight(KLabel.from_entry(entry, l, sigma), rs)
+
+
+def _orthogonality(M, tag, n, m, bound, l):
+    fam = family(tag, n, m, l, bound)
+    return len(fam) >= 4 and verify_orthogonality(
+        fam, satake_catalog(tag, n, m), l, M)["pass"]
+
+
+def _squares_to_factor(mod, entry, l, sigma):
+    """The level-l chain, and whether chain * bar(chain) is the level-l
+    factor, exactly."""
+    chain = chain_res(mod, l)
+    factor = poch_to_gaelem(shift_factor(entry, l, build_root_system(1), sigma))
+    return chain, chain * chain.bar() == factor
+
+
+def _rank1_ai1(M, l):
+    chain, squares = _squares_to_factor(
+        build_rank1("AI1"), satake_catalog("AI1"), l, S0)
+    return squares and chain == fundamental_res("AI1", 1, l)
+
+
+def _rank1_aiv(M, n, sigma, l):
+    mod = build_rank1("AIV", n, (SC_ONE, aiiia_parameter(sigma, n)))
+    entry = satake_catalog("AIVm", 1, n)
+    chain, squares = _squares_to_factor(mod, entry, l, sigma)
+    return (squares and chain == fundamental_res("AIV", n, l, sigma)
+            and _squares_to_factor(mod, entry, -l, sigma)[1])
+
+
+def _bar(M, tag, n, bound, l):
+    fam = family(tag, n, 0, l, bound)
+    return len(fam) >= 4 and all(check_bar_invariance(P) for P in fam.values())
+
+
+def _eigenvalue(M, tag, n, ambient_lams, bound):
+    rep = eigenvalue_identity_check(satake_catalog(tag, n), tag, ambient_lams,
+                                    bound=bound, shifts=(1, 2))
+    return rep["pass"] and rep["N"] == 1
+
+
+def _connection(M, tag, m, bound, l):
+    fam, nxt = family(tag, 1, m, l, bound), family(tag, 1, m, l + 1, bound)
+    for lam in ((2,), (4,), (6,)):
+        d = connection_coeffs(fam, nxt, lam)
+        rebuilt = GAElem(1)
+        for mu, c in d.items():
+            rebuilt = rebuilt + nxt[mu].as_gaelem(1).scale(c)
+        if (set(d) != {lam, (lam[0] - 2,)} or d[lam] != SC_ONE
+                or rebuilt != fam[lam].as_gaelem(1)):
+            return False
+    return True
+
+
+def _soundness(M, tag, n, m, bound, l, selfcheck_bound):
+    """The eigen self-check (build_family with verify=True) through
+    selfcheck_bound, if any, then the operator-exact and the truncated
+    Gram constructions compared mod v^(M+1) through bound."""
+    entry = satake_catalog(tag, n, m)
+    if selfcheck_bound is not None:
+        try:
+            fam = build_family(entry, l, selfcheck_bound, verify=True)
+        except ValueError:
+            return False
+    if selfcheck_bound != bound:
+        fam = family(tag, n, m, l, bound)
+    basis = dominant_weights_upto(entry.n, bound)
+    _, engine = _family_engine(entry, l, basis, M, S0, DEFAULT_D)
+    return all(
+        dual_path_agree(fam[lam], build_polynomial_gs(entry, l, lam, M, engine=engine), M)
+        for lam in basis)
+
+
+CHECKS = (
+    Check("weight-shift",
+          "level factor times base weight equals the k4-shifted weight, exactly",
+          tuple(("weight-shift reduced %s n=%d l=%d" % (tag, n, l), (tag, n, 0, S0, l))
+                for tag, n in (("AI1", 1), ("CI", 2)) for l in (0, 1, 2, 3)),
+          _weight_shift),
+    Check("weight-shift",
+          "level factor shifts k2 (l>0) or k4 (l<0)",
+          tuple(("weight-shift AIIIa s=%s m=%d n=%d l=%d" % (sigma, m, n, l),
+                 ("AIIIa", n, m, sigma, l))
+                for sigma in (S0, Fraction(1, 2), Fraction(1))
+                for m in (2, 3) for n in (1, 2) for l in (-2, -1, 1, 2)),
+          _weight_shift),
+    Check("orthogonality",
+          "off-diagonal pair constant terms vanish mod v^{order}",
+          tuple(("orthogonality %s l=%d" % (name, l), (tag, n, m, bound, l))
+                for name, tag, n, m, bound in (("AI1 n=1", "AI1", 1, 0, 8),
+                                               ("AIVm m=2 n=1", "AIVm", 1, 2, 6),
+                                               ("AIIIb n=2", "AIIIb", 2, 0, 6))
+                for l in (0, 1, 2)),
+          _orthogonality),
+    Check("rank1",
+          "solved chain equals the closed product and squares to the level factor",
+          tuple(("rank1 AI1 l=%d" % l, (l,)) for l in (1, 2, 3, 4)),
+          _rank1_ai1,
+          show=lambda l: solve_spherical(build_rank1("AI1"), l - 1).describe()),
+    Check("rank1",
+          "solved chain equals the closed product and squares to the level "
+          "factor (both signs)",
+          tuple(("rank1 AIV n=%d s=%s l=%d" % (n, sigma, l), (n, sigma, l))
+                for n in (2, 3) for sigma in (S0, Fraction(1, 2)) for l in (1, 2, 3)),
+          _rank1_aiv),
+    Check("bar",
+          "all coefficients fixed by v -> 1/v",
+          tuple(("bar %s l=%d" % (tag, l), (tag, n, bound, l))
+                for tag, n, bound in (("AI1", 1, 8), ("AIIIb", 2, 6)) for l in (0, 1, 2)),
+          _bar),
+    Check("eigenvalue",
+          "ambient Weyl sum equals N times the restricted sum; the level shift "
+          "moves the spectral vector by l/2 per entry",
+          (("eigenvalue identity AI1", ("AI1", 1, ((0,), (2,), (4,), (6,)), 6)),
+           ("eigenvalue identity CI n=2",
+            ("CI", 2, ((0, 0), (2, 0), (2, 2), (4, 2)), 6))),
+          _eigenvalue),
+    Check("connection",
+          "expansion in the next level has exactly two terms with unit leading "
+          "coefficient",
+          tuple(("connection %s l=%d" % (name, l), (tag, m, 8, l))
+                for name, tag, m in (("AI1", "AI1", 0), ("AIV2", "AIVm", 2))
+                for l in (0, 1)),
+          _connection),
+    Check("soundness",
+          "triangular eigen-solve and truncated Gram path agree mod v^{order}",
+          tuple(("soundness %s l=%d" % (tag, l),
+                 (tag, n, m, bound, l, selfcheck if l < 2 else None))
+                for tag, n, m, bound, selfcheck, levels in (
+                    ("AI1", 1, 0, 8, 6, (0, 1, 2)),
+                    ("AIVm", 1, 2, 6, 4, (0, 1, 2)),
+                    ("AIIIb", 2, 0, 4, 4, (0, 1, 2)),
+                    ("CI", 2, 0, 4, None, (0, 1)))
+                for l in levels),
+          _soundness),
+)
+
+SUITES = tuple(dict.fromkeys(c.suite for c in CHECKS))
+
+
+def cases(suite: str = "all"):
+    """(check, case) pairs of one suite, or of every suite."""
+    return [(c, case) for c in CHECKS if suite in ("all", c.suite) for case in c.cases]

@@ -13,33 +13,42 @@ import os
 import sys
 from fractions import Fraction
 
-from .galg import GAElem
-from .mkengine import (
-    build_family,
-    build_polynomial_gs,
-    check_bar_invariance,
-    connection_coeffs,
-    dominant_weights_upto,
-    dual_path_agree,
-    eigenvalue_identity_check,
-    verify_orthogonality,
-)
-from .qsp1 import aiiia_parameter, build_rank1, chain_res, fundamental_res
-from .roots import DEFAULT_D, build_root_system, catalog_json, satake_catalog
-from .scalars import SC_ONE
-from .weights import KLabel, koornwinder_weight, poch_to_gaelem, shift_factor, shifted_weight
-
-SUITES = (
-    "weight-shift", "orthogonality", "rank1", "bar",
-    "eigenvalue", "connection", "soundness", "all",
-)
+from .checks import SUITES, cases
+from .mkengine import build_family
+from .roots import catalog_json, satake_catalog
 
 
 def _frac(text):
-    if "/" in text:
-        a, b = text.split("/")
-        return Fraction(int(a), int(b))
-    return Fraction(int(text))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a fraction: %r" % text)
+
+
+def _int_at_least(lo):
+    def parse(text):
+        try:
+            k = int(text)
+        except ValueError:
+            k = None
+        if k is None or k < lo:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (lo, text))
+        return k
+    return parse
+
+
+def _weight(text):
+    """Comma-separated doubled coordinates of an even weight."""
+    try:
+        w = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "not comma-separated integers: %r" % text)
+    if any(x % 2 for x in w):
+        raise argparse.ArgumentTypeError(
+            "doubled coordinates of a family weight are even: %r" % text)
+    return w
 
 
 def make_parser():
@@ -48,20 +57,20 @@ def make_parser():
 
     c = sub.add_parser("compute", help="emit polynomial coefficient tables")
     c.add_argument("--family", required=True)
-    c.add_argument("--n", type=int, default=1)
+    c.add_argument("--n", type=_int_at_least(1), default=None,
+                   help="rank, for the families whose rank varies")
     c.add_argument("--m", type=int, default=0)
     c.add_argument("--sigma", type=_frac, default=Fraction(0))
     c.add_argument("--level", type=int, default=0)
-    c.add_argument("--lambda", dest="lam", default=None,
+    c.add_argument("--lambda", dest="lam", type=_weight, default=None,
                    help="comma-separated doubled coordinates")
-    c.add_argument("--bound", type=int, default=4)
+    c.add_argument("--bound", type=_int_at_least(0), default=4)
     c.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=SUITES)
-    v.add_argument("--precision", type=int,
-                   default=int(os.environ.get("MKPOLYS_PRECISION", "40")))
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("suite", choices=SUITES + ("all",))
+    v.add_argument("--precision", type=_int_at_least(0),
+                   default=os.environ.get("MKPOLYS_PRECISION", "40"))
     v.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
     g = sub.add_parser("catalog", help="dump the family catalog")
@@ -71,15 +80,18 @@ def make_parser():
 
 def cmd_compute(args) -> int:
     try:
-        entry = satake_catalog(args.family, args.n, args.m)
+        entry = satake_catalog(args.family, args.n or 1, args.m)
+        if args.n not in (None, entry.n):
+            print("error: %s has rank %d, not %d" % (entry.family, entry.n, args.n),
+                  file=sys.stderr)
+            return 2
         fam = build_family(entry, args.level, args.bound, args.sigma)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     lams = sorted(fam, key=lambda w: (sum(w), w))
     if args.lam is not None:
-        want = tuple(int(x) for x in args.lam.split(","))
-        lams = [w for w in lams if w == want]
+        lams = [w for w in lams if w == args.lam]
         if not lams:
             print("error: weight outside the computed bound", file=sys.stderr)
             return 1
@@ -99,222 +111,19 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _suite_weight_shift(M, seed):
-    checks = []
-    for tag, n, m in (("AI1", 1, 0), ("CI", 2, 0)):
-        entry = satake_catalog(tag, n, m)
-        rs = build_root_system(entry.n)
-        k0 = KLabel.from_entry(entry, 0)
-        for l in (0, 1, 2, 3):
-            lhs = shifted_weight(k0, entry, l, rs)
-            rhs = koornwinder_weight(KLabel.from_entry(entry, l), rs)
-            checks.append({
-                "id": "weight-shift reduced %s n=%d l=%d" % (tag, n, l),
-                "claim": "level factor times base weight equals the "
-                         "k4-shifted weight, exactly",
-                "pass": lhs == rhs,
-            })
-    for sigma in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        for m in (2, 3):
-            for n in (1, 2):
-                entry = satake_catalog("AIIIa", n, m)
-                rs = build_root_system(n)
-                k0 = KLabel.from_entry(entry, 0, sigma)
-                for l in (-2, -1, 1, 2):
-                    lhs = shifted_weight(k0, entry, l, rs, sigma)
-                    rhs = koornwinder_weight(KLabel.from_entry(entry, l, sigma), rs)
-                    checks.append({
-                        "id": "weight-shift AIIIa s=%s m=%d n=%d l=%d"
-                              % (sigma, m, n, l),
-                        "claim": "level factor shifts k2 (l>0) or k4 (l<0)",
-                        "pass": lhs == rhs,
-                    })
-    return checks
-
-
-def _suite_orthogonality(M, seed):
-    checks = []
-    cases = [
-        (satake_catalog("AI1", 1), Fraction(0), 8, "AI1 n=1"),
-        (satake_catalog("AIVm", 1, 2), Fraction(0), 6, "AIVm m=2 n=1"),
-        (satake_catalog("AIIIb", 2), Fraction(0), 4, "AIIIb n=2"),
-    ]
-    for entry, sigma, bound, name in cases:
-        for l in (0, 1, 2):
-            fam = build_family(entry, l, bound, sigma)
-            rep = verify_orthogonality(fam, entry, l, M, sigma)
-            checks.append({
-                "id": "orthogonality %s l=%d" % (name, l),
-                "claim": "off-diagonal pair constant terms vanish mod v^%d"
-                         % (M + 1),
-                "pass": rep["pass"],
-            })
-    return checks
-
-
-def _suite_rank1(M, seed):
-    checks = []
-    from .qsp1 import solve_spherical
-    mod = build_rank1("AI1")
-    entry = satake_catalog("AI1", 1)
-    rs1 = build_root_system(1)
-    for l in (1, 2, 3, 4):
-        chain = chain_res(mod, l)
-        closed = fundamental_res("AI1", 1, l)
-        p = poch_to_gaelem(shift_factor(entry, l, rs1))
-        ok = chain == closed and chain * chain.bar() == p
-        checks.append({
-            "id": "rank1 AI1 l=%d" % l,
-            "claim": "solved chain equals the closed product and squares "
-                     "to the level factor",
-            "pass": ok,
-            "show": solve_spherical(mod, l - 1).describe(),
-        })
-    for n in (2, 3):
-        for sigma in (Fraction(0), Fraction(1, 2)):
-            entry = satake_catalog("AIVm", 1, n)
-            mod = build_rank1("AIV", n, (SC_ONE, aiiia_parameter(sigma, n)))
-            for l in (1, 2, 3):
-                chain = chain_res(mod, l)
-                closed = fundamental_res("AIV", n, l, sigma)
-                p = poch_to_gaelem(shift_factor(entry, l, rs1, sigma))
-                pm = poch_to_gaelem(shift_factor(entry, -l, rs1, sigma))
-                chain_m = chain_res(mod, -l)
-                ok = (chain == closed
-                      and chain * chain.bar() == p
-                      and chain_m * chain_m.bar() == pm)
-                checks.append({
-                    "id": "rank1 AIV n=%d s=%s l=%d" % (n, sigma, l),
-                    "claim": "solved chain equals the closed product and "
-                             "squares to the level factor (both signs)",
-                    "pass": ok,
-                })
-    return checks
-
-
-def _suite_bar(M, seed):
-    checks = []
-    for tag, bound in (("AI1", 8), ("AIIIb", 4)):
-        entry = satake_catalog(tag, 1 if tag == "AI1" else 2)
-        for l in (0, 1, 2):
-            fam = build_family(entry, l, bound)
-            ok = all(check_bar_invariance(P) for P in fam.values())
-            checks.append({
-                "id": "bar %s l=%d" % (tag, l),
-                "claim": "all coefficients fixed by v -> 1/v",
-                "pass": ok,
-            })
-    return checks
-
-
-def _suite_eigenvalue(M, seed):
-    checks = []
-    rep = eigenvalue_identity_check(
-        satake_catalog("AI1", 1), "AI1",
-        [(Fraction(0),), (Fraction(2),), (Fraction(4),), (Fraction(6),)],
-    )
-    checks.append({
-        "id": "eigenvalue identity AI1",
-        "claim": "ambient Weyl sum equals N times the restricted sum; the "
-                 "level shift moves the spectral vector by l/2 per entry",
-        "pass": rep["pass"],
-    })
-    rep = eigenvalue_identity_check(
-        satake_catalog("CI", 2), "CI",
-        [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)),
-         (Fraction(2), Fraction(2)), (Fraction(4), Fraction(2))],
-    )
-    checks.append({
-        "id": "eigenvalue identity CI n=2",
-        "claim": "ambient Weyl sum equals N times the restricted sum; the "
-                 "level shift moves the spectral vector by l/2 per entry",
-        "pass": rep["pass"],
-    })
-    return checks
-
-
-def _suite_connection(M, seed):
-    checks = []
-    for name, entry, sigma in (
-        ("AI1", satake_catalog("AI1", 1), Fraction(0)),
-        ("AIV2", satake_catalog("AIVm", 1, 2), Fraction(0)),
-    ):
-        for l in (0, 1):
-            fam_l = build_family(entry, l, 8, sigma)
-            fam_l1 = build_family(entry, l + 1, 8, sigma)
-            ok = True
-            for lam in ((2,), (4,), (6,)):
-                d = connection_coeffs(fam_l, fam_l1, lam)
-                two_term = set(d) == {lam, (lam[0] - 2,)}
-                leading = d.get(lam) == SC_ONE
-                rebuilt = GAElem(1)
-                for mu, c in d.items():
-                    rebuilt = rebuilt + fam_l1[mu].as_gaelem(1).scale(c)
-                ok = ok and two_term and leading and rebuilt == fam_l[lam].as_gaelem(1)
-            checks.append({
-                "id": "connection %s l=%d" % (name, l),
-                "claim": "expansion in the next level has exactly two "
-                         "terms with unit leading coefficient",
-                "pass": ok,
-            })
-    return checks
-
-
-def _suite_soundness(M, seed):
-    checks = []
-    cases = [
-        (satake_catalog("AI1", 1), Fraction(0), 6),
-        (satake_catalog("AIVm", 1, 2), Fraction(0), 4),
-        (satake_catalog("AIIIb", 2), Fraction(0), 4),
-    ]
-    for entry, sigma, bound in cases:
-        for l in (0, 1):
-            fam = build_family(entry, l, bound, sigma, verify=True)
-            basis = dominant_weights_upto(entry.n, bound)
-            _, engine = _gs_engine(entry, l, basis, M, sigma)
-            ok = True
-            for lam in basis:
-                gs = build_polynomial_gs(entry, l, lam, M, sigma, engine=engine)
-                ok = ok and dual_path_agree(fam[lam], gs, M)
-            checks.append({
-                "id": "soundness %s l=%d" % (entry.family, l),
-                "claim": "triangular eigen-solve and truncated Gram path "
-                         "agree mod v^%d" % (M + 1),
-                "pass": ok,
-            })
-    return checks
-
-
-def _gs_engine(entry, l, basis, M, sigma):
-    from .mkengine import _family_engine
-    return _family_engine(entry, l, basis, M, sigma, DEFAULT_D)
-
-
 def cmd_verify(args) -> int:
-    suites = {
-        "weight-shift": _suite_weight_shift,
-        "orthogonality": _suite_orthogonality,
-        "rank1": _suite_rank1,
-        "bar": _suite_bar,
-        "eigenvalue": _suite_eigenvalue,
-        "connection": _suite_connection,
-        "soundness": _suite_soundness,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    checks = []
     try:
-        for name in names:
-            checks.extend(suites[name](args.precision, args.seed))
+        rows = [check.row(case, args.precision) for check, case in cases(args.suite)]
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    checks.sort(key=lambda c: c["id"])
+    rows.sort(key=lambda r: r["id"])
     if args.format == "json":
-        print(json.dumps(checks, indent=2))
+        print(json.dumps(rows, indent=2))
     else:
-        for c in checks:
-            print("%s  %s" % ("PASS" if c["pass"] else "FAIL", c["id"]))
-    return 0 if all(c["pass"] for c in checks) else 1
+        for r in rows:
+            print("%s  %s" % ("PASS" if r["pass"] else "FAIL", r["id"]))
+    return 0 if all(r["pass"] for r in rows) else 1
 
 
 def cmd_catalog(args) -> int:

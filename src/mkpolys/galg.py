@@ -191,14 +191,6 @@ def orbit_sum(lam: Weight, n: int) -> GAElem:
     return GAElem(n, {w: SC_ONE for w in weyl_orbit(lam, n)})
 
 
-def symmetrize(f: GAElem) -> GAElem:
-    """Sum of w(f) over the whole Weyl group, each element applied once."""
-    out = GAElem(f.rank)
-    for w in weyl_group(f.rank):
-        out = out + f.w_apply(w)
-    return out
-
-
 def m_basis(f: GAElem) -> dict:
     """Coordinates of an invariant element in the orbit-sum basis."""
     rem = f
@@ -222,20 +214,33 @@ def from_m_basis(coeffs: dict, n: int) -> GAElem:
 
 
 def ga_divexact(f: GAElem, g: GAElem) -> GAElem:
-    """Exact division in the Laurent group algebra; raises if not divisible."""
+    """Exact division in the Laurent group algebra; raises if not divisible.
+
+    The Newton polytope of f = q*g is the Minkowski sum of those of q and
+    g, so every weight of q lies in the box min(f) - min(g) <= w <=
+    max(f) - max(g), coordinate by coordinate.  The quotient weights the
+    lex-leading-term loop produces strictly decrease, so a weight outside
+    that finite box is the proof of non-divisibility and the loop ends.
+    """
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero")
+    if f.is_zero():
+        return GAElem(f.rank)
+    lo = [min(w[i] for w in f.terms) - min(w[i] for w in g.terms)
+          for i in range(f.rank)]
+    hi = [max(w[i] for w in f.terms) - max(w[i] for w in g.terms)
+          for i in range(f.rank)]
     gw = max(g.terms)  # lex-leading term
     gc = g.terms[gw]
     rem = dict(f.terms)
     quo = {}
-    cap = 10000 + 10 * (len(f.terms) + len(g.terms)) ** 2
     while rem:
-        if len(quo) > cap:
-            raise ValueError("not divisible")
         fw = max(rem)
         w = tuple(a - b for a, b in zip(fw, gw))
+        for x, a, b in zip(w, lo, hi):
+            if x < a or x > b:
+                raise ValueError("not divisible")
         c = rem[fw] / gc
         quo[w] = c
         for w2, c2 in g.terms.items():

@@ -23,6 +23,7 @@ from .roots import (
     build_root_system,
     dominance_leq,
     dominant_weights_below,
+    dominant_weights_upto,
     eps,
     weyl_apply,
     weyl_group,
@@ -31,28 +32,12 @@ from .scalars import SC_ONE, SC_ZERO, Scalar, TruncSeries, scalar_to_series
 from .weights import (
     InnerProductEngine,
     KLabel,
-    PochProduct,
+    atom_gaelem,
     half_density,
     koornwinder_weight,
+    ratio_atoms,
     shifted_weight,
 )
-
-
-def dominant_weights_upto(n: int, bound: int):
-    """Even-doubled dominant weights (partition points) with coordinate
-    sum <= bound, ascending in the (sum, lex) extension."""
-    out = []
-
-    def rec(i, prev, budget, acc):
-        if i == n:
-            out.append(tuple(acc))
-            return
-        for c in range(0, min(prev, budget) + 1, 2):
-            rec(i + 1, c, budget - c, acc + [c])
-
-    rec(0, bound - bound % 2, bound, [])
-    out.sort(key=lambda w: (sum(w), w))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -60,29 +45,6 @@ def dominant_weights_upto(n: int, bound: int):
 # ---------------------------------------------------------------------------
 
 _QDIFF_CACHE = {}
-
-
-def _ratio_atoms(numer: PochProduct, denom: PochProduct):
-    """Collapse numer/denom into binomial atoms (sign, v_exp, weight):
-    atom t stands for the factor 1 - sign*v^v_exp*e^weight."""
-    q = numer * denom.reciprocal()
-    finite, infinite = q.collapsed()
-    if infinite:
-        raise ValueError("ratio not rational")
-    num_atoms, den_atoms = [], []
-    for sym, m in finite:
-        for j in range(sym.length):
-            t = (sym.sign, sym.v_exp + j * sym.base_exp, sym.weight)
-            if m > 0:
-                num_atoms.extend([t] * m)
-            else:
-                den_atoms.extend([t] * (-m))
-    return q.prefactor, num_atoms, den_atoms
-
-
-def _atom_ga(atom, rank: int) -> GAElem:
-    s, c, w = atom
-    return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
 
 
 def _atom_apply_w(atom, w):
@@ -101,7 +63,7 @@ def _qdiff_pieces(label: KLabel, rs: RootSystem, direction: Weight):
         return hit
     delta = half_density(label, rs)
     tdelta = delta.translate(direction, label.base_exp)
-    pre, num_atoms, den_atoms = _ratio_atoms(tdelta, delta)
+    pre, num_atoms, den_atoms = ratio_atoms(tdelta, delta)
     groups = {}
     for w in weyl_group(rs.n):
         eta = weyl_apply(w, direction)
@@ -124,9 +86,9 @@ def _qdiff_pieces(label: KLabel, rs: RootSystem, direction: Weight):
         missing = lcm - Counter(dens)
         g = pre_w
         for a in nums:
-            g = g * _atom_ga(a, rs.n)
+            g = g * atom_gaelem(a, rs.n)
         for a, m in missing.items():
-            ga = _atom_ga(a, rs.n)
+            ga = atom_gaelem(a, rs.n)
             for _ in range(m):
                 g = g * ga
         cof[eta] = g
@@ -155,7 +117,7 @@ def apply_qdiff(label: KLabel, direction: Weight, f: GAElem,
         acc = acc + c * (f.translate(eta, label.base_exp) - f)
     try:
         for atom in common_atoms:
-            acc = ga_divexact(acc, _atom_ga(atom, rs.n))
+            acc = ga_divexact(acc, atom_gaelem(atom, rs.n))
     except ValueError:
         raise ValueError("non-polynomial result")
     out = acc.scale(Scalar.of(stab))
@@ -195,10 +157,6 @@ def operator_action(label: KLabel, rs: RootSystem, basis,
             matrix[(nu, mu)] = c
         matrix.setdefault((mu, mu), SC_ZERO)
     return OperatorAction(direction, label, level, list(basis), matrix)
-
-
-def eigenvalue_from_action(action: OperatorAction, lam: Weight) -> Scalar:
-    return action.eigenvalue(lam)
 
 
 @dataclass
@@ -349,14 +307,16 @@ def _series_solve(rows, rhs):
 
 
 def dual_path_agree(poly: MKPolynomial, gs_coeffs: dict, M: int) -> bool:
-    """Operator-exact coefficients equal the truncated ones mod v^(M+1)."""
-    keys = set(poly.coeffs) | set(gs_coeffs)
-    for w in keys:
-        exact = poly.coeffs.get(w, SC_ZERO)
-        ser = gs_coeffs.get(w)
-        lhs = scalar_to_series(exact, M)
-        rhs = ser if ser is not None else TruncSeries.zero(M)
-        if lhs != rhs:
+    """Operator-exact coefficients equal the truncated ones mod v^(M+1).
+
+    False when a truncated coefficient is certified only below v^(M+1):
+    agreement at a lower order does not certify the requested one."""
+    zero = TruncSeries.zero(M)
+    for w in set(poly.coeffs) | set(gs_coeffs):
+        ser = gs_coeffs.get(w, zero)
+        if ser.precision < M:
+            return False
+        if scalar_to_series(poly.coeffs.get(w, SC_ZERO), M) != ser:
             return False
     return True
 

@@ -61,11 +61,6 @@ class RootSystem:
     R2p: list
     R3p: list
 
-    @property
-    def sigma_long_pos(self):
-        """Positive long roots of the restricted system (the R1+ class)."""
-        return self.R1p
-
 
 def build_root_system(n: int) -> RootSystem:
     if n < 1:
@@ -141,6 +136,14 @@ def dominant_weights_below(lam: Weight):
         if dominance_leq(mu, lam):
             out.append(mu)
     out.sort(key=lambda m: (sum(m), m))
+    return out
+
+
+def dominant_weights_upto(n: int, bound: int):
+    """Even-doubled dominant weights (partition points) with coordinate
+    sum <= bound, ascending in the (sum, lex) extension."""
+    out = list(_partitions_upto(n, bound, bound - bound % 2))
+    out.sort(key=lambda w: (sum(w), w))
     return out
 
 
@@ -310,14 +313,6 @@ def catalog_json(reduced=None) -> str:
     return json.dumps(rows, indent=2, sort_keys=True)
 
 
-def bottom_of_well(entry: SatakeEntry, l: int) -> Weight:
-    """Doubled coordinates of the minimal dominant weight of the level-l
-    family: |l|/2 times the sum of positive Sigma_l roots."""
-    if not isinstance(entry, SatakeEntry):
-        raise ValueError("non-Hermitian entry")
-    return tuple([abs(l)] * entry.n)
-
-
 # ---------------------------------------------------------------------------
 # Ambient Weyl data for the central-character eigenvalue identity
 # ---------------------------------------------------------------------------
@@ -406,11 +401,3 @@ def _as_int(x):
     if x.denominator != 1:
         raise ValueError("non-integral restricted coordinate")
     return int(x)
-
-
-def ambient_orbit_exponents(data: AmbientData, vec, shift):
-    """Multiset of (w vec, shift) pairings over the ambient Weyl group."""
-    out = []
-    for w in data.weyl:
-        out.append(ambient_pair(data, _mat_apply(w, vec), shift))
-    return out

@@ -299,8 +299,12 @@ class Scalar:
 
     @staticmethod
     def of(x) -> "Scalar":
+        """A Scalar from a Scalar or an exact number; a float is refused,
+        since its binary value is rarely the number that was meant."""
         if isinstance(x, Scalar):
             return x
+        if isinstance(x, float):
+            raise TypeError("Scalar.of needs an exact number, got float %r" % x)
         return Scalar(p_make([Fraction(x)]))
 
     @staticmethod
@@ -414,15 +418,6 @@ SC_ZERO = Scalar(P_ZERO)
 SC_ONE = Scalar(P_ONE)
 
 
-def scalar_normalize(num, den) -> Scalar:
-    """Canonical-form num/den; raises on a zero denominator."""
-    return Scalar(num, den)
-
-
-def scalar_bar(x: Scalar) -> Scalar:
-    return x.bar()
-
-
 class TruncSeries:
     """Truncated power series in v, exact modulo v^(M+1)."""
 
@@ -520,12 +515,4 @@ def scalar_to_series(x: Scalar, M: int = DEFAULT_PRECISION) -> TruncSeries:
     """Expand a Scalar at v = 0; the denominator must not vanish there."""
     if not x.den or x.den[0] == 0:
         raise ValueError("pole at origin")
-    num = list(x.num) + [_F0] * (M + 1)
-    den = list(x.den) + [_F0] * (M + 1)
-    out = [_F0] * (M + 1)
-    for k in range(M + 1):
-        acc = num[k]
-        for i in range(k):
-            acc -= out[i] * den[k - i]
-        out[k] = acc / den[0]
-    return TruncSeries(out, M)
+    return TruncSeries(x.num, M).divide(TruncSeries(x.den, M))

@@ -234,39 +234,35 @@ def poch_one(rank: int) -> PochProduct:
     return PochProduct(rank)
 
 
-def koornwinder_weight(k: KLabel, rs: RootSystem) -> PochProduct:
-    """The five-parameter weight: per short-class root a, the factor
-    (e^{2a};B)_inf over the four length-one denominators, and per medium
-    root the pair (e^b;B)_inf / (B^{k5} e^b;B)_inf."""
+def _weight_product(k: KLabel, n: int, R1, R2) -> PochProduct:
+    """Per root a of R1, the factor (e^{2a};B)_inf over the four
+    length-one denominators; per root b of R2, the pair
+    (e^b;B)_inf / (B^{k5} e^b;B)_inf."""
     b = k.base_exp
+    r1 = k.r1_args()
     syms = []
-    for alpha in rs.R1:
+    for alpha in R1:
         two = tuple(2 * x for x in alpha)
         syms.append((PochSymbol(1, 0, two, b), 1))
-        for sign, c in k.r1_args():
+        for sign, c in r1:
             syms.append((PochSymbol(sign, c, alpha, b), -1))
     t = k.r2_arg()
-    for beta in rs.R2:
+    for beta in R2:
         syms.append((PochSymbol(1, 0, beta, b), 1))
         syms.append((PochSymbol(1, t, beta, b), -1))
-    return PochProduct(rs.n, syms)
+    return PochProduct(n, syms)
+
+
+def koornwinder_weight(k: KLabel, rs: RootSystem) -> PochProduct:
+    """The five-parameter weight over the short class R1 and the medium
+    class R2."""
+    return _weight_product(k, rs.n, rs.R1, rs.R2)
 
 
 def half_density(k: KLabel, rs: RootSystem) -> PochProduct:
     """The positive-root half of the weight; the weight equals this times
     its own bar image (checked, not assumed)."""
-    b = k.base_exp
-    syms = []
-    for alpha in rs.R1p:
-        two = tuple(2 * x for x in alpha)
-        syms.append((PochSymbol(1, 0, two, b), 1))
-        for sign, c in k.r1_args():
-            syms.append((PochSymbol(sign, c, alpha, b), -1))
-    t = k.r2_arg()
-    for beta in rs.R2p:
-        syms.append((PochSymbol(1, 0, beta, b), 1))
-        syms.append((PochSymbol(1, t, beta, b), -1))
-    return PochProduct(rs.n, syms)
+    return _weight_product(k, rs.n, rs.R1p, rs.R2p)
 
 
 def shift_factor(entry: SatakeEntry, l: int, rs: RootSystem,
@@ -309,35 +305,36 @@ def shifted_weight(k: KLabel, entry: SatakeEntry, l: int,
     return shift_factor(entry, l, rs, sigma, k.D) * koornwinder_weight(k, rs)
 
 
-def _finite_symbol_gaelem(sym: PochSymbol, rank: int) -> GAElem:
-    """Expand a finite symbol into the group algebra."""
-    out = GAElem.unit(rank)
-    for j in range(sym.length):
-        factor = GAElem.unit(rank) + GAElem.monomial(
-            rank, sym.weight,
-            Scalar.monomial(-sym.sign, sym.v_exp + j * sym.base_exp),
-        )
-        out = out * factor
-    return out
+# ---------------------------------------------------------------------------
+# Binomial atoms: the finite, exact form of a collapsed product
+# ---------------------------------------------------------------------------
+
+def atom_gaelem(atom, rank: int) -> GAElem:
+    """The binomial 1 - sign * v^v_exp * e^weight of atom (sign, v_exp,
+    weight)."""
+    s, c, w = atom
+    return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
 
 
-def poch_ratio(numer: PochProduct, denom: PochProduct):
-    """Collapse numer/denom into a fraction of finite group-algebra
-    elements; raises 'ratio not rational' if an infinite tail survives."""
+def _finite_atoms(finite):
+    """Binomial atoms of collapsed finite symbols, one per factor and
+    multiplicity: (numerator atoms, denominator atoms)."""
+    num, den = [], []
+    for sym, m in finite:
+        for j in range(sym.length):
+            t = (sym.sign, sym.v_exp + j * sym.base_exp, sym.weight)
+            (num if m > 0 else den).extend([t] * abs(m))
+    return num, den
+
+
+def ratio_atoms(numer: PochProduct, denom: PochProduct):
+    """Collapse numer/denom into (prefactor, numerator atoms, denominator
+    atoms); raises 'ratio not rational' if an infinite tail survives."""
     q = numer * denom.reciprocal()
     finite, infinite = q.collapsed()
     if infinite:
         raise ValueError("ratio not rational")
-    num = q.prefactor
-    den = GAElem.unit(q.rank)
-    for sym, m in finite:
-        g = _finite_symbol_gaelem(sym, q.rank)
-        for _ in range(abs(m)):
-            if m > 0:
-                num = num * g
-            else:
-                den = den * g
-    return num, den
+    return (q.prefactor,) + _finite_atoms(finite)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +360,6 @@ class SeriesElem:
     def coeff(self, w) -> TruncSeries:
         cs = self.terms.get(tuple(w))
         return TruncSeries(cs or [], self.M)
-
-    def weights(self):
-        return self.terms.keys()
 
 
 def _box_hull(weights, rank):
@@ -542,13 +536,12 @@ def poch_to_gaelem(P: PochProduct) -> GAElem:
     Laurent element (integer-parameter weights, shift factors)."""
     Q = _split_rescue(P)
     finite, infinite = Q.collapsed()
-    if infinite or any(m < 0 for _, m in finite):
+    num, den = _finite_atoms(finite)
+    if infinite or den:
         raise ValueError("product is not a finite Laurent element")
     out = Q.prefactor
-    for sym, m in finite:
-        g = _finite_symbol_gaelem(sym, Q.rank)
-        for _ in range(m):
-            out = out * g
+    for atom in num:
+        out = out * atom_gaelem(atom, Q.rank)
     return out
 
 

@@ -1,170 +1,18 @@
-"""Acceptance suite: each test runs one criterion at its stated scope and
-prints a PASS line (run with -s to see them).  All checks are exact
-identities or identities modulo v^41; there are no numeric tolerances.
+"""Acceptance suite: one test per row of `mkpolys verify all`, taken from
+the check registry in mkpolys.checks, at series precision 40 (identities
+hold exactly or mod v^41; there are no numeric tolerances).
 """
-
-from fractions import Fraction
 
 import pytest
 
-from mkpolys.galg import GAElem
-from mkpolys.mkengine import (
-    build_family,
-    build_polynomial_gs,
-    check_bar_invariance,
-    connection_coeffs,
-    dominant_weights_upto,
-    dual_path_agree,
-    eigenvalue_identity_check,
-    verify_orthogonality,
-    _family_engine,
-)
-from mkpolys.qsp1 import aiiia_parameter, build_rank1, chain_res, fundamental_res
-from mkpolys.roots import build_root_system, satake_catalog
-from mkpolys.scalars import SC_ONE
-from mkpolys.weights import KLabel, koornwinder_weight, poch_to_gaelem, shift_factor, shifted_weight
+from mkpolys.checks import cases
 
-M = 40  # series precision: identities are checked mod v^(M+1)
+M = 40
 
-AI1 = satake_catalog("AI1", 1)
-CI2 = satake_catalog("CI", 2)
-AIIIB2 = satake_catalog("AIIIb", 2)
-AIV2 = satake_catalog("AIVm", 1, 2)
+CASES = cases()
 
 
-@pytest.fixture(scope="module")
-def families():
-    """Operator-exact families for the labels used across the criteria."""
-    fams = {}
-    for l in (0, 1, 2):
-        fams[("AI1", l)] = build_family(AI1, l, 8)
-        fams[("AIVm", l)] = build_family(AIV2, l, 6)
-        fams[("AIIIb", l)] = build_family(AIIIB2, l, 6)
-    for l in (0, 1):
-        fams[("AI1", 3)] = build_family(AI1, 3, 6)
-        fams[("AIVm", 3)] = build_family(AIV2, 3, 6)
-        fams[("CI", l)] = build_family(CI2, l, 4)
-    return fams
-
-
-def test_criterion_1_weight_shift_reduced():
-    for entry in (AI1, CI2):
-        rs = build_root_system(entry.n)
-        k0 = KLabel.from_entry(entry, 0)
-        for l in (0, 1, 2, 3):
-            lhs = shifted_weight(k0, entry, l, rs)
-            rhs = koornwinder_weight(KLabel.from_entry(entry, l), rs)
-            assert lhs == rhs, (entry.family, l)
-    print("\nACCEPTANCE 1 (weight shift, reduced: exact product equality): PASS")
-
-
-def test_criterion_2_weight_shift_aiiia():
-    for sigma in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        for m in (2, 3):
-            for n in (1, 2):
-                entry = satake_catalog("AIIIa", n, m)
-                rs = build_root_system(n)
-                k0 = KLabel.from_entry(entry, 0, sigma)
-                for l in (-2, -1, 1, 2):
-                    lhs = shifted_weight(k0, entry, l, rs, sigma)
-                    rhs = koornwinder_weight(KLabel.from_entry(entry, l, sigma), rs)
-                    assert lhs == rhs, (sigma, m, n, l)
-    print("ACCEPTANCE 2 (weight shift, non-reduced: exact product equality): PASS")
-
-
-def test_criterion_3_orthogonality(families):
-    cases = [("AI1", AI1), ("AIVm", AIV2), ("AIIIb", AIIIB2)]
-    for name, entry in cases:
-        for l in (0, 1, 2):
-            fam = families[(name, l)]
-            assert len(fam) >= 4
-            rep = verify_orthogonality(fam, entry, l, M=M)
-            assert rep["pass"], (name, l, rep)
-    print("ACCEPTANCE 3 (orthogonality of all pairs mod v^41): PASS")
-
-
-def test_criterion_4_rank_one_pillar():
-    rs1 = build_root_system(1)
-    mod = build_rank1("AI1")
-    for l in (1, 2, 3, 4):
-        chain = chain_res(mod, l)
-        assert chain == fundamental_res("AI1", 1, l)
-        assert chain * chain.bar() == poch_to_gaelem(shift_factor(AI1, l, rs1))
-    for n in (2, 3):
-        entry = satake_catalog("AIVm", 1, n)
-        for sigma in (Fraction(0), Fraction(1, 2)):
-            modn = build_rank1("AIV", n, (SC_ONE, aiiia_parameter(sigma, n)))
-            for l in (1, 2, 3):
-                chain = chain_res(modn, l)
-                assert chain == fundamental_res("AIV", n, l, sigma)
-                assert chain * chain.bar() == poch_to_gaelem(
-                    shift_factor(entry, l, rs1, sigma))
-                back = chain_res(modn, -l)
-                assert back * back.bar() == poch_to_gaelem(
-                    shift_factor(entry, -l, rs1, sigma))
-    print("ACCEPTANCE 4 (rank-one products equal closed forms, exactly): PASS")
-
-
-def test_criterion_5_bar_invariance(families):
-    count = 0
-    for name in ("AI1", "AIIIb"):
-        for l in (0, 1, 2):
-            for P in families[(name, l)].values():
-                assert check_bar_invariance(P), (name, l, P.lam)
-                count += 1
-    assert count >= 24
-    print("ACCEPTANCE 5 (coefficients fixed by v -> 1/v, exactly): PASS")
-
-
-def test_criterion_6_eigenvalue_identity():
-    rep = eigenvalue_identity_check(
-        AI1, "AI1",
-        [(Fraction(0),), (Fraction(2),), (Fraction(4),), (Fraction(6),)],
-        bound=6, shifts=(1, 2))
-    assert rep["pass"] and rep["N"] == 1
-    rep2 = eigenvalue_identity_check(
-        CI2, "CI",
-        [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)),
-         (Fraction(2), Fraction(2)), (Fraction(4), Fraction(2))],
-        bound=4, shifts=(1, 2))
-    assert rep2["pass"] and rep2["N"] == 1
-    print("ACCEPTANCE 6 (central-character eigenvalue identity + level shift): PASS")
-
-
-def test_criterion_7_connection_coefficients(families):
-    for name, entry in (("AI1", AI1), ("AIVm", AIV2)):
-        for l in (0, 1):
-            fam_l = families[(name, l)]
-            fam_next = families[(name, l + 1)]
-            for lam in ((2,), (4,), (6,)):
-                if lam not in fam_l:
-                    continue
-                d = connection_coeffs(fam_l, fam_next, lam)
-                assert set(d) == {lam, (lam[0] - 2,)}, (name, l, lam, d)
-                assert d[lam] == SC_ONE
-                rebuilt = GAElem(1)
-                for mu, c in d.items():
-                    rebuilt = rebuilt + fam_next[mu].as_gaelem(1).scale(c)
-                assert rebuilt == fam_l[lam].as_gaelem(1)
-    print("ACCEPTANCE 7 (two-term connection coefficients, exactly): PASS")
-
-
-def test_criterion_8_operator_soundness(families):
-    # triangularity, invariance and the polynomial-result assertion are
-    # enforced inside every operator application; here the two independent
-    # construction paths are compared mod v^41 on every label used above
-    cases = [
-        ("AI1", AI1, (0, 1, 2), 8),
-        ("AIVm", AIV2, (0, 1, 2), 6),
-        ("AIIIb", AIIIB2, (0, 1, 2), 4),
-        ("CI", CI2, (0, 1), 4),
-    ]
-    for name, entry, levels, bound in cases:
-        basis = dominant_weights_upto(entry.n, bound)
-        for l in levels:
-            fam = families[(name, l)]
-            _, engine = _family_engine(entry, l, basis, M, Fraction(0), 2)
-            for lam in basis:
-                gs = build_polynomial_gs(entry, l, lam, M=M, engine=engine)
-                assert dual_path_agree(fam[lam], gs, M - 4), (name, l, lam)
-    print("ACCEPTANCE 8 (exact and truncated constructions agree mod v^41): PASS")
+@pytest.mark.parametrize("check,case", CASES, ids=[case[0] for _, case in CASES])
+def test_check(check, case):
+    row = check.row(case, M)
+    assert row["pass"], row

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "mkpolys.cli"]
 
 
@@ -42,7 +44,7 @@ def test_compute_lambda_selector_and_csv():
               "--format", "csv")
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "lambda,mu,coefficient"
-    bad = run("compute", "--family", "AI1", "--bound", "4", "--lambda", "99")
+    bad = run("compute", "--family", "AI1", "--bound", "4", "--lambda", "100")
     assert bad.returncode == 1
 
 
@@ -55,6 +57,28 @@ def test_compute_open_family_fails_cleanly():
 def test_usage_error_is_exit_two():
     assert run("verify", "nonsense").returncode == 2
     assert run().returncode == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (("compute", "--family", "AI1", "--lambda", "x"), "--lambda"),
+    (("compute", "--family", "AI1", "--lambda", "5"), "--lambda"),
+    (("compute", "--family", "AIVm", "--m", "2", "--sigma", "1/0"), "--sigma"),
+    (("compute", "--family", "AI1", "--bound", "-3"), "--bound"),
+    (("compute", "--family", "AI1", "--n", "3"), "rank 1"),
+    (("verify", "bar", "--precision", "-1"), "--precision"),
+], ids=["lambda-not-int", "lambda-odd", "sigma-zero-denominator",
+        "negative-bound", "rank-mismatch", "negative-precision"])
+def test_bad_input_is_exit_two_with_a_message(args, message):
+    out = run(*args)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert message in out.stderr and "Traceback" not in out.stderr
+
+
+def test_fixed_rank_families_need_no_rank():
+    out = run("compute", "--family", "DI", "--bound", "2")
+    assert out.returncode == 0
+    assert json.loads(out.stdout.splitlines()[-1])["lambda"] == [2, 0]
 
 
 def test_verify_weight_shift_suite():

@@ -9,7 +9,6 @@ from mkpolys.galg import (
     ga_divexact,
     m_basis,
     orbit_sum,
-    symmetrize,
 )
 from mkpolys.roots import weyl_group, weyl_orbit
 from mkpolys.scalars import SC_ONE, Scalar
@@ -122,22 +121,16 @@ def test_orbit_sum_pairing_counts_orbit():
         assert (m * m.bar()).constant_term() == Scalar.of(len(m.terms))
 
 
-def test_symmetrize():
-    n = 2
-    order = len(weyl_group(n))
-    assert symmetrize(GAElem.unit(n)) == GAElem.unit(n).scale(order)
-    m = orbit_sum((2, 0), n)
-    assert symmetrize(m) == m.scale(order)
-    assert symmetrize(mono(n, (2, 0))) == m.scale(2)  # stabilizer size 2
-
-
 def test_m_basis_round_trip():
     rng = random.Random(8)
     coeffs = {(4, 0): Scalar.v_pow(2), (2, 2): Scalar.of(-3), (0, 0): SC_ONE}
     f = from_m_basis(coeffs, 2)
     assert m_basis(f) == coeffs
-    # random invariant element: symmetrized noise
-    g = symmetrize(rand_elem(rng, 2))
+    # random invariant element: noise summed over the Weyl group
+    noise = rand_elem(rng, 2)
+    g = GAElem(2)
+    for w in weyl_group(2):
+        g = g + noise.w_apply(w)
     assert from_m_basis(m_basis(g), 2) == g
 
 
@@ -154,6 +147,33 @@ def test_divexact():
     assert ga_divexact(prod, f) == g
     with pytest.raises(ValueError):
         ga_divexact(mono(1, (0,)) + mono(1, (2,), 2), mono(1, (0,)) + mono(1, (2,)))
+
+
+def test_divexact_rank_two_round_trip():
+    rng = random.Random(12)
+    for _ in range(5):
+        f, g = rand_elem(rng, 2), rand_elem(rng, 2)
+        if g.is_zero():
+            continue
+        assert ga_divexact(f * g, g) == f
+
+
+def test_divexact_rank_two_non_divisible_stops_at_once(monkeypatch):
+    # 1 / (1 - v e^(0,2)) is an infinite series; the quotient's Newton
+    # box is empty, so the first pass already proves non-divisibility
+    passes = []
+    divide = Scalar.__truediv__
+    monkeypatch.setattr(Scalar, "__truediv__",
+                        lambda a, b: passes.append(1) or divide(a, b))
+    g = GAElem.unit(2) - mono(2, (0, 2), Scalar.v_pow(1))
+    with pytest.raises(ValueError, match="not divisible"):
+        ga_divexact(GAElem.unit(2), g)
+    assert len(passes) <= 1
+    # a remainder that only shows up after some passes is caught inside the box
+    h = (GAElem.unit(2) + mono(2, (2, 2), 3)) * g + mono(2, (0, 0), 1)
+    with pytest.raises(ValueError, match="not divisible"):
+        ga_divexact(h, g)
+    assert len(passes) < 20
 
 
 def test_serialization_sorted_and_stable():

@@ -11,10 +11,8 @@ from mkpolys.mkengine import (
     build_polynomial_gs,
     check_bar_invariance,
     connection_coeffs,
-    dominant_weights_upto,
     dual_path_agree,
     eigenvalue_closed_form_check,
-    eigenvalue_from_action,
     eigenvalue_identity_check,
     operator_action,
     pin_rho,
@@ -22,7 +20,7 @@ from mkpolys.mkengine import (
     _family_engine,
     _qdiff_pieces,
 )
-from mkpolys.roots import build_root_system, satake_catalog
+from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
 from mkpolys.scalars import SC_ONE, Scalar
 from mkpolys.weights import KLabel
 
@@ -72,7 +70,7 @@ def test_eigenvalue_examples():
     assert act.eigenvalue((0,)) == Scalar.of(0)
     # B^{-1} + B^2 - (1 + B) in base B = v^4
     e2 = Scalar.v_pow(-4) + Scalar.v_pow(8) - Scalar.of(1) - Scalar.v_pow(4)
-    assert eigenvalue_from_action(act, (2,)) == e2
+    assert act.eigenvalue((2,)) == e2
     # distinct across the basis
     eigs = [act.eigenvalue(w) for w in basis]
     for i, a in enumerate(eigs):
@@ -144,6 +142,19 @@ def test_gram_path_orthogonality_postcondition():
             term = cs * eng.ct_pair(orbit_sum(nu, 1), orbit_sum(mu, 1))
             acc = term if acc is None else acc + term
         assert acc.is_zero()
+
+
+def test_dual_agreement_needs_the_requested_precision():
+    # a Gram coefficient certified only mod v^(M-3) does not certify mod v^(M+1)
+    M = 40
+    P = build_family(AI1, 0, 4)[(4,)]
+    gs = build_polynomial_gs(AI1, 0, (4,), M=M)
+    assert dual_path_agree(P, gs, M)
+    from mkpolys.scalars import TruncSeries
+    low = dict(gs)
+    low[(2,)] = TruncSeries(gs[(2,)].coeffs, M - 4)
+    assert not dual_path_agree(P, low, M)
+    assert dual_path_agree(P, low, M - 4)
 
 
 def test_gram_path_low_precision_is_graceful():

@@ -7,7 +7,6 @@ import pytest
 
 from mkpolys.roots import (
     ambient_data,
-    bottom_of_well,
     build_root_system,
     catalog_entries,
     catalog_json,
@@ -184,17 +183,10 @@ def test_non_reduced_flags():
     assert not flags["AIIIa"] and not flags["DIIIb"] and not flags["EIII"]
 
 
-def test_bottom_of_well():
-    assert bottom_of_well(satake_catalog("AI1", 1), 3) == (3,)
-    assert bottom_of_well(satake_catalog("AIVm", 1, 2), -2) == (2,)
-    for e in catalog_entries():
-        assert bottom_of_well(e, 0) == (0,) * e.n
-
-
 def test_long_orbit_sum_invariant():
     for n in (1, 2, 3):
         rs = build_root_system(n)
-        total = [sum(col) for col in zip(*rs.sigma_long_pos)]
+        total = [sum(col) for col in zip(*rs.R1p)]
         assert total == [2] * n
 
 

@@ -11,8 +11,6 @@ from mkpolys.scalars import (
     p_from_terms,
     p_gcd,
     p_mul,
-    scalar_bar,
-    scalar_normalize,
     scalar_to_series,
 )
 
@@ -26,22 +24,22 @@ def C(x):
 
 
 def test_normalize_gcd_cancellation():
-    s = scalar_normalize(p_from_terms([(2, 1), (0, -1)]), p_from_terms([(1, 1), (0, -1)]))
+    s = Scalar(p_from_terms([(2, 1), (0, -1)]), p_from_terms([(1, 1), (0, -1)]))
     assert s == C(1) + V(1)           # (v^2-1)/(v-1) = v+1
     assert s.den == P_ONE
 
 
 def test_normalize_zero_and_constant_denominator():
-    z = scalar_normalize(P_ZERO, p_from_terms([(3, 1)]))
+    z = Scalar(P_ZERO, p_from_terms([(3, 1)]))
     assert z.num == P_ZERO and z.den == P_ONE
-    h = scalar_normalize(p_from_terms([(1, 2)]), p_from_terms([(0, 4)]))
+    h = Scalar(p_from_terms([(1, 2)]), p_from_terms([(0, 4)]))
     assert h == C(Fraction(1, 2)) * V(1)
     assert h.den == P_ONE
 
 
 def test_normalize_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
-        scalar_normalize(P_ONE, P_ZERO)
+        Scalar(P_ONE, P_ZERO)
 
 
 def test_normalize_idempotent_on_randoms():
@@ -57,10 +55,10 @@ def test_normalize_idempotent_on_randoms():
 
 
 def test_bar_examples():
-    assert scalar_bar(V(1) + V(-1)) == V(1) + V(-1)
-    assert scalar_bar(V(2)) == V(-2)
+    assert (V(1) + V(-1)).bar() == V(1) + V(-1)
+    assert V(2).bar() == V(-2)
     w = (C(1) + V(1)) / (C(1) - V(1))
-    assert scalar_bar(w) == (V(1) + C(1)) / (V(1) - C(1))
+    assert w.bar() == (V(1) + C(1)) / (V(1) - C(1))
 
 
 def test_bar_is_an_involutive_homomorphism():
@@ -70,9 +68,15 @@ def test_bar_is_an_involutive_homomorphism():
         return Scalar(num if num else P_ONE, p_from_terms([(0, 1), (2, rng.randint(0, 2))]))
     for _ in range(30):
         x, y = rand(), rand()
-        assert scalar_bar(scalar_bar(x)) == x
-        assert scalar_bar(x * y) == scalar_bar(x) * scalar_bar(y)
-        assert scalar_bar(x + y) == scalar_bar(x) + scalar_bar(y)
+        assert x.bar().bar() == x
+        assert (x * y).bar() == x.bar() * y.bar()
+        assert (x + y).bar() == x.bar() + y.bar()
+
+
+def test_of_refuses_float():
+    with pytest.raises(TypeError, match="float"):
+        Scalar.of(0.1)
+    assert Scalar.of(Fraction(1, 10)) * C(10) == C(1)
 
 
 def test_series_examples():

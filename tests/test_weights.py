@@ -13,13 +13,14 @@ from mkpolys.weights import (
     KLabel,
     PochProduct,
     PochSymbol,
+    atom_gaelem,
     expand,
     half_density,
     inner_product,
     koornwinder_weight,
     poch_one,
-    poch_ratio,
     poch_to_gaelem,
+    ratio_atoms,
     shift_factor,
     shifted_weight,
 )
@@ -146,19 +147,20 @@ def test_half_density_structure_rank_one():
 # --- ratio collapse --------------------------------------------------------
 
 def test_poch_ratio_examples():
+    # atoms (sign, v_exp, weight) stand for binomials 1 - sign v^v_exp e^weight
     b = 4
     a_inf = PochProduct(1, [(PochSymbol(1, 2, (2,), b), 1)])
-    n, d = poch_ratio(a_inf, a_inf)
-    assert n == GAElem.unit(1) and d == GAElem.unit(1)
+    assert ratio_atoms(a_inf, a_inf) == (GAElem.unit(1), [], [])
 
     aq_inf = PochProduct(1, [(PochSymbol(1, 2 + b, (2,), b), 1)])
-    n, d = poch_ratio(a_inf, aq_inf)
-    assert n == binom(1, (2,), 1, 2) and d == GAElem.unit(1)   # (1-a)
+    assert ratio_atoms(a_inf, aq_inf) == (GAElem.unit(1), [(1, 2, (2,))], [])  # (1-a)
 
     aq2 = PochProduct(1, [(PochSymbol(1, 2 + 2 * b, (2,), b), 1)])
-    n, d = poch_ratio(aq2, a_inf)
-    assert n == GAElem.unit(1)
-    assert d == binom(1, (2,), 1, 2) * binom(1, (2,), 1, 2 + b)
+    pre, num, den = ratio_atoms(aq2, a_inf)
+    assert pre == GAElem.unit(1) and num == []
+    assert den == [(1, 2, (2,)), (1, 2 + b, (2,))]
+    assert atom_gaelem(den[0], 1) * atom_gaelem(den[1], 1) == (
+        binom(1, (2,), 1, 2) * binom(1, (2,), 1, 2 + b))
 
 
 def test_poch_ratio_non_collapsing_raises():
@@ -166,7 +168,7 @@ def test_poch_ratio_non_collapsing_raises():
     x = PochProduct(1, [(PochSymbol(1, 2, (2,), b), 1)])
     y = PochProduct(1, [(PochSymbol(1, 3, (2,), b), 1)])  # off-residue
     with pytest.raises(ValueError, match="ratio not rational"):
-        poch_ratio(x, y)
+        ratio_atoms(x, y)
 
 
 # --- expansion -------------------------------------------------------------
@@ -174,7 +176,7 @@ def test_poch_ratio_non_collapsing_raises():
 def test_expand_trivial_cases():
     one = expand(poch_one(1), 6, ([-2], [2]))
     assert one.coeff((0,)).coeffs[0] == 1
-    assert list(one.weights()) == [(0,)]
+    assert list(one.terms) == [(0,)]
     # single binomial at order zero
     P = PochProduct(1, [(PochSymbol(-1, 0, (2,), 4, 1), 1)])  # 1 + e^w
     se = expand(P, 4, ([-2], [2]))
@@ -222,7 +224,7 @@ def test_expand_product_multiplicativity():
         q = expand(Q, M, ([-outer], [outer]))
         for w in range(-inner, inner + 1, 2):
             acc = [Fraction(0)] * (M + 1)
-            for w1 in p.weights():
+            for w1 in p.terms:
                 w2 = (w - w1[0],)
                 prod = p.coeff(w1) * q.coeff(w2)
                 acc = [a + b for a, b in zip(acc, prod.coeffs)]
