@@ -126,11 +126,10 @@ def solve_quadratic(a: Scalar, b: Scalar, c: Scalar):
 
 
 def eval_at_one(x: Scalar) -> Fraction:
-    n = sum(x.num, Fraction(0))
-    d = sum(x.den, Fraction(0))
+    d = sum(x.d)
     if d == 0:
         raise ValueError("pole at v=1")
-    return n / d
+    return Fraction(sum(x.n), d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,46 @@
 """Exact arithmetic in Q(v) for a formal variable v = q^(1/D).
 
-Every coefficient in this package is a Scalar: a reduced fraction of
-univariate polynomials over Q in v, with monic denominator.  The bar
-involution is the Q-algebra map v -> 1/v.  TruncSeries is the oracle ring
-Q[[v]] / (v^(M+1)) used by the constant-term machinery.
+Every coefficient in this package is a Scalar, stored in one canonical
+integer form
 
-Polynomials are stored as tuples of Fractions, ascending degree, with no
-trailing zeros.
+    v^e * N(v) / D(v)
+
+where N and D are tuples of Python ints in ascending degree, without
+trailing zeros, such that
+
+  * N and D have nonzero constant terms (the valuation at v = 0 is e);
+  * N and D are coprime in Q[v];
+  * D has a positive leading coefficient;
+  * the integer content of N and D jointly is 1.
+
+Zero is e = 0, N = (), D = (1,).  Every nonzero element of Q(v) has
+exactly one such form, so equality and hashing compare the fields.  A
+Laurent polynomial with integer coefficients has D = (1,); on those,
++, - and * are integer-polynomial operations with an exponent shift and
+need no gcd.  The bar involution v -> 1/v reverses N and D.  Only an
+operation on a true rational function (D not constant) reaches p_gcd.
+
+TruncSeries is the oracle ring Q[[v]] / (v^(M+1)) used by the
+constant-term machinery; its coefficients are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 Poly = tuple
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 P_ZERO: Poly = ()
-P_ONE: Poly = (_F1,)
+P_ONE: Poly = (1,)
 
 DEFAULT_PRECISION = 40
 
 
 def p_make(coeffs) -> Poly:
-    """Trim trailing zeros; coefficients must already be Fractions."""
+    """Trim trailing zeros."""
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -38,22 +53,9 @@ def p_from_terms(pairs) -> Poly:
     if not pairs:
         return P_ZERO
     deg = max(e for e, _ in pairs)
-    cs = [_F0] * (deg + 1)
+    cs = [0] * (deg + 1)
     for e, c in pairs:
-        cs[e] += Fraction(c)
-    return p_make(cs)
-
-
-def p_deg(a: Poly) -> int:
-    return len(a) - 1
-
-
-def p_add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    cs = list(a)
-    for i, c in enumerate(b):
-        cs[i] += c
+        cs[e] += c
     return p_make(cs)
 
 
@@ -61,80 +63,48 @@ def p_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
-
-
 def p_mul(a: Poly, b: Poly) -> Poly:
+    """Product of trimmed polynomials over an integral domain (so the
+    product needs no trimming)."""
     if not a or not b:
         return P_ZERO
-    cs = [_F0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    cs[i + j] += ca * cb
-    return p_make(cs)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return tuple(c * x for x in a)
+    cs = [0] * (len(a) + len(b) - 1)
+    for i, cb in enumerate(b):
+        if cb:
+            for j, ca in enumerate(a, i):
+                cs[j] += ca * cb
+    return tuple(cs)
 
 
-def p_scale(a: Poly, c) -> Poly:
-    c = Fraction(c)
-    if not c:
-        return P_ZERO
-    return tuple(x * c for x in a)
-
-
-def p_divmod(a: Poly, b: Poly):
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    q = [_F0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
+def p_divexact(a: Poly, b: Poly) -> Poly:
+    """a / b over Z; raises ValueError unless b divides a in Z[v]."""
     lb = b[-1]
-    while len(r) >= len(b) and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - len(b)
-        t = r[-1] / lb
-        q[k] = t
-        for i, cb in enumerate(b):
-            r[k + i] -= t * cb
-        r.pop()
-    return p_make(q), p_make(r)
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + len(b) - 1], lb)
+        if m:
+            raise ValueError("not divisible")
+        if c:
+            q[k] = c
+            for i, cb in enumerate(b, k):
+                r[i] -= c * cb
+    if any(r):
+        raise ValueError("not divisible")
+    return tuple(q)
 
 
-def p_shift(a: Poly, k: int) -> Poly:
-    """Multiply by v^k (k >= 0)."""
-    if not a:
-        return P_ZERO
-    return (_F0,) * k + a
-
-
-def p_reversed(a: Poly, m: int) -> Poly:
-    """v^m * a(1/v); requires m >= deg(a)."""
-    cs = [_F0] * (m + 1)
-    for i, c in enumerate(a):
-        cs[m - i] = c
-    return p_make(cs)
-
-
-def _to_int(a: Poly):
-    from math import gcd
-    lcm = 1
-    for c in a:
-        d = c.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return [int(c * lcm) for c in a]
-
-
-def _int_prim(a):
-    from math import gcd
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    if g <= 1:
-        return list(a)
-    return [c // g for c in a]
+def _prim(a):
+    """Primitive part with a positive leading coefficient."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(c // g for c in a)
 
 
 def _prem(A, B):
@@ -160,21 +130,14 @@ def _prem(A, B):
     return R
 
 
-def p_monic(a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    lc = a[-1]
-    return tuple(c / lc for c in a)
-
-
 def p_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the primitive subresultant remainder sequence."""
+    """Gcd of integer polynomials by the subresultant remainder sequence:
+    primitive, with a positive leading coefficient."""
     if not a:
-        return p_monic(b)
+        return _prim(b) if b else P_ZERO
     if not b:
-        return p_monic(a)
-    A = _int_prim(_to_int(a))
-    B = _int_prim(_to_int(b))
+        return _prim(a)
+    A, B = _prim(a), _prim(b)
     if len(A) < len(B):
         A, B = B, A
     g = h = 1
@@ -189,45 +152,32 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
         g = A[-1]
         if delta > 0:
             h = g ** delta // h ** (delta - 1)
-    return p_monic(p_make([Fraction(c) for c in _int_prim(B)]))
-
-
-def _frac_sqrt(c: Fraction):
-    if c < 0:
-        return None
-    n, d = c.numerator, c.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
+    return _prim(tuple(B))
 
 
 def p_sqrt(a: Poly):
-    """Exact square root of a polynomial, or None."""
+    """The integer polynomial with positive leading coefficient whose
+    square is a, or None."""
     if not a:
         return P_ZERO
-    d = p_deg(a)
+    d = len(a) - 1
     if d % 2:
         return None
-    lead = _frac_sqrt(a[-1])
-    if lead is None:
+    lead = isqrt(a[-1]) if a[-1] > 0 else 0
+    if lead * lead != a[-1]:
         return None
     m = d // 2
-    s = [_F0] * (m + 1)
+    s = [0] * (m + 1)
     s[m] = lead
     for idx in range(m - 1, -1, -1):
-        acc = a[idx + m] if idx + m < len(a) else _F0
+        acc = a[idx + m]
         for i in range(idx + 1, m):
-            j = idx + m - i
-            if idx < j <= m and i <= m:
-                acc -= s[i] * s[j]
-        s[idx] = acc / (2 * lead)
-    cand = p_make(s)
-    if p_mul(cand, cand) == a:
-        return cand
-    if p_mul(p_neg(cand), p_neg(cand)) == a:
-        return cand
-    return None
+            acc -= s[i] * s[idx + m - i]
+        s[idx], r = divmod(acc, 2 * lead)
+        if r:
+            return None
+    cand = tuple(s)
+    return cand if p_mul(cand, cand) == a else None
 
 
 def p_str(a: Poly) -> str:
@@ -255,47 +205,98 @@ def p_str(a: Poly) -> str:
     return out
 
 
+def _strip(e, cs):
+    """(e', tuple) with v^e' * tuple = v^e * cs and no zero at either end;
+    (0, ()) for zero."""
+    hi = len(cs)
+    while hi and not cs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, P_ZERO
+    lo = 0
+    while not cs[lo]:
+        lo += 1
+    return e + lo, tuple(cs[lo:hi])
+
+
+def _laurent_add(ea, a, eb, b):
+    """v^ea * a + v^eb * b, stripped as by _strip."""
+    if ea > eb:
+        ea, a, eb, b = eb, b, ea, a
+    k = eb - ea
+    cs = list(a)
+    if len(cs) < k + len(b):
+        cs.extend([0] * (k + len(b) - len(cs)))
+    for i, c in enumerate(b, k):
+        cs[i] += c
+    return _strip(ea, cs)
+
+
+def _split(a, b):
+    """(a / g, b / g, g) for g = gcd(a, b); constant polynomials share no
+    factor worth a gcd."""
+    if len(a) > 1 and len(b) > 1:
+        g = p_gcd(a, b)
+        if len(g) > 1:
+            return p_divexact(a, g), p_divexact(b, g), g
+    return a, b, P_ONE
+
+
+_new_object = object.__new__
+
+
+def _new(e, n, d):
+    x = _new_object(Scalar)
+    x.e = e
+    x.n = n
+    x.d = d
+    return x
+
+
+def _normal(e, n, d):
+    """The Scalar v^e * n/d for coprime n, d with nonzero constant terms:
+    fixes the joint content and the sign of D's leading coefficient."""
+    if d == P_ONE:
+        return _new(e, n, d)
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(x // c for x in n)
+        d = tuple(x // c for x in d)
+    return _new(e, n, d)
+
+
+def _reduce(e, n, d):
+    """The Scalar v^e * n/d for n, d with nonzero constant terms."""
+    n, d, _ = _split(n, d)
+    return _normal(e, n, d)
+
+
 class Scalar:
-    """A reduced fraction of polynomials in v; denominator monic."""
+    """v^e * N(v)/D(v) in the canonical integer form of the module
+    docstring; build one with Scalar(num, den), Scalar.of, v_pow or
+    monomial."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("e", "n", "d")
 
-    def __init__(self, num, den=P_ONE, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        num = num if isinstance(num, tuple) else p_make(num)
-        den = den if isinstance(den, tuple) else p_make(den)
-        if not den:
+    def __init__(self, num, den=P_ONE):
+        """num / den for coefficient sequences (ascending degree) of exact
+        rationals, in any form: unreduced, with powers of v, non-integral."""
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        lcm = 1
+        for c in num + den:
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+        ed, d = _strip(0, [int(c * lcm) for c in den])
+        if not d:
             raise ZeroDivisionError("division by zero")
-        if not num:
-            self.num, self.den = P_ZERO, P_ONE
+        en, n = _strip(0, [int(c * lcm) for c in num])
+        if not n:
+            self.e, self.n, self.d = 0, P_ZERO, P_ONE
             return
-        if den != P_ONE:
-            # strip the common power of v first; most denominators in the
-            # operator pipeline are monomials and never need a full gcd
-            nv = 0
-            while num[nv] == 0:
-                nv += 1
-            dv = 0
-            while den[dv] == 0:
-                dv += 1
-            s = nv if nv < dv else dv
-            if s:
-                num = num[s:]
-                den = den[s:]
-            if len(den) > 1:
-                g = p_gcd(num, den)
-                if g != P_ONE:
-                    num, _ = p_divmod(num, g)
-                    den, _ = p_divmod(den, g)
-            if den[-1] != 1:
-                lc = den[-1]
-                num = tuple(c / lc for c in num)
-                den = tuple(c / lc for c in den)
-        self.num = num
-        self.den = den
+        x = _reduce(en - ed, n, d)
+        self.e, self.n, self.d = x.e, x.n, x.d
 
     @staticmethod
     def of(x) -> "Scalar":
@@ -305,14 +306,15 @@ class Scalar:
             return x
         if isinstance(x, float):
             raise TypeError("Scalar.of needs an exact number, got float %r" % x)
-        return Scalar(p_make([Fraction(x)]))
+        x = Fraction(x)
+        if not x:
+            return SC_ZERO
+        return _new(0, (x.numerator,), (x.denominator,))
 
     @staticmethod
     def v_pow(k: int) -> "Scalar":
         """v^k for any integer k."""
-        if k >= 0:
-            return Scalar(p_shift(P_ONE, k), P_ONE, _canonical=True)
-        return Scalar(P_ONE, p_shift(P_ONE, -k), _canonical=True)
+        return _new(k, P_ONE, P_ONE)
 
     @staticmethod
     def monomial(coeff, k: int) -> "Scalar":
@@ -320,52 +322,71 @@ class Scalar:
         return Scalar.of(coeff) * Scalar.v_pow(k)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def is_one(self) -> bool:
-        return self.num == P_ONE and self.den == P_ONE
+        return self.e == 0 and self.n == P_ONE and self.d == P_ONE
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.of(other)
-        return p_mul(self.num, other.den) == p_mul(other.num, self.den)
+        return self.e == other.e and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.e, self.n, self.d))
 
     def __add__(self, other):
+        """Henrici's sum (Knuth, TAOCP 2, 4.5.1): for g = gcd(b, d),
+        b = g b' and d = g d', a/b + c/d is t / (b' d' g) with
+        t = a d' + c b', and only a factor of g can cancel from it."""
         other = Scalar.of(other)
-        if self.den == P_ONE and other.den == P_ONE:
-            return Scalar(p_add(self.num, other.num), P_ONE, _canonical=True)
-        return Scalar(
-            p_add(p_mul(self.num, other.den), p_mul(other.num, self.den)),
-            p_mul(self.den, other.den),
-        )
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        b, d = self.d, other.d
+        if b == d:
+            e, t = _laurent_add(self.e, self.n, other.e, other.n)
+            if not t:
+                return SC_ZERO
+            if b == P_ONE:
+                return _new(e, t, P_ONE)
+            return _reduce(e, t, b)
+        b, d, g = _split(b, d)
+        e, t = _laurent_add(self.e, p_mul(self.n, d), other.e, p_mul(other.n, b))
+        if not t:
+            return SC_ZERO
+        t, g, _ = _split(t, g)
+        return _normal(e, t, p_mul(p_mul(b, d), g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(p_neg(self.num), self.den, _canonical=True)
+        return _new(self.e, p_neg(self.n), self.d)
 
     def __sub__(self, other):
         return self + (-Scalar.of(other))
 
     def __mul__(self, other):
         other = Scalar.of(other)
-        if self.den == P_ONE and other.den == P_ONE:
-            return Scalar(p_mul(self.num, other.num), P_ONE, _canonical=True)
-        return Scalar(p_mul(self.num, other.num), p_mul(self.den, other.den))
+        if not self.n or not other.n:
+            return SC_ZERO
+        e = self.e + other.e
+        if self.d == P_ONE and other.d == P_ONE:
+            return _new(e, p_mul(self.n, other.n), P_ONE)
+        n1, d2, _ = _split(self.n, other.d)
+        n2, d1, _ = _split(other.n, self.d)
+        return _normal(e, p_mul(n1, n2), p_mul(d1, d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.of(other)
-        return Scalar(p_mul(self.num, other.den), p_mul(self.den, other.num))
+        return self * Scalar.of(other).inverse()
 
     def __pow__(self, k: int):
         if k < 0:
-            return (Scalar(P_ONE) / self) ** (-k)
-        out = Scalar(P_ONE)
+            return self.inverse() ** (-k)
+        out = SC_ONE
         base = self
         while k:
             if k & 1:
@@ -375,38 +396,45 @@ class Scalar:
         return out
 
     def inverse(self) -> "Scalar":
-        return Scalar(self.den, self.num)
+        if not self.n:
+            raise ZeroDivisionError("division by zero")
+        if self.n[-1] < 0:
+            return _new(-self.e, p_neg(self.d), p_neg(self.n))
+        return _new(-self.e, self.d, self.n)
 
     def bar(self) -> "Scalar":
         """The involution v -> 1/v."""
-        m = max(p_deg(self.num), p_deg(self.den))
-        return Scalar(p_reversed(self.num, m), p_reversed(self.den, m))
+        n, d = self.n, self.d
+        if not n:
+            return self
+        e = len(d) - len(n) - self.e
+        if d[0] < 0:
+            return _new(e, p_neg(n[::-1]), p_neg(d[::-1]))
+        return _new(e, n[::-1], d[::-1])
 
     def sqrt(self):
-        """Exact square root in Q(v), or None."""
-        for cand_num in (self.num, p_neg(self.num)):
-            rn = p_sqrt(cand_num)
-            rd = p_sqrt(self.den)
-            if rn is not None and rd is not None:
-                s = Scalar(rn, rd)
-                if s * s == self:
-                    return s
-        return None
+        """Exact square root in Q(v), or None.  Of the two roots, the one
+        whose ratio of leading coefficients is positive."""
+        if self.e % 2:
+            return None
+        rn = p_sqrt(self.n)
+        rd = p_sqrt(self.d)
+        if rn is None or rd is None:
+            return None
+        return _new(self.e // 2, rn, rd)
 
     def __str__(self):
-        # display with integer coefficients: clear denominators jointly
-        from math import gcd
-        lcm = 1
-        for c in self.num + self.den:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        num = tuple(c * lcm for c in self.num)
-        den = tuple(c * lcm for c in self.den)
+        # N and D are jointly primitive with D's leading coefficient
+        # positive, so they print as stored: integer coefficients only
+        e = self.e
+        num = (0,) * e + self.n if e > 0 else self.n
+        den = (0,) * -e + self.d if e < 0 else self.d
         if den == P_ONE:
             return p_str(num)
         ns, ds = p_str(num), p_str(den)
         if len(num) > 1:
             ns = "(%s)" % ns
-        if len(den) > 1 or den[0] < 0:
+        if len(den) > 1:
             ds = "(%s)" % ds
         return "%s/%s" % (ns, ds)
 
@@ -414,8 +442,8 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-SC_ZERO = Scalar(P_ZERO)
-SC_ONE = Scalar(P_ONE)
+SC_ZERO = _new(0, P_ZERO, P_ONE)
+SC_ONE = _new(0, P_ONE, P_ONE)
 
 
 class TruncSeries:
@@ -512,7 +540,7 @@ class TruncSeries:
 
 
 def scalar_to_series(x: Scalar, M: int = DEFAULT_PRECISION) -> TruncSeries:
-    """Expand a Scalar at v = 0; the denominator must not vanish there."""
-    if not x.den or x.den[0] == 0:
+    """Expand a Scalar at v = 0; it must have no pole there (e >= 0)."""
+    if x.e < 0:
         raise ValueError("pole at origin")
-    return TruncSeries(x.num, M).divide(TruncSeries(x.den, M))
+    return TruncSeries((0,) * x.e + x.n, M).divide(TruncSeries(x.d, M))

@@ -198,6 +198,16 @@ def test_orthogonality_report():
     flagged = {(tuple(r["lam"]), tuple(r["mu"])) for r in rep2["pairs"] if not r["zero"]}
     assert flagged and all((4,) in pair for pair in flagged)
     assert all("first_nonzero_order" in r for r in rep2["pairs"] if not r["zero"])
+    assert all(r["precision_certified"] == 20 for r in rep2["pairs"])
+
+
+def test_orthogonality_row_needs_the_requested_precision():
+    from mkpolys.mkengine import orthogonality_row
+    from mkpolys.scalars import TruncSeries
+    row = orthogonality_row((2,), (0,), TruncSeries.zero(37), 40)
+    assert row["zero"] is False and row["precision_certified"] == 37
+    assert "first_nonzero_order" not in row
+    assert orthogonality_row((2,), (0,), TruncSeries.zero(40), 40)["zero"] is True
 
 
 def test_bar_invariance():
@@ -210,9 +220,8 @@ def test_bar_invariance():
 def _pole_order(h):
     worst = 0
     for c in h.terms.values():
-        nz = [i for i, x in enumerate(c.den) if x]
-        if nz and nz[0] > worst:
-            worst = nz[0]
+        if -c.e > worst:
+            worst = -c.e
     return worst
 
 

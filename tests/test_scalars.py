@@ -26,15 +26,15 @@ def C(x):
 def test_normalize_gcd_cancellation():
     s = Scalar(p_from_terms([(2, 1), (0, -1)]), p_from_terms([(1, 1), (0, -1)]))
     assert s == C(1) + V(1)           # (v^2-1)/(v-1) = v+1
-    assert s.den == P_ONE
+    assert (s.e, s.n, s.d) == (0, (1, 1), P_ONE)
 
 
 def test_normalize_zero_and_constant_denominator():
     z = Scalar(P_ZERO, p_from_terms([(3, 1)]))
-    assert z.num == P_ZERO and z.den == P_ONE
+    assert (z.e, z.n, z.d) == (0, P_ZERO, P_ONE)
     h = Scalar(p_from_terms([(1, 2)]), p_from_terms([(0, 4)]))
     assert h == C(Fraction(1, 2)) * V(1)
-    assert h.den == P_ONE
+    assert (h.e, h.n, h.d) == (1, (1,), (2,))
 
 
 def test_normalize_zero_denominator_raises():
@@ -50,8 +50,8 @@ def test_normalize_idempotent_on_randoms():
         if not den:
             den = P_ONE
         s = Scalar(num, den)
-        t = Scalar(s.num, s.den)
-        assert (s.num, s.den) == (t.num, t.den)
+        t = Scalar((0,) * max(s.e, 0) + s.n, (0,) * max(-s.e, 0) + s.d)
+        assert (s.e, s.n, s.d) == (t.e, t.n, t.d)
 
 
 def test_bar_examples():
