@@ -22,7 +22,6 @@ from .weights import (
     PochSymbol,
     expand,
     half_density,
-    inner_product,
     koornwinder_weight,
     poch_to_gaelem,
     shift_factor,
@@ -38,6 +37,7 @@ from .mkengine import (
     check_bar_invariance,
     connection_coeffs,
     eigenvalue_identity_check,
+    gram_matrix,
     verify_orthogonality,
 )
 from .qsp1 import (
@@ -49,7 +49,6 @@ from .qsp1 import (
     fundamental_res,
     matrix_coeff_res,
     solve_spherical,
-    verify_multiplicativity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,17 +17,17 @@ from typing import Callable
 
 from .galg import GAElem
 from .mkengine import (
-    _family_engine,
     build_family,
     build_polynomial_gs,
     check_bar_invariance,
     connection_coeffs,
     dual_path_agree,
     eigenvalue_identity_check,
+    gram_matrix,
     verify_orthogonality,
 )
 from .qsp1 import aiiia_parameter, build_rank1, chain_res, fundamental_res, solve_spherical
-from .roots import DEFAULT_D, build_root_system, dominant_weights_upto, satake_catalog
+from .roots import build_root_system, dominant_weights_upto, satake_catalog
 from .scalars import SC_ONE
 from .weights import KLabel, koornwinder_weight, poch_to_gaelem, shift_factor, shifted_weight
 
@@ -133,10 +133,9 @@ def _soundness(M, tag, n, m, bound, l, selfcheck_bound):
     if selfcheck_bound != bound:
         fam = family(tag, n, m, l, bound)
     basis = dominant_weights_upto(entry.n, bound)
-    _, engine = _family_engine(entry, l, basis, M, S0, DEFAULT_D)
-    return all(
-        dual_path_agree(fam[lam], build_polynomial_gs(entry, l, lam, M, engine=engine), M)
-        for lam in basis)
+    G = gram_matrix(entry, l, basis, M)
+    return all(dual_path_agree(fam[lam], build_polynomial_gs(entry, l, lam, M, gram=G), M)
+               for lam in basis)
 
 
 CHECKS = (

@@ -122,9 +122,6 @@ class GAElem:
     def coeff(self, w: Weight) -> Scalar:
         return self.terms.get(tuple(w), SC_ZERO)
 
-    def support(self):
-        return self.terms.keys()
-
     def bar(self) -> "GAElem":
         """Negate all weights, keep coefficients."""
         out = GAElem(self.rank)

@@ -34,7 +34,6 @@ from .weights import (
     KLabel,
     atom_gaelem,
     half_density,
-    koornwinder_weight,
     ratio_atoms,
     shifted_weight,
 )
@@ -234,48 +233,46 @@ def build_family(entry: SatakeEntry, l: int, bound: int,
 
 
 # ---------------------------------------------------------------------------
-# truncated Gram-style construction (oracle path)
+# the Gram matrix of orbit sums; the truncated Gram-style construction
+# (oracle path)
 # ---------------------------------------------------------------------------
 
-def _family_engine(entry, l, basis, M, sigma, D):
+def gram_matrix(entry: SatakeEntry, l: int, basis, M: int = 40,
+                sigma=Fraction(0), D: int = DEFAULT_D) -> dict:
+    """G[(mu, nu)] = ct(m_mu bar(m_nu) W_l) mod v^(M+1) for mu, nu in
+    basis: the constant-term pairing of orbit sums, symmetric, with each
+    unordered pair computed once over the window +-2 * span(basis)."""
     rs = build_root_system(entry.n)
     label0 = KLabel.from_entry(entry, 0, sigma, D)
-    Wchi = shifted_weight(label0, entry, l, rs, sigma)
-    base = koornwinder_weight(label0, rs)
-    span = 0
-    for w in basis:
-        span = max(span, sum(abs(c) for c in w))
-    lo = [-2 * span] * entry.n
-    hi = [2 * span] * entry.n
-    return rs, InnerProductEngine(Wchi, base, M, (lo, hi))
+    span = max((sum(abs(c) for c in w) for w in basis), default=0)
+    window = ([-2 * span] * entry.n, [2 * span] * entry.n)
+    engine = InnerProductEngine(shifted_weight(label0, entry, l, rs, sigma), M, window)
+    mons = [(mu, orbit_sum(mu, entry.n)) for mu in basis]
+    G = {}
+    for i, (mu, m_mu) in enumerate(mons):
+        for nu, m_nu in mons[: i + 1]:
+            G[(mu, nu)] = G[(nu, mu)] = engine.ct_pair(m_mu, m_nu)
+    return G
 
 
 def build_polynomial_gs(entry: SatakeEntry, l: int, lam: Weight,
                         M: int = 40, sigma=Fraction(0), D: int = DEFAULT_D,
-                        engine=None):
+                        gram=None):
     """Truncated coefficients from the orthogonality characterization:
     solve ct(P bar(m_mu) W) = 0 mod v^(M+1) for all mu below lam.
 
-    Returns a dict weight -> TruncSeries including the unit leading
-    coefficient.
+    gram is a Gram matrix from gram_matrix over a basis holding every
+    weight below lam; it is built when absent.  Returns a dict weight ->
+    TruncSeries including the unit leading coefficient.
     """
     below = dominant_weights_below(lam)
-    if engine is None:
-        _, engine = _family_engine(entry, l, below, M, sigma, D)
-    rs_n = len(lam)
-    mons = {mu: orbit_sum(mu, rs_n) for mu in below}
+    G = gram if gram is not None else gram_matrix(entry, l, below, M, sigma, D)
     lower = below[:-1]
-    G = {}
-    for mu in below:
-        for nu in lower:
-            G[(mu, nu)] = engine.ct_pair(mons[mu], mons[nu])
-    k = len(lower)
-    rows = [[G[(lower[j], lower[i])] for j in range(k)] for i in range(k)]
-    rhs = [-G[(lam, lower[i])] for i in range(k)]
+    rows = [[G[(mu, nu)] for mu in lower] for nu in lower]
+    rhs = [-G[(lam, nu)] for nu in lower]
     sol = _series_solve(rows, rhs)
     out = {lam: TruncSeries.one(M)}
-    for j, mu in enumerate(lower):
-        out[mu] = sol[j]
+    out.update(zip(lower, sol))
     return out
 
 
@@ -327,17 +324,23 @@ def dual_path_agree(poly: MKPolynomial, gs_coeffs: dict, M: int) -> bool:
 
 def verify_orthogonality(family: dict, entry: SatakeEntry, l: int,
                          M: int = 40, sigma=Fraction(0), D: int = DEFAULT_D):
-    """Pairwise constant terms ct(P bar(P') W_l); off-diagonal entries
-    must vanish mod v^(M+1), each row reporting the precision its
-    constant term is certified to."""
+    """Pairwise constant terms ct(P bar(P') W_l) = c^T G c', from one Gram
+    matrix of orbit sums and each coefficient expanded to a series once;
+    off-diagonal entries must vanish mod v^(M+1), each row reporting the
+    precision its constant term is certified to."""
     lams = sorted(family, key=lambda w: (sum(w), w))
-    _, engine = _family_engine(entry, l, lams, M, sigma, D)
-    n = entry.n
-    gas = {lam: family[lam].as_gaelem(n) for lam in lams}
+    series = {lam: {a: scalar_to_series(c, M) for a, c in family[lam].coeffs.items()}
+              for lam in lams}
+    support = sorted({a for ser in series.values() for a in ser})
+    G = gram_matrix(entry, l, support, M, sigma, D)
     report = {"entry": entry.family, "level": l, "pairs": [], "pass": True}
+    zero = TruncSeries.zero(M)
     for i, lam in enumerate(lams):
+        cG = {b: sum((x * G[(a, b)] for a, x in series[lam].items()), zero)
+              for b in support}
         for mu in lams[:i]:
-            row = orthogonality_row(lam, mu, engine.ct_pair(gas[lam], gas[mu]), M)
+            ct = sum((cG[b] * y for b, y in series[mu].items()), zero)
+            row = orthogonality_row(lam, mu, ct, M)
             report["pass"] = report["pass"] and row["zero"]
             report["pairs"].append(row)
     return report

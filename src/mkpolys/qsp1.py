@@ -412,16 +412,3 @@ def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0),
         out = out * (GAElem.unit(1)
                      + GAElem.monomial(1, (-2,), X * q(2 * j + 1)))
     return out
-
-
-def verify_multiplicativity(module: Rank1Module, l: int) -> dict:
-    """Check level by level that the product of solved single-level
-    restrictions matches the assembled chain."""
-    report = {"family": module.family, "n": module.n, "levels": []}
-    acc = GAElem.unit(1)
-    for j in range(l):
-        acc = acc * matrix_coeff_res(solve_spherical(module, j), module)
-        ok = acc == chain_res(module, j + 1)
-        report["levels"].append({"level": j + 1, "consistent": bool(ok)})
-    report["pass"] = all(r["consistent"] for r in report["levels"])
-    return report

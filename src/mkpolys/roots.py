@@ -125,9 +125,12 @@ def dominance_leq(mu: Weight, lam: Weight) -> bool:
 
 
 def dominant_weights_below(lam: Weight):
-    """All dominant mu <= lam, ascending in (coordinate sum, lex)."""
+    """All dominant mu <= lam, ascending in (coordinate sum, lex); lam
+    must lie on the even-doubled lattice."""
     if not is_dominant(lam):
         raise ValueError("weights must be dominant")
+    if any(c % 2 for c in lam):
+        raise ValueError("weights must have even doubled coordinates")
     n = len(lam)
     total = sum(lam)
     top = lam[0] if lam else 0
@@ -148,7 +151,8 @@ def dominant_weights_upto(n: int, bound: int):
 
 
 def _partitions_upto(n, total, top):
-    """Dominant doubled weights with coordinate sum <= total, entries <= top."""
+    """Even-doubled dominant weights with coordinate sum <= total, entries
+    <= top."""
     def rec(i, prev, budget):
         if i == n:
             yield ()
@@ -156,17 +160,7 @@ def _partitions_upto(n, total, top):
         for c in range(0, min(prev, budget) + 1, 2):
             for rest in rec(i + 1, c, budget - c):
                 yield (c,) + rest
-    if top % 2:  # odd doubled entries: half-lattice points
-        def rec_odd(i, prev, budget):
-            if i == n:
-                yield ()
-                return
-            for c in range(0, min(prev, budget) + 1):
-                for rest in rec_odd(i + 1, c, budget - c):
-                    yield (c,) + rest
-        yield from rec_odd(0, top, total)
-    else:
-        yield from rec(0, top, total)
+    yield from rec(0, top, total)
 
 
 # ---------------------------------------------------------------------------

@@ -525,10 +525,11 @@ class TruncSeries:
         M2 = M - s
         num = self.coeffs[s : M + 1]
         den = other.coeffs[s : M + 1]
+        deg = max(i for i, c in enumerate(den) if c)
         out = [_F0] * (M2 + 1)
         for k in range(M2 + 1):
             acc = num[k]
-            for i in range(k):
+            for i in range(max(0, k - deg), k):  # den is zero past deg
                 acc -= out[i] * den[k - i]
             out[k] = acc / den[0]
         return TruncSeries(out, M2)

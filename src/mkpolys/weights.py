@@ -1,6 +1,6 @@
 """Formal q-Pochhammer products: the Koornwinder weight, the level-shift
 factor, shifted weights, the positive-root half density, exact ratio
-collapse, and bi-truncated expansion feeding constant-term inner products.
+collapse, and bi-truncated expansion feeding the constant-term pairing.
 
 A PochSymbol encodes (sign * v^v_exp * e^weight ; v^base_exp)_length with
 length None meaning infinity.  Products store only INFINITE symbols with
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .galg import GAElem
 from .roots import DEFAULT_D, RootSystem, SatakeEntry, Weight, dot4, wneg, weyl_apply
-from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _F0, _F1
+from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _F0, _F1, scalar_to_series
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,6 @@ class KLabel:
 
     def ks(self):
         return (self.k1, self.k2, self.k3, self.k4, self.k5)
-
-    def shifted_k4(self, dl: int) -> "KLabel":
-        return KLabel(self.k1, self.k2, self.k3, self.k4 + dl, self.k5,
-                      self.base_exp, self.D)
 
 
 class PochProduct:
@@ -362,16 +358,6 @@ class SeriesElem:
         return TruncSeries(cs or [], self.M)
 
 
-def _box_hull(weights, rank):
-    lo = [0] * rank
-    hi = [0] * rank
-    for w in weights:
-        for i, c in enumerate(w):
-            lo[i] = min(lo[i], c)
-            hi[i] = max(hi[i], c)
-    return lo, hi
-
-
 def _needs_split(P: PochProduct):
     """Weights carrying a surviving infinite tail of negative multiplicity."""
     _, infinite = P.collapsed()
@@ -481,8 +467,6 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
                 return False
         return True
 
-    from .scalars import scalar_to_series
-
     acc = {}
     for w, coef in Q.prefactor.terms.items():
         ser = scalar_to_series(coef, M)
@@ -550,35 +534,22 @@ def poch_to_gaelem(P: PochProduct) -> GAElem:
 # ---------------------------------------------------------------------------
 
 class InnerProductEngine:
-    """Caches expansions of a weight (and the base weight for the
-    denominator) over a fixed window."""
+    """Caches the expansion of a weight over a fixed window."""
 
-    def __init__(self, W: PochProduct, base: PochProduct, M=DEFAULT_PRECISION,
-                 window=None):
+    def __init__(self, W: PochProduct, M=DEFAULT_PRECISION, window=None):
         self.W = W
-        self.base = base
         self.M = M
         self.rank = W.rank
         self.window = window or ([0] * self.rank, [0] * self.rank)
         self._exp = None
-        self._den = None
 
     def _expansion(self):
         if self._exp is None:
             self._exp = expand(self.W, self.M, self.window)
         return self._exp
 
-    def _denominator(self):
-        if self._den is None:
-            den = expand(self.base, self.M, None).coeff((0,) * self.rank)
-            if den.coeffs[0] == 0:
-                raise ValueError("constant term of base weight vanishes")
-            self._den = den
-        return self._den
-
     def ct_pair(self, f: GAElem, g: GAElem) -> TruncSeries:
-        """ct(f bar(g) W) as a truncated series (no base normalization)."""
-        from .scalars import scalar_to_series
+        """ct(f bar(g) W) as a truncated series."""
         h = f * g.bar()
         exp = self._expansion()
         acc = TruncSeries.zero(self.M)
@@ -588,19 +559,3 @@ class InnerProductEngine:
             if not ser.is_zero():
                 acc = acc + scalar_to_series(c, self.M) * ser
         return acc
-
-    def inner(self, f: GAElem, g: GAElem) -> TruncSeries:
-        return self.ct_pair(f, g).divide(self._denominator())
-
-
-def inner_product(f: GAElem, g: GAElem, W: PochProduct,
-                  M: int = DEFAULT_PRECISION, base: PochProduct = None) -> TruncSeries:
-    """ct(f bar(g) W) / ct(base); base defaults to W itself (level zero).
-
-    f and g are expected Weyl invariant; the expansion window is inferred
-    from their supports.
-    """
-    h = f * g.bar()
-    lo, hi = _box_hull([wneg(w) for w in h.terms], f.rank)
-    eng = InnerProductEngine(W, base if base is not None else W, M, (lo, hi))
-    return eng.inner(f, g)

@@ -14,21 +14,29 @@ from mkpolys.mkengine import (
     dual_path_agree,
     eigenvalue_closed_form_check,
     eigenvalue_identity_check,
+    gram_matrix,
     operator_action,
+    orthogonality_row,
     pin_rho,
     verify_orthogonality,
-    _family_engine,
     _qdiff_pieces,
 )
 from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
 from mkpolys.scalars import SC_ONE, Scalar
-from mkpolys.weights import KLabel
+from mkpolys.weights import InnerProductEngine, KLabel, shifted_weight
 
 AI1 = satake_catalog("AI1", 1)
 AIV2 = satake_catalog("AIVm", 1, 2)
 AIIIB2 = satake_catalog("AIIIb", 2)
 RS1 = build_root_system(1)
 RS2 = build_root_system(2)
+
+
+def _engine(entry, l, M, span):
+    """A pairing engine for W_l built directly, over the window +-2 * span."""
+    rs = build_root_system(entry.n)
+    W = shifted_weight(KLabel.from_entry(entry, 0), entry, l, rs)
+    return InnerProductEngine(W, M, ([-2 * span] * entry.n, [2 * span] * entry.n))
 
 
 def test_constants_are_eigenfunctions():
@@ -120,7 +128,6 @@ def test_polynomial_json():
 
 def test_gram_path_and_dual_agreement():
     fam = build_family(AI1, 0, 6)
-    eng = None
     for lam, P in fam.items():
         gs = build_polynomial_gs(AI1, 0, lam, M=40)
         assert dual_path_agree(P, gs, 38)
@@ -133,15 +140,28 @@ def test_gram_path_orthogonality_postcondition():
     lam = (4,)
     M = 30
     gs = build_polynomial_gs(AIV2, 1, lam, M=M)
-    basis = dominant_weights_upto(1, 4)
-    _, eng = _family_engine(AIV2, 1, [lam], M, Fraction(0), 2)
+    G = gram_matrix(AIV2, 1, dominant_weights_upto(1, 4), M)
     # re-verify <P, m_mu> = 0 mod v^(M+1) for mu below lam
     for mu in ((0,), (2,)):
         acc = None
         for nu, cs in gs.items():
-            term = cs * eng.ct_pair(orbit_sum(nu, 1), orbit_sum(mu, 1))
+            term = cs * G[(nu, mu)]
             acc = term if acc is None else acc + term
         assert acc.is_zero()
+    # the same solve from a Gram matrix over a larger basis
+    G8 = gram_matrix(AIV2, 1, dominant_weights_upto(1, 8), M)
+    assert build_polynomial_gs(AIV2, 1, lam, M, gram=G8) == gs
+
+
+def test_gram_matrix_is_the_orbit_sum_pairing():
+    basis = dominant_weights_upto(1, 6)
+    G = gram_matrix(AI1, 1, basis, 20)
+    assert set(G) == {(mu, nu) for mu in basis for nu in basis}
+    eng = _engine(AI1, 1, 20, 6)
+    for mu in basis:
+        for nu in basis:
+            assert G[(mu, nu)] is G[(nu, mu)]
+            assert G[(mu, nu)] == eng.ct_pair(orbit_sum(mu, 1), orbit_sum(nu, 1))
 
 
 def test_dual_agreement_needs_the_requested_precision():
@@ -201,8 +221,24 @@ def test_orthogonality_report():
     assert all(r["precision_certified"] == 20 for r in rep2["pairs"])
 
 
+def test_orthogonality_rows_match_the_full_polynomial_pairing():
+    # reference: ct(P bar(P') W) from whole polynomials, one pair at a time
+    from mkpolys.mkengine import MKPolynomial
+    fam = dict(build_family(AI1, 1, 6))
+    coeffs = dict(fam[(4,)].coeffs)
+    coeffs[(0,)] = coeffs.get((0,), Scalar.of(0)) + Scalar.of(1)
+    fam[(4,)] = MKPolynomial((4,), coeffs, fam[(4,)].label, 1)
+    eng = _engine(AI1, 1, 20, 6)
+    lams = sorted(fam)
+    want = [orthogonality_row(lam, mu, eng.ct_pair(fam[lam].as_gaelem(1),
+                                                   fam[mu].as_gaelem(1)), 20)
+            for i, lam in enumerate(lams) for mu in lams[:i]]
+    rows = verify_orthogonality(fam, AI1, 1, M=20)["pairs"]
+    assert rows == want
+    assert any("first_nonzero_order" in r for r in rows)
+
+
 def test_orthogonality_row_needs_the_requested_precision():
-    from mkpolys.mkengine import orthogonality_row
     from mkpolys.scalars import TruncSeries
     row = orthogonality_row((2,), (0,), TruncSeries.zero(37), 40)
     assert row["zero"] is False and row["precision_certified"] == 37
@@ -232,7 +268,7 @@ def test_self_adjointness_mod_precision():
     M = 24
     k = KLabel.from_entry(AI1, 1)
     basis = dominant_weights_upto(1, 4)
-    _, eng = _family_engine(AI1, 1, dominant_weights_upto(1, 8), M, Fraction(0), 2)
+    eng = _engine(AI1, 1, M, 8)
     for _ in range(3):
         f = GAElem(1)
         g = GAElem(1)

@@ -14,7 +14,6 @@ from mkpolys.qsp1 import (
     q_int,
     q_pow,
     solve_spherical,
-    verify_multiplicativity,
 )
 from mkpolys.roots import build_root_system, satake_catalog
 from mkpolys.scalars import SC_ONE, Scalar
@@ -156,12 +155,6 @@ def test_fundamental_res_leading_coefficient():
     f = fundamental_res("AIV", 2, 3, Fraction(1, 2))
     w, c = f.leading()
     assert w == (3,) and c == SC_ONE
-
-
-def test_multiplicativity_report():
-    m = build_rank1("AI1")
-    rep = verify_multiplicativity(m, 3)
-    assert rep["pass"] and len(rep["levels"]) == 3
 
 
 def test_aiiia_parameter_values():

@@ -141,6 +141,12 @@ def test_dominant_weights_below():
     assert set(below) == set(brute)
 
 
+@pytest.mark.parametrize("lam", [(3,), (4, 1), (3, 3)])
+def test_dominant_weights_below_rejects_odd_coordinates(lam):
+    with pytest.raises(ValueError, match="even"):
+        dominant_weights_below(lam)
+
+
 def test_catalog_recipes():
     e = satake_catalog("AIIIa", 2, 2)
     assert e.recipe(0, Fraction(0)) == (Fraction(1, 2), Fraction(1, 2), 1, 0, 1)

@@ -10,13 +10,13 @@ from mkpolys.galg import GAElem
 from mkpolys.roots import build_root_system, satake_catalog
 from mkpolys.scalars import Scalar
 from mkpolys.weights import (
+    InnerProductEngine,
     KLabel,
     PochProduct,
     PochSymbol,
     atom_gaelem,
     expand,
     half_density,
-    inner_product,
     koornwinder_weight,
     poch_one,
     poch_to_gaelem,
@@ -245,29 +245,24 @@ def test_poch_to_gaelem_rejects_infinite():
 
 # --- inner products ---------------------------------------------------------
 
-def test_inner_product_of_units():
-    k = KLabel.from_entry(AI1, 0)
-    W = koornwinder_weight(k, RS1)
-    one = GAElem.unit(1)
-    ip = inner_product(one, one, W, 16)
-    assert ip.coeffs == [1] + [0] * 16
-
-
 def test_level_one_pairing_of_units():
-    k = KLabel.from_entry(AI1, 0)
-    W0 = koornwinder_weight(k, RS1)
-    Wchi = shifted_weight(k, AI1, 1, RS1)
-    ip = inner_product(GAElem.unit(1), GAElem.unit(1), Wchi, 12, base=W0)
+    from mkpolys.mkengine import gram_matrix
+    from mkpolys.scalars import TruncSeries
+    unit = ((0,), (0,))
+    G0 = gram_matrix(AI1, 0, [(0,)], 12)
+    G1 = gram_matrix(AI1, 1, [(0,)], 12)
     # exact ratio ct(W_1)/ct(W_0) = 1 - v^2 + v^4
-    assert ip.coeffs == [1, 0, -1, 0, 1] + [0] * 8
+    assert G1[unit] == TruncSeries([1, 0, -1, 0, 1], 12) * G0[unit]
+    assert not G0[unit].is_zero()
 
 
 def test_inner_product_symmetry():
     from mkpolys.galg import orbit_sum
     k = KLabel.from_entry(AIV2, 0)
-    W = koornwinder_weight(k, RS1)
+    eng = InnerProductEngine(koornwinder_weight(k, RS1), 20, ([-6], [6]))
     f, g = orbit_sum((2,), 1), orbit_sum((4,), 1)
-    assert inner_product(f, g, W, 20) == inner_product(g, f, W, 20)
+    assert eng.ct_pair(f, g) == eng.ct_pair(g, f)
+    assert not eng.ct_pair(f, g).is_zero()
 
 
 def test_serialization():
