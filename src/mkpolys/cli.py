@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .checks import SUITES, cases
 from .mkengine import build_family
-from .roots import catalog_json, satake_catalog
+from .roots import FAMILIES, catalog_json, satake_catalog
 
 
 def _frac(text):
@@ -56,11 +56,13 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="emit polynomial coefficient tables")
-    c.add_argument("--family", required=True)
+    c.add_argument("--family", required=True, choices=FAMILIES)
     c.add_argument("--n", type=_int_at_least(1), default=None,
                    help="rank, for the families whose rank varies")
-    c.add_argument("--m", type=int, default=0)
-    c.add_argument("--sigma", type=_frac, default=Fraction(0))
+    c.add_argument("--m", type=int, default=None,
+                   help="auxiliary size, for the families that have one")
+    c.add_argument("--sigma", type=_frac, default=Fraction(0),
+                   help="level-shift parameter of the non-reduced families")
     c.add_argument("--level", type=int, default=0)
     c.add_argument("--lambda", dest="lam", type=_weight, default=None,
                    help="comma-separated doubled coordinates")
@@ -78,13 +80,21 @@ def make_parser():
     return p
 
 
+def _usage_error(message) -> int:
+    print("error: %s" % message, file=sys.stderr)
+    return 2
+
+
 def cmd_compute(args) -> int:
     try:
-        entry = satake_catalog(args.family, args.n or 1, args.m)
+        entry = satake_catalog(args.family, args.n or 1, args.m or 0)
         if args.n not in (None, entry.n):
-            print("error: %s has rank %d, not %d" % (entry.family, entry.n, args.n),
-                  file=sys.stderr)
-            return 2
+            return _usage_error("%s has rank %d, not %d" % (entry.family, entry.n, args.n))
+        if args.m is not None and not entry.aux:
+            return _usage_error("%s has no auxiliary size: --m does not apply"
+                                % entry.family)
+        if args.sigma and entry.reduced:
+            return _usage_error("%s is reduced: --sigma does not apply" % entry.family)
         fam = build_family(entry, args.level, args.bound, args.sigma)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -21,7 +21,14 @@ need no gcd.  The bar involution v -> 1/v reverses N and D.  Only an
 operation on a true rational function (D not constant) reaches p_gcd.
 
 TruncSeries is the oracle ring Q[[v]] / (v^(M+1)) used by the
-constant-term machinery; its coefficients are Fractions.
+constant-term machinery, in the same kind of integer form: a list num of
+M + 1 Python ints over one integer denominator den > 0, with
+gcd(den, *num) = 1.  The zero series has den = 1.  Sums bring both sides
+over a common denominator with one gcd, products are integer
+convolutions truncated at M, and division is fraction-free (powers of
+the divisor's leading coefficient stand in for its inverse); each ends in
+one gcd pass that restores content 1, which a denominator of 1 skips.
+The read-only coeffs property gives the coefficients as Fractions.
 """
 
 from __future__ import annotations
@@ -31,8 +38,6 @@ from math import gcd, isqrt
 
 Poly = tuple
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 P_ZERO: Poly = ()
 P_ONE: Poly = (1,)
 
@@ -447,29 +452,46 @@ SC_ONE = _new(0, P_ONE, P_ONE)
 
 
 class TruncSeries:
-    """Truncated power series in v, exact modulo v^(M+1)."""
+    """Truncated power series in v, exact modulo v^(M+1), in the integer
+    form of the module docstring: num / den with den > 0 and content 1."""
 
-    __slots__ = ("coeffs", "precision")
+    __slots__ = ("num", "den", "precision")
 
     def __init__(self, coeffs, precision):
-        cs = [Fraction(c) for c in coeffs][: precision + 1]
-        cs += [_F0] * (precision + 1 - len(cs))
-        self.coeffs = cs
-        self.precision = precision
+        """The series of the exact rationals coeffs (ascending degree),
+        truncated or padded to precision + 1 terms; a float is refused,
+        as by Scalar.of."""
+        cs = []
+        for c in list(coeffs)[: precision + 1]:
+            if isinstance(c, float):
+                raise TypeError("TruncSeries needs exact numbers, got float %r" % c)
+            cs.append(Fraction(c))
+        lcm = 1
+        for c in cs:
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+        num = [c.numerator * (lcm // c.denominator) for c in cs]
+        num += [0] * (precision + 1 - len(num))
+        self.num, self.den, self.precision = num, lcm, precision
+
+    @property
+    def coeffs(self):
+        """The coefficients as exact rationals (a fresh list)."""
+        den = self.den
+        return [Fraction(c, den) for c in self.num]
 
     @staticmethod
     def zero(M):
-        return TruncSeries([], M)
+        return _series([0] * (M + 1), 1, M)
 
     @staticmethod
     def one(M):
-        return TruncSeries([_F1], M)
+        return _series([1] + [0] * M, 1, M)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def valuation(self):
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c:
                 return i
         return None
@@ -478,40 +500,68 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         M = min(self.precision, other.precision)
-        return self.coeffs[: M + 1] == other.coeffs[: M + 1]
+        a, b = self.num[: M + 1], other.num[: M + 1]
+        da, db = self.den, other.den
+        if da == db:
+            return a == b
+        return all(x * db == y * da for x, y in zip(a, b))
+
+    def _combine(self, other, sign):
+        """self + sign * other over the common denominator."""
+        M = min(self.precision, other.precision)
+        a, b = self.num, other.num
+        da, db = self.den, other.den
+        if da == db:
+            if sign > 0:
+                cs = [x + y for x, y in zip(a[: M + 1], b)]
+            else:
+                cs = [x - y for x, y in zip(a[: M + 1], b)]
+            return _canon(cs, da, M)
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        cs = [x * fa + y * fb for x, y in zip(a[: M + 1], b)]
+        return _canon(cs, da // g * db, M)
 
     def __add__(self, other):
-        M = min(self.precision, other.precision)
-        return TruncSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], M
-        )
-
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.precision)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return _series([-c for c in self.num], self.den, self.precision)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncSeries([c * other for c in self.coeffs], self.precision)
+            other = Fraction(other)
+            return _canon([c * other.numerator for c in self.num],
+                          self.den * other.denominator, self.precision)
         M = min(self.precision, other.precision)
-        cs = [_F0] * (M + 1)
-        for i, a in enumerate(self.coeffs[: M + 1]):
-            if a:
-                for j, b in enumerate(other.coeffs[: M + 1 - i]):
-                    if b:
-                        cs[i + j] += a * b
-        return TruncSeries(cs, M)
+        bs = [(j, y) for j, y in enumerate(other.num[: M + 1]) if y]
+        cs = [0] * (M + 1)
+        for i, x in enumerate(self.num[: M + 1]):
+            if x:
+                for j, y in bs:
+                    if i + j > M:
+                        break
+                    cs[i + j] += x * y
+        return _canon(cs, self.den * other.den, M)
 
     __rmul__ = __mul__
 
     def shift(self, k: int):
         """Multiply by v^k (k >= 0), keeping the precision."""
-        return TruncSeries([_F0] * k + self.coeffs, self.precision)
+        M = self.precision
+        return _canon(([0] * k + self.num)[: M + 1], self.den, M)
 
     def divide(self, other: "TruncSeries") -> "TruncSeries":
-        """Series division; lowers precision by the divisor's valuation."""
+        """Series division; lowers precision by the divisor's valuation.
+
+        With A, B the numerators past the valuation s, B divided by its
+        content, and t = B[0], the quotient A/B has coefficients
+        q_k / t^(k+1) for the integers
+        q_k = t^k A_k - sum_i q_i B_(k-i) t^(k-1-i), the sum running over
+        the i with k - i <= deg B; for |t| = 1 the powers of t are signs."""
         M = min(self.precision, other.precision)
         s = other.valuation()
         if s is None:
@@ -523,16 +573,33 @@ class TruncSeries:
             if v < s:
                 raise ValueError("precision exhausted")
         M2 = M - s
-        num = self.coeffs[s : M + 1]
-        den = other.coeffs[s : M + 1]
-        deg = max(i for i, c in enumerate(den) if c)
-        out = [_F0] * (M2 + 1)
+        A = self.num[s : M + 1]
+        B = other.num[s : M + 1]
+        deg = len(B) - 1
+        while not B[deg]:
+            deg -= 1
+        # a / b = (A / da) / (B / db) = (A / B) * db / da
+        c = gcd(*B[: deg + 1])
+        if c != 1:
+            B = [x // c for x in B[: deg + 1]]
+        da, db = self.den * c, other.den
+        t = B[0]
+        tp = [1] * (M2 + 2)
+        for k in range(1, M2 + 2):
+            tp[k] = tp[k - 1] * t
+        q = [0] * (M2 + 1)
         for k in range(M2 + 1):
-            acc = num[k]
-            for i in range(max(0, k - deg), k):  # den is zero past deg
-                acc -= out[i] * den[k - i]
-            out[k] = acc / den[0]
-        return TruncSeries(out, M2)
+            acc = tp[k] * A[k]
+            for i in range(max(0, k - deg), k):
+                acc -= q[i] * B[k - i] * tp[k - 1 - i]
+            q[k] = acc
+        # q_k / t^(k+1) over the one denominator t^(M2+1)
+        den = tp[M2 + 1] * da
+        cs = [x * tp[M2 - k] * db for k, x in enumerate(q)]
+        if den < 0:
+            den = -den
+            cs = [-x for x in cs]
+        return _canon(cs, den, M2)
 
     def __str__(self):
         return p_str(p_make(self.coeffs)) + " + O(v^%d)" % (self.precision + 1)
@@ -540,8 +607,36 @@ class TruncSeries:
     __repr__ = __str__
 
 
+def _series(num, den, M):
+    """The TruncSeries num / den of precision M for a list num of M + 1
+    ints and den > 0 already in the canonical form."""
+    x = _new_object(TruncSeries)
+    x.num = num
+    x.den = den
+    x.precision = M
+    return x
+
+
+def _canon(num, den, M):
+    """The TruncSeries num / den for a list num of M + 1 ints and den > 0:
+    divides out the joint content."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _series(num, den, M)
+
+
 def scalar_to_series(x: Scalar, M: int = DEFAULT_PRECISION) -> TruncSeries:
-    """Expand a Scalar at v = 0; it must have no pole there (e >= 0)."""
+    """Expand a Scalar at v = 0; it must have no pole there (e >= 0).
+    A Laurent polynomial (D = 1) needs no division."""
     if x.e < 0:
         raise ValueError("pole at origin")
-    return TruncSeries((0,) * x.e + x.n, M).divide(TruncSeries(x.d, M))
+    num = ([0] * x.e + list(x.n))[: M + 1]
+    num += [0] * (M + 1 - len(num))
+    if x.d == P_ONE:
+        return _series(num, 1, M)
+    den = list(x.d[: M + 1])
+    den += [0] * (M + 1 - len(den))
+    return _series(num, 1, M).divide(_series(den, 1, M))

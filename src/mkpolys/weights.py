@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .galg import GAElem
 from .roots import DEFAULT_D, RootSystem, SatakeEntry, Weight, dot4, wneg, weyl_apply
-from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _F0, _F1, scalar_to_series
+from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _canon, scalar_to_series
 
 
 @dataclass(frozen=True)
@@ -338,24 +339,26 @@ def ratio_atoms(numer: PochProduct, denom: PochProduct):
 # ---------------------------------------------------------------------------
 
 class SeriesElem:
-    """A finitely supported map weight -> coefficient list mod v^(M+1)."""
+    """A finitely supported map weight -> list of M + 1 integer
+    numerators over the one denominator den > 0, mod v^(M+1)."""
 
-    __slots__ = ("rank", "M", "terms")
+    __slots__ = ("rank", "M", "terms", "den")
 
-    def __init__(self, rank, M, terms=None):
+    def __init__(self, rank, M, terms=None, den=1):
         self.rank = rank
         self.M = M
         self.terms = terms if terms is not None else {}
+        self.den = den
 
     @staticmethod
     def one(rank, M):
-        cs = [_F0] * (M + 1)
-        cs[0] = _F1
-        return SeriesElem(rank, M, {(0,) * rank: cs})
+        return SeriesElem(rank, M, {(0,) * rank: [1] + [0] * M})
 
     def coeff(self, w) -> TruncSeries:
         cs = self.terms.get(tuple(w))
-        return TruncSeries(cs or [], self.M)
+        if cs is None:
+            return TruncSeries.zero(self.M)
+        return _canon(cs, self.den, self.M)
 
 
 def _needs_split(P: PochProduct):
@@ -467,10 +470,16 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
                 return False
         return True
 
+    # the atoms have integer coefficients: one denominator, the lcm of
+    # the prefactor's, serves every term
+    pre = [(w, scalar_to_series(coef, M)) for w, coef in Q.prefactor.terms.items()]
+    den = 1
+    for _, ser in pre:
+        den = den * ser.den // gcd(den, ser.den)
     acc = {}
-    for w, coef in Q.prefactor.terms.items():
-        ser = scalar_to_series(coef, M)
-        entry = {i: x for i, x in enumerate(ser.coeffs) if x}
+    for w, ser in pre:
+        f = den // ser.den
+        entry = {i: x * f for i, x in enumerate(ser.num) if x}
         if entry and keep(w, min(entry), 0):
             acc[w] = entry
 
@@ -480,7 +489,7 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
         def bump(wt, o, val):
             if val and keep(wt, o, idx + 1):
                 slot = new.setdefault(wt, {})
-                x = slot.get(o, _F0) + val
+                x = slot.get(o, 0) + val
                 if x:
                     slot[o] = x
                 elif o in slot:
@@ -506,13 +515,13 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
     for wt, orders in acc.items():
         if not all(lo[i] <= wt[i] <= hi[i] for i in range(rank)):
             continue
-        cs = [_F0] * (M + 1)
+        cs = [0] * (M + 1)
         for o, v in orders.items():
             if o <= M:
                 cs[o] = v
         if any(cs):
             out[wt] = cs
-    return SeriesElem(rank, M, out)
+    return SeriesElem(rank, M, out, den)
 
 
 def poch_to_gaelem(P: PochProduct) -> GAElem:

@@ -66,8 +66,12 @@ def test_usage_error_is_exit_two():
     (("compute", "--family", "AI1", "--bound", "-3"), "--bound"),
     (("compute", "--family", "AI1", "--n", "3"), "rank 1"),
     (("verify", "bar", "--precision", "-1"), "--precision"),
+    (("compute", "--family", "XYZ"), "--family"),
+    (("compute", "--family", "AI1", "--m", "7"), "--m"),
+    (("compute", "--family", "CI", "--n", "2", "--sigma", "1/2"), "--sigma"),
 ], ids=["lambda-not-int", "lambda-odd", "sigma-zero-denominator",
-        "negative-bound", "rank-mismatch", "negative-precision"])
+        "negative-bound", "rank-mismatch", "negative-precision",
+        "unknown-family", "m-without-auxiliary-size", "sigma-on-reduced-family"])
 def test_bad_input_is_exit_two_with_a_message(args, message):
     out = run(*args)
     assert out.returncode == 2

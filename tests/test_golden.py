@@ -1,4 +1,5 @@
-"""`mkpolys compute --format json` output is pinned byte for byte.
+"""`mkpolys compute --format json` output and the truncated-series
+results are pinned byte for byte.
 
 golden_compute.json maps each case's arguments to the SHA-256 of what
 `mkpolys compute` printed for them, together with its exit code, before the
@@ -6,9 +7,14 @@ integer Laurent kernel replaced the Fraction-tuple one.  A change to the
 arithmetic that alters any coefficient, its canonical form or its printed
 form fails here.
 
+golden_series.json does the same for the series ring, from digests made
+before the integer series kernel replaced the Fraction one: per case, the
+SHA-256 of str() of every `build_polynomial_gs` series with its precision,
+and of the `verify_orthogonality` rows as JSON, both at M = 40.
+
     PYTHONPATH=src python3 tests/test_golden.py
 
-prints the table for the code in the checkout, in the file's format.
+prints both tables for the code in the checkout, in the files' format.
 """
 
 import contextlib
@@ -16,13 +22,22 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from mkpolys import cli
+from mkpolys import (
+    build_family,
+    build_polynomial_gs,
+    cli,
+    gram_matrix,
+    satake_catalog,
+    verify_orthogonality,
+)
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "golden_compute.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden_compute.json")
+GOLDEN_SERIES = os.path.join(HERE, "golden_series.json")
 
 CASES = (
     ["--family", "AI1", "--level", "0", "--bound", "8"],
@@ -35,8 +50,43 @@ CASES = (
 )
 
 
+# (family, n, m, sigma, level, bound) for the series digests
+SERIES_CASES = tuple(("AI1", 1, 0, "0", level, 10) for level in (0, 1, 2)) + (
+    ("AIVm", 1, 2, "1/2", 1, 8),
+    ("AIIIb", 2, 0, "0", 0, 6),
+)
+SERIES_M = 40
+
+
 def case_id(args):
     return " ".join(args)
+
+
+def series_case_id(case):
+    return "%s n=%d m=%d sigma=%s l=%d bound %d" % case
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def series(case):
+    """Digests of the Gram-oracle series of every weight up to the bound
+    and of the orthogonality rows of the operator-exact family."""
+    family, n, m, sigma, level, bound = case
+    entry = satake_catalog(family, n, m)
+    sigma = Fraction(sigma)
+    fam = build_family(entry, level, bound, sigma)
+    basis = sorted(fam, key=lambda w: (sum(w), w))
+    G = gram_matrix(entry, level, basis, SERIES_M, sigma)
+    lines = []
+    for lam in basis:
+        gs = build_polynomial_gs(entry, level, lam, SERIES_M, sigma, gram=G)
+        for mu, ser in sorted(gs.items()):
+            lines.append("%s %s %d %s" % (list(lam), list(mu), ser.precision, ser))
+    report = verify_orthogonality(fam, entry, level, SERIES_M, sigma)
+    return {"gs": sha256("\n".join(lines)),
+            "orthogonality": sha256(json.dumps(report["pairs"]))}
 
 
 def compute(args):
@@ -44,11 +94,11 @@ def compute(args):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(["compute"] + list(args) + ["--format", "json"])
-    return {"exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+    return {"exit": code, "sha256": sha256(buf.getvalue())}
 
 
-def load():
-    with open(GOLDEN) as fh:
+def load(path=GOLDEN):
+    with open(path) as fh:
         return json.load(fh)
 
 
@@ -61,5 +111,15 @@ def test_compute_output_is_byte_identical(args):
     assert compute(args) == load()[case_id(args)]
 
 
+def test_every_series_case_is_pinned():
+    assert sorted(load(GOLDEN_SERIES)) == sorted(series_case_id(c) for c in SERIES_CASES)
+
+
+@pytest.mark.parametrize("case", SERIES_CASES, ids=series_case_id)
+def test_series_results_are_byte_identical(case):
+    assert series(case) == load(GOLDEN_SERIES)[series_case_id(case)]
+
+
 if __name__ == "__main__":
     print(json.dumps({case_id(a): compute(a) for a in CASES}, indent=2))
+    print(json.dumps({series_case_id(c): series(c) for c in SERIES_CASES}, indent=2))

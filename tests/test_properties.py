@@ -1,14 +1,28 @@
 """Property tests of the exact algebra: Q(v) field laws, the bar
 involution, group-algebra ring laws and exact division, with sympy as an
 independent oracle for Scalar arithmetic and the polynomial gcd, and the
-uniqueness of the canonical form that equality and hashing rely on."""
+uniqueness of the canonical form that equality and hashing rely on; and
+the truncated series ring: its integer form, its ring laws, exact
+division against a Fraction reference, and expansion against sympy."""
+
+from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolys.galg import GAElem, ga_divexact
-from mkpolys.scalars import SC_ONE, SC_ZERO, Scalar, p_from_terms, p_gcd, p_mul
+from mkpolys.scalars import (
+    SC_ONE,
+    SC_ZERO,
+    Scalar,
+    TruncSeries,
+    p_from_terms,
+    p_gcd,
+    p_mul,
+    scalar_to_series,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -155,3 +169,87 @@ def test_gcd_agrees_with_sympy(a, b, c):
     if expect[-1] < 0:
         expect = tuple(-x for x in expect)
     assert ours == expect
+
+
+# -- the truncated series ring ----------------------------------------------
+
+SM = 8
+series = st.lists(coeffs, max_size=SM + 1).map(lambda cs: TruncSeries(cs, SM))
+# leading coefficients of divisors, the non-units among them taking the
+# fraction-free path of TruncSeries.divide
+leads = st.sampled_from([1, -1, 2, -3, 6, Fraction(3, 2), Fraction(-2, 3)])
+divisors = st.builds(lambda t, cs, s: TruncSeries([t] + cs, SM).shift(s),
+                     leads, st.lists(coeffs, max_size=SM), st.integers(0, 3))
+
+
+def canonical(a: TruncSeries) -> bool:
+    return (len(a.num) == a.precision + 1 and a.den > 0
+            and gcd(a.den, *a.num) == 1
+            and all(type(c) is int for c in a.num) and type(a.den) is int)
+
+
+def fraction_divide(a: TruncSeries, b: TruncSeries):
+    """Series division on Fraction coefficients, the loop TruncSeries.divide
+    replaced: (coefficients, precision)."""
+    M = min(a.precision, b.precision)
+    s = b.valuation()
+    num, den = a.coeffs[s: M + 1], b.coeffs[s: M + 1]
+    out = [Fraction(0)] * (M - s + 1)
+    for k in range(M - s + 1):
+        acc = num[k]
+        for i in range(k):
+            acc -= out[i] * den[k - i]
+        out[k] = acc / den[0]
+    return out, M - s
+
+
+@SETTINGS
+@given(series, series, divisors)
+def test_series_operations_keep_the_canonical_form(a, b, d):
+    results = [a, b, d, a + b, a - b, -a, a * b, a * 3, a * Fraction(-2, 9),
+               a.shift(2), TruncSeries.zero(SM), TruncSeries.one(SM)]
+    results.append((a.shift(3) + d.shift(3)).divide(d))
+    assert all(canonical(x) for x in results)
+    assert TruncSeries.zero(SM).den == 1
+
+
+@SETTINGS
+@given(series, series, series)
+def test_series_ring_laws(a, b, c):
+    zero, one = TruncSeries.zero(SM), TruncSeries.one(SM)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert a - b == a + (-b) and a - a == zero
+    assert (a * b).coeffs == [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
+                              for k in range(SM + 1)]
+
+
+@SETTINGS
+@given(series, divisors)
+def test_division_inverts_multiplication(a, b):
+    s = b.valuation()
+    q = (a * b).divide(b)
+    assert q.precision == SM - s
+    assert q == a
+
+
+@SETTINGS
+@given(series, divisors)
+def test_division_agrees_with_the_fraction_loop(a, b):
+    a = a.shift(b.valuation())
+    q = a.divide(b)
+    assert (q.coeffs, q.precision) == fraction_divide(a, b)
+
+
+@SETTINGS
+@given(scalars.filter(lambda x: x.e >= 0))
+def test_scalar_to_series_agrees_with_sympy(x):
+    M = 6
+    got = scalar_to_series(x, M)
+    expr = sympy.expand(sympy.series(to_sympy(x), V, 0, M + 1).removeO())
+    want = [expr.coeff(V, k) for k in range(M + 1)]
+    assert got.precision == M
+    assert got.coeffs == [Fraction(int(c.p), int(c.q)) for c in want]

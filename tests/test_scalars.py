@@ -79,6 +79,14 @@ def test_of_refuses_float():
     assert Scalar.of(Fraction(1, 10)) * C(10) == C(1)
 
 
+def test_series_refuses_float():
+    with pytest.raises(TypeError, match="float"):
+        TruncSeries([0.1], 3)
+    with pytest.raises(TypeError, match="float"):
+        TruncSeries([1, 0, 2.0], 3)
+    assert TruncSeries([Fraction(1, 10), 2], 3).coeffs == [Fraction(1, 10), 2, 0, 0]
+
+
 def test_series_examples():
     g = C(1) / (C(1) - V(1))
     assert scalar_to_series(g, 3).coeffs == [1, 1, 1, 1]
