@@ -43,14 +43,17 @@ class Check:
     show: Callable = None       # (*arguments) -> str, shown beside the row
 
     def row(self, case, M: int) -> dict:
+        """The verify row of one case.  A case that raises ValueError fails,
+        with the message as its "error", so one bad case hides no other."""
         row_id, args = case
-        out = {
-            "id": row_id,
-            "claim": self.claim.format(order=M + 1),
-            "pass": bool(self.holds(M, *args)),
-        }
-        if self.show is not None:
-            out["show"] = self.show(*args)
+        out = {"id": row_id, "claim": self.claim.format(order=M + 1)}
+        try:
+            out["pass"] = bool(self.holds(M, *args))
+            if self.show is not None:
+                out["show"] = self.show(*args)
+        except ValueError as exc:
+            out["pass"] = False
+            out["error"] = str(exc)
         return out
 
 

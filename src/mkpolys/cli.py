@@ -88,13 +88,16 @@ def _usage_error(message) -> int:
 def cmd_compute(args) -> int:
     try:
         entry = satake_catalog(args.family, args.n or 1, args.m or 0)
-        if args.n not in (None, entry.n):
-            return _usage_error("%s has rank %d, not %d" % (entry.family, entry.n, args.n))
-        if args.m is not None and not entry.aux:
-            return _usage_error("%s has no auxiliary size: --m does not apply"
-                                % entry.family)
-        if args.sigma and entry.reduced:
-            return _usage_error("%s is reduced: --sigma does not apply" % entry.family)
+    except ValueError as exc:
+        return _usage_error(exc)
+    if args.n not in (None, entry.n):
+        return _usage_error("%s has rank %d, not %d" % (entry.family, entry.n, args.n))
+    if args.m is not None and not entry.aux:
+        return _usage_error("%s has no auxiliary size: --m does not apply"
+                            % entry.family)
+    if args.sigma and entry.reduced:
+        return _usage_error("%s is reduced: --sigma does not apply" % entry.family)
+    try:
         fam = build_family(entry, args.level, args.bound, args.sigma)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -122,17 +125,14 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        rows = [check.row(case, args.precision) for check, case in cases(args.suite)]
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    rows = [check.row(case, args.precision) for check, case in cases(args.suite)]
     rows.sort(key=lambda r: r["id"])
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
         for r in rows:
-            print("%s  %s" % ("PASS" if r["pass"] else "FAIL", r["id"]))
+            error = "  (error: %s)" % r["error"] if "error" in r else ""
+            print("%s  %s%s" % ("PASS" if r["pass"] else "FAIL", r["id"], error))
     return 0 if all(r["pass"] for r in rows) else 1
 
 

@@ -2,8 +2,9 @@
 
 A GAElem is a finite map weight -> Scalar.  The two involutions are
 bar (negate weights) and zero_inv (bar-conjugate coefficients); both
-commute.  Exact division is available and is the backbone of the
-q-difference operator.
+commute.  Exact division by a binomial 1 + u*e^w, the backbone of the
+q-difference operator, is a chain recurrence that divides nothing, so it
+also runs on elements whose coefficients are ints (v evaluated at 2^B).
 """
 
 from __future__ import annotations
@@ -211,42 +212,43 @@ def from_m_basis(coeffs: dict, n: int) -> GAElem:
 
 
 def ga_divexact(f: GAElem, g: GAElem) -> GAElem:
-    """Exact division in the Laurent group algebra; raises if not divisible.
+    """f / g for a binomial g = 1 + u * e^w (w nonzero); raises
+    'not divisible' unless the quotient is a Laurent polynomial.
 
-    The Newton polytope of f = q*g is the Minkowski sum of those of q and
-    g, so every weight of q lies in the box min(f) - min(g) <= w <=
-    max(f) - max(g), coordinate by coordinate.  The quotient weights the
-    lex-leading-term loop produces strictly decrease, so a weight outside
-    that finite box is the proof of non-divisibility and the loop ends.
+    Each chain x0 + j*w of f's support is divided on its own by the
+    recurrence q[j] = f[j] - u * q[j - 1], j ascending from the chain's
+    first term of f.  A quotient q has q[j] = 0 past the chain's last
+    term j1 of f, so the value the recurrence leaves at j1 is zero
+    exactly when g divides f: a nonzero value there is the proof of
+    non-divisibility.  Nothing is divided, so the coefficients (those of
+    f and u alike) may be Scalars or ints.
     """
     f._check(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero")
-    if f.is_zero():
-        return GAElem(f.rank)
-    lo = [min(w[i] for w in f.terms) - min(w[i] for w in g.terms)
-          for i in range(f.rank)]
-    hi = [max(w[i] for w in f.terms) - max(w[i] for w in g.terms)
-          for i in range(f.rank)]
-    gw = max(g.terms)  # lex-leading term
-    gc = g.terms[gw]
-    rem = dict(f.terms)
+    if len(g.terms) != 2 or g.terms.get((0,) * g.rank) != 1:
+        raise ValueError("divisor is not a binomial 1 + u*e^w")
+    ((w, u),) = [(x, c) for x, c in g.terms.items() if any(x)]
+    i = next(k for k, x in enumerate(w) if x)
+    wi = w[i]
+    chains = {}
+    for x, c in f.terms.items():
+        j = x[i] // wi
+        chains.setdefault(tuple(a - j * b for a, b in zip(x, w)), {})[j] = c
+    zero = u - u
+    times_u = u.__mul__
+    if type(u) is int and not abs(u) & (abs(u) - 1):
+        # u = +-2^k, as for v^k evaluated at v = 2^B: shift, do not multiply
+        k = abs(u).bit_length() - 1
+        times_u = (lambda q: q << k) if u > 0 else (lambda q: -(q << k))
     quo = {}
-    while rem:
-        fw = max(rem)
-        w = tuple(a - b for a, b in zip(fw, gw))
-        for x, a, b in zip(w, lo, hi):
-            if x < a or x > b:
-                raise ValueError("not divisible")
-        c = rem[fw] / gc
-        quo[w] = c
-        for w2, c2 in g.terms.items():
-            tw = wsum(w, w2)
-            acc = rem.get(tw, SC_ZERO) - c * c2
-            if acc:
-                rem[tw] = acc
-            elif tw in rem:
-                del rem[tw]
+    for base, cs in chains.items():
+        j0, j1 = min(cs), max(cs)
+        q = zero
+        for j in range(j0, j1):
+            q = cs.get(j, zero) - times_u(q)
+            if q:
+                quo[tuple(a + j * b for a, b in zip(base, w))] = q
+        if cs[j1] - times_u(q):
+            raise ValueError("not divisible")
     out = GAElem(f.rank)
     out.terms = quo
     return out

@@ -3,13 +3,15 @@ q-difference operator obtained by conjugating a translation with the
 positive-root half density, and as a truncated Gram-style oracle from the
 constant-term inner product.  Also: orthogonality verification, the
 v -> 1/v coefficient symmetry, the central-character eigenvalue identity,
-and connection coefficients between neighbouring levels.
+and connection coefficients between neighbouring levels.  The operator
+runs on ints, with v evaluated at 2^B (apply_qdiff, mkpolys.qdiff).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .galg import GAElem, from_m_basis, ga_divexact, m_basis, orbit_sum
 from .roots import (
@@ -20,23 +22,19 @@ from .roots import (
     ambient_data,
     ambient_pair,
     _mat_apply,
+    dot4,
     build_root_system,
     dominance_leq,
     dominant_weights_below,
     dominant_weights_upto,
     eps,
+    wdiff,
     weyl_apply,
     weyl_group,
 )
+from .qdiff import Pieces, clear_denominators, int_reslot, l1_norm, p_from_int, p_to_int
 from .scalars import SC_ONE, SC_ZERO, Scalar, TruncSeries, scalar_to_series
-from .weights import (
-    InnerProductEngine,
-    KLabel,
-    atom_gaelem,
-    half_density,
-    ratio_atoms,
-    shifted_weight,
-)
+from .weights import InnerProductEngine, KLabel, shifted_weight
 
 
 # ---------------------------------------------------------------------------
@@ -46,55 +44,12 @@ from .weights import (
 _QDIFF_CACHE = {}
 
 
-def _atom_apply_w(atom, w):
-    s, c, wt = atom
-    return (s, c, weyl_apply(w, wt))
-
-
-def _qdiff_pieces(label: KLabel, rs: RootSystem, direction: Weight):
-    """Per-direction coefficient data.  The coefficient at the image
-    eta = w(direction) is a ratio of binomial products; the cofactors are
-    precomputed against the factored least common denominator so that the
-    final division happens binomial by binomial."""
+def _qdiff_pieces(label: KLabel, rs: RootSystem, direction: Weight) -> Pieces:
     key = (label, rs.n, direction)
     hit = _QDIFF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    delta = half_density(label, rs)
-    tdelta = delta.translate(direction, label.base_exp)
-    pre, num_atoms, den_atoms = ratio_atoms(tdelta, delta)
-    groups = {}
-    for w in weyl_group(rs.n):
-        eta = weyl_apply(w, direction)
-        if eta in groups:
-            continue
-        groups[eta] = (
-            pre.w_apply(w),
-            [_atom_apply_w(a, w) for a in num_atoms],
-            [_atom_apply_w(a, w) for a in den_atoms],
-        )
-    stab = len(weyl_group(rs.n)) // len(groups)
-    from collections import Counter
-    lcm = Counter()
-    for _, _, dens in groups.values():
-        c = Counter(dens)
-        for a, m in c.items():
-            lcm[a] = max(lcm[a], m)
-    cof = {}
-    for eta, (pre_w, nums, dens) in groups.items():
-        missing = lcm - Counter(dens)
-        g = pre_w
-        for a in nums:
-            g = g * atom_gaelem(a, rs.n)
-        for a, m in missing.items():
-            ga = atom_gaelem(a, rs.n)
-            for _ in range(m):
-                g = g * ga
-        cof[eta] = g
-    common_atoms = list(lcm.elements())
-    pieces = (cof, common_atoms, stab)
-    _QDIFF_CACHE[key] = pieces
-    return pieces
+    if hit is None:
+        hit = _QDIFF_CACHE[key] = Pieces(label, rs, direction)
+    return hit
 
 
 def apply_qdiff(label: KLabel, direction: Weight, f: GAElem,
@@ -107,19 +62,63 @@ def apply_qdiff(label: KLabel, direction: Weight, f: GAElem,
     Laurent polynomials at generic parameters, so the constant function is
     an eigenfunction with eigenvalue zero and diagonal entries carry the
     exponential Weyl sums shifted by their value at the zero weight.
+
+    L * f, for L the common denominator of f's coefficients, has integer
+    Laurent coefficients; with v evaluated at 2^B (Kronecker substitution
+    in v) each is one int times a power of v shared by the numerator.  The
+    numerator is a sum of int products, ga_divexact divides it by each
+    common atom, and the result is read back and divided by L.
+    Pieces.slot_width gives B and proves it wide enough.
     """
     if check and not f.is_invariant():
         raise ValueError("operator input must be Weyl invariant")
-    cof, common_atoms, stab = _qdiff_pieces(label, rs, direction)
-    acc = GAElem(rs.n)
-    for eta, c in cof.items():
-        acc = acc + c * (f.translate(eta, label.base_exp) - f)
+    den, g = clear_denominators(f)
+    pieces = _qdiff_pieces(label, rs, direction)
+    b = label.base_exp
+    # per image eta, the terms T_eta moves: (weight, coefficient, v-shift)
+    moved = {}
+    for eta in pieces.cofs:
+        rows = []
+        for w, c in g.terms.items():
+            t = dot4(eta, w) * b
+            if t.denominator != 1:
+                raise ValueError("non-integral translation exponent")
+            if t:
+                rows.append((w, c, int(t)))
+        moved[eta] = rows
+    if not any(moved.values()):
+        return GAElem(rs.n)       # f is constant
+    ws = list(g.terms)
+    nu = max(l1_norm(c) for c in g.terms.values())
+    B1 = pieces.product_width(nu)
+    B = pieces.slot_width(nu, [min(x) for x in zip(*ws)], [max(x) for x in zip(*ws)])
+    cofs = pieces.at(B1)
+    E = min(e0 + c.e + min(t, 0) for eta, e0, _ in cofs for _, c, t in moved[eta])
+    acc = {}
+    for eta, e0, crows in cofs:
+        base = E - e0
+        diff = []
+        for w, c, t in moved[eta]:
+            z = p_to_int(c.n, B1)
+            diff.append((w, (z << ((c.e + t - base) * B1)) - (z << ((c.e - base) * B1))))
+        for w1, z1 in crows:
+            for w2, z2 in diff:
+                w = tuple(map(add, w1, w2))
+                acc[w] = acc.get(w, 0) + z1 * z2
+    # the division needs the wider slots of slot_width
+    num = GAElem(rs.n)
+    num.terms = {w: z if B == B1 else int_reslot(z, B1, B) for w, z in acc.items() if z}
     try:
-        for atom in common_atoms:
-            acc = ga_divexact(acc, atom_gaelem(atom, rs.n))
+        for d in pieces.binomials(B):
+            num = ga_divexact(num, d)
     except ValueError:
         raise ValueError("non-polynomial result")
-    out = acc.scale(Scalar.of(stab))
+    sign, C, W = pieces.monomial
+    k = sign * pieces.stab
+    out = GAElem(rs.n)
+    for w, z in num.terms.items():
+        x = Scalar.laurent(E - C, [k * d for d in p_from_int(z, B)])
+        out.terms[wdiff(w, W)] = x if den is None else x / den
     if check and not out.is_invariant():
         raise ValueError("non-polynomial result")
     return out
@@ -211,9 +210,10 @@ def build_polynomial(label: KLabel, lam: Weight, rs: RootSystem,
             coeffs[kappa] = b
     poly = MKPolynomial(lam, coeffs, label, level)
     if verify:
-        g = poly.as_gaelem(rs.n)
-        img = apply_qdiff(label, action.direction, g, rs)
-        if img != g.scale(E_lam):
+        # the operator is Q(v)-linear: check it on L * P, which has integer
+        # Laurent coefficients
+        _, g = clear_denominators(poly.as_gaelem(rs.n))
+        if apply_qdiff(label, action.direction, g, rs) != g.scale(E_lam):
             raise ValueError("eigenfunction check failed")
     return poly
 

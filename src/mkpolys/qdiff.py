@@ -1,0 +1,243 @@
+"""The q-difference operator of mkengine.apply_qdiff in integer form.
+
+An integer polynomial a travels as one int, its value a(2^B) (Kronecker
+substitution in v, Harvey, JSC 2009), and an integer Laurent polynomial
+as such an int times a power of v.  Slot widths B are whole bytes, so
+balanced digits are read back, and moved to another width, bytewise.
+Pieces holds, per direction, the operator's cofactors multiplied out in
+that form, the common binomial atoms to divide by, and the proven bounds
+that give the slot widths.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from math import gcd
+
+from .galg import GAElem
+from .roots import RootSystem, Weight, weyl_apply, weyl_group, wneg, wsum
+from .scalars import P_ONE, Scalar, p_divexact, p_gcd, p_mul
+from .weights import KLabel, half_density, ratio_atoms
+
+
+def byte_width(bound: int) -> int:
+    """The least multiple of 8 that is at least bound's bit length: a slot
+    width B with |c| < 2^(B-1) for every |c| <= bound / 2."""
+    return -(-bound.bit_length() // 8) * 8
+
+
+def p_to_int(a, B: int) -> int:
+    """a(2^B): the integer polynomial a as one int (Kronecker substitution)."""
+    z = 0
+    for c in reversed(a):
+        z = (z << B) + c
+    return z
+
+
+def _bias(m: int, k: int, n: int) -> int:
+    """2^(8m-1) in each of n slots of k bytes: added to an int whose
+    balanced base-2^(8k) digits lie below 2^(8m-1) in absolute value, it
+    makes every digit nonnegative and below 2^(8m)."""
+    return int.from_bytes((bytes(m - 1) + b"\x80" + bytes(k - m)) * n, "little")
+
+
+def p_from_int(z: int, B: int) -> list:
+    """The integer polynomial a with a(2^B) = z whose coefficients c satisfy
+    -2^(B-1) <= c < 2^(B-1): the balanced base-2^B digits of z, for B a
+    multiple of 8, possibly with trailing zeros."""
+    if not z:
+        return []
+    k = B // 8
+    n = z.bit_length() // B + 2
+    raw = (z + _bias(k, k, n)).to_bytes(n * k, "little")
+    half = 1 << (B - 1)
+    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
+
+
+def int_reslot(z: int, B0: int, B: int) -> int:
+    """a(2^B) from z = a(2^B0), for B0 and B multiples of 8 and an integer
+    polynomial a with coefficients below 2^(min(B0, B) - 1) in absolute
+    value: the biased digits are moved bytewise to the new slots."""
+    k0, k, m = B0 // 8, B // 8, min(B0, B) // 8
+    n = z.bit_length() // B0 + 2
+    raw = (z + _bias(m, k0, n)).to_bytes(n * k0, "little")
+    out = bytearray(n * k)
+    for j in range(m):
+        out[j::k] = raw[j::k0]
+    return int.from_bytes(out, "little") - _bias(m, k, n)
+
+
+def _atom_apply_w(atom, w):
+    s, c, wt = atom
+    return (s, c, weyl_apply(w, wt))
+
+
+class Pieces:
+    """Per-direction coefficient data, in integer form.
+
+    The coefficient at the image eta = w(direction) is a ratio of binomial
+    products; its cofactor against the factored least common denominator
+    (the common atoms (s, c, w), each standing for 1 - s*v^c*e^w) is kept
+    as cofs[eta] = (e0, {weight: z}): the Laurent polynomial
+    v^e0 * sum z(v) e^weight, with z in Z[v] evaluated at v = 2^width.
+    norm bounds the cofactors' summed l1 norm and [lo, hi] is the box of
+    their weights.  The final division happens binomial by binomial, by
+    the divisors and monomial of split_atoms.  slots caches the cofactors
+    evaluated at each further slot width.
+    """
+
+    def __init__(self, label: KLabel, rs: RootSystem, direction: Weight):
+        delta = half_density(label, rs)
+        tdelta = delta.translate(direction, label.base_exp)
+        pre, num_atoms, den_atoms = ratio_atoms(tdelta, delta)
+        groups = {}
+        for w in weyl_group(rs.n):
+            eta = weyl_apply(w, direction)
+            if eta not in groups:
+                groups[eta] = (
+                    pre.w_apply(w),
+                    [_atom_apply_w(a, w) for a in num_atoms],
+                    [_atom_apply_w(a, w) for a in den_atoms],
+                )
+        self.stab = len(weyl_group(rs.n)) // len(groups)
+        lcm = Counter()
+        for _, _, dens in groups.values():
+            lcm |= Counter(dens)
+        self.atoms = list(lcm.elements())
+        # cofactor: pre_w times the numerator atoms and the denominator
+        # atoms missing at eta; binomials have l1 norm 2, and the l1 norm
+        # is submultiplicative
+        factors = {eta: (pre_w, nums + list((lcm - Counter(dens)).elements()))
+                   for eta, (pre_w, nums, dens) in groups.items()}
+        self.norm = sum(sum(map(l1_norm, pre_w.terms.values())) << len(atoms)
+                        for pre_w, atoms in factors.values())
+        self.width = self.product_width(1)
+        self.cofs = {eta: atom_product(pre_w, atoms, self.width)
+                     for eta, (pre_w, atoms) in factors.items()}
+        ws = [w for _, terms in self.cofs.values() for w in terms]
+        self.lo = [min(x) for x in zip(*ws)]
+        self.hi = [max(x) for x in zip(*ws)]
+        self.divisors, self.monomial = split_atoms(self.atoms, rs.n)
+        self.slots = {}
+
+    def product_width(self, nu: int) -> int:
+        """A slot width that holds the numerator for an input whose
+        coefficients have l1 norm at most nu: its coefficients are at most
+        beta_0 = 2 * nu * norm in absolute value (see slot_width)."""
+        return byte_width(4 * nu * self.norm)
+
+    def slot_width(self, nu: int, lo, hi) -> int:
+        """A slot width B that certifies the division and the read-back
+        for an input f whose coefficients have l1 norm at most nu and whose
+        weights lie in the box [lo, hi].
+
+        Evaluation at v = 2^B is a ring homomorphism, so products and the
+        division recurrence are exact at any B; B matters only where a
+        value is tested for zero or read back.  Norms are l1 norms of
+        coefficient polynomials in v.  The numerator
+        F = sum_eta cof_eta * (T_eta f - f) has coefficients of norm at most
+        beta_0 = 2 * nu * norm, and its weights lie in the sum of the two
+        boxes.  Dividing by 1 + u*e^w with u a signed power of v keeps
+        norms along a chain of n weights of the box: the chain-end value of
+        the recurrence has norm at most n * beta, and a quotient term q[j]
+        is both a prefix and a suffix sum of the chain, of norm at most
+        (n // 2) * beta.  The quotient's box is the dividend's less the
+        segment [0, w].  So each value tested for zero is at most the
+        largest n_t * beta_(t-1) in absolute value, and each coefficient of
+        each quotient at most beta_k.  Evaluation at 2^B is injective on
+        integer polynomials with coefficients below 2^B in absolute value,
+        and balanced digits read back those below 2^(B-1); B covers both,
+        rounded up to whole bytes."""
+        beta = 2 * nu * self.norm
+        need = beta
+        lo = [a + b for a, b in zip(self.lo, lo)]
+        hi = [a + b for a, b in zip(self.hi, hi)]
+        for _, _, w in self.divisors:
+            n = max(1, min((h - l) // abs(x) + 1 for l, h, x in zip(lo, hi, w) if x))
+            need = max(need, n * beta)
+            beta *= max(1, n // 2)
+            lo = [l - min(x, 0) for l, x in zip(lo, w)]
+            hi = [h - max(x, 0) for h, x in zip(hi, w)]
+        return byte_width(max(need, 2 * beta))
+
+    def at(self, B: int) -> list:
+        """The cofactors with v evaluated at 2^B, as (eta, e0, [(weight, z)])."""
+        hit = self.slots.get(B)
+        if hit is None:
+            hit = self.slots[B] = [
+                (eta, e0, [(w, z if B == self.width else int_reslot(z, self.width, B))
+                           for w, z in terms.items()])
+                for eta, (e0, terms) in self.cofs.items()]
+        return hit
+
+    def binomials(self, B: int) -> list:
+        """The divisors as GAElems 1 + u*e^w with u = -s * 2^(c*B)."""
+        unit = (0,) * len(self.lo)
+        out = []
+        for s, c, w in self.divisors:
+            g = GAElem(len(unit))
+            g.terms = {unit: 1, w: -s << (c * B)}
+            out.append(g)
+        return out
+
+
+def split_atoms(atoms, rank: int):
+    """(divisors, (sign, C, W)) with prod(atoms) = sign * v^C * e^W *
+    prod(divisors), every divisor (s, c, w) having c >= 0: an atom
+    1 - s*v^c*e^w with c < 0 is -s*v^c*e^w * (1 - s*v^-c*e^-w)."""
+    sign, C, W = 1, 0, (0,) * rank
+    divisors = []
+    for s, c, w in atoms:
+        if c < 0:
+            sign, C, W = -s * sign, C + c, wsum(W, w)
+            c, w = -c, wneg(w)
+        divisors.append((s, c, w))
+    return divisors, (sign, C, W)
+
+
+def atom_product(pre: GAElem, atoms, B: int):
+    """pre times the binomials 1 - s*v^c*e^w of atoms, multiplied out with
+    v evaluated at 2^B, as (e0, {weight: z}) for the Laurent polynomial
+    v^e0 * sum z(v) e^weight; pre must have integer Laurent coefficients."""
+    if any(c.d != P_ONE for c in pre.terms.values()):
+        raise ValueError("prefactor is not a Laurent polynomial")
+    e = min(c.e for c in pre.terms.values())
+    terms = {w: p_to_int(c.n, B) << ((c.e - e) * B) for w, c in pre.terms.items()}
+    for s, c, w in atoms:
+        # 1 - s v^c e^w, as v^c (v^-c - s e^w) when c < 0
+        one, mono = (-c * B, 0) if c < 0 else (0, c * B)
+        e += min(c, 0)
+        out = {x: z << one for x, z in terms.items()}
+        for x, z in terms.items():
+            y = wsum(x, w)
+            t = out.get(y, 0) - s * (z << mono)
+            if t:
+                out[y] = t
+            else:
+                del out[y]
+        terms = out
+    return e, terms
+
+
+def l1_norm(x: Scalar) -> int:
+    """The sum of the absolute values of x's numerator coefficients: the
+    l1 norm of x when x is an integer Laurent polynomial."""
+    return sum(map(abs, x.n))
+
+
+def clear_denominators(f: GAElem):
+    """(L, L*f) for L the least common multiple in Z[v] of the
+    denominators of f's coefficients, so that L*f has integer Laurent
+    coefficients; L is None when f's coefficients already are."""
+    L = P_ONE
+    for c in f.terms.values():
+        d = c.d
+        if d != P_ONE and d != L:
+            k = gcd(gcd(*L), gcd(*d))
+            L = p_divexact(p_mul(L, d), p_mul(p_gcd(L, d), (k,)))
+    if L == P_ONE:
+        return None, f
+    out = GAElem(f.rank)
+    out.terms = {w: Scalar.laurent(c.e, p_mul(c.n, p_divexact(L, c.d)))
+                 for w, c in f.terms.items()}
+    return Scalar.laurent(0, L), out

@@ -322,6 +322,12 @@ class Scalar:
         return _new(k, P_ONE, P_ONE)
 
     @staticmethod
+    def laurent(e: int, cs) -> "Scalar":
+        """v^e * sum(cs[i] * v^i) for a sequence cs of ints."""
+        e, n = _strip(e, cs)
+        return _new(e, n, P_ONE)
+
+    @staticmethod
     def monomial(coeff, k: int) -> "Scalar":
         """coeff * v^k."""
         return Scalar.of(coeff) * Scalar.v_pow(k)

@@ -69,9 +69,13 @@ def test_usage_error_is_exit_two():
     (("compute", "--family", "XYZ"), "--family"),
     (("compute", "--family", "AI1", "--m", "7"), "--m"),
     (("compute", "--family", "CI", "--n", "2", "--sigma", "1/2"), "--sigma"),
+    (("compute", "--family", "AIVm"), "AIVm needs aux m >= 2"),
+    (("compute", "--family", "BI", "--m", "2"), "BI needs ambient rank >= 3"),
+    (("compute", "--family", "CI", "--n", "1"), "CI needs rank >= 2"),
 ], ids=["lambda-not-int", "lambda-odd", "sigma-zero-denominator",
         "negative-bound", "rank-mismatch", "negative-precision",
-        "unknown-family", "m-without-auxiliary-size", "sigma-on-reduced-family"])
+        "unknown-family", "m-without-auxiliary-size", "sigma-on-reduced-family",
+        "aux-size-missing", "aux-size-too-small", "rank-too-small"])
 def test_bad_input_is_exit_two_with_a_message(args, message):
     out = run(*args)
     assert out.returncode == 2
@@ -92,3 +96,24 @@ def test_verify_weight_shift_suite():
     assert checks and all(c["pass"] for c in checks)
     ids = [c["id"] for c in checks]
     assert ids == sorted(ids)
+
+
+def test_a_raising_case_is_a_fail_row_beside_the_others(monkeypatch, capsys):
+    from mkpolys import checks, cli
+
+    catalog = checks.satake_catalog
+
+    def broken(tag, *args):
+        if tag == "CI":
+            raise ValueError("injected fault")
+        return catalog(tag, *args)
+
+    monkeypatch.setattr(checks, "satake_catalog", broken)
+    code = cli.main(["verify", "weight-shift", "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = [r for r in rows if not r["pass"]]
+    assert [r["id"] for r in failed] == ["weight-shift reduced CI n=2 l=%d" % l
+                                         for l in range(4)]
+    assert all(r["error"] == "injected fault" for r in failed)
+    assert len(rows) - len(failed) == 52 and all("error" not in r for r in rows if r["pass"])

@@ -139,41 +139,55 @@ def test_m_basis_rejects_non_invariant():
         m_basis(mono(2, (2, 0)))
 
 
+def binomial(rank, w, u):
+    """1 + u * e^w."""
+    return GAElem.unit(rank) + GAElem.monomial(rank, w, u)
+
+
 def test_divexact():
+    # a product of binomials, divided one atom at a time in either order
     f = mono(1, (2,)) + mono(1, (0,), 3)
-    g = mono(1, (-2,)) + mono(1, (4,), Scalar.v_pow(2))
-    prod = f * g
-    assert ga_divexact(prod, g) == f
-    assert ga_divexact(prod, f) == g
-    with pytest.raises(ValueError):
-        ga_divexact(mono(1, (0,)) + mono(1, (2,), 2), mono(1, (0,)) + mono(1, (2,)))
+    g = binomial(1, (-2,), Scalar.v_pow(2))
+    h = binomial(1, (4,), Scalar.of(-1) * Scalar.v_pow(-3))
+    prod = f * g * h
+    assert ga_divexact(ga_divexact(prod, g), h) == f
+    assert ga_divexact(ga_divexact(prod, h), g) == f
+    with pytest.raises(ValueError, match="not divisible"):
+        ga_divexact(mono(1, (0,)) + mono(1, (2,), 2), binomial(1, (2,), SC_ONE))
+    with pytest.raises(ValueError, match="binomial"):
+        ga_divexact(prod, f)
 
 
 def test_divexact_rank_two_round_trip():
     rng = random.Random(12)
     for _ in range(5):
-        f, g = rand_elem(rng, 2), rand_elem(rng, 2)
-        if g.is_zero():
-            continue
-        assert ga_divexact(f * g, g) == f
+        f = rand_elem(rng, 2)
+        atoms = [binomial(2, (rng.choice((-2, 0, 2)), rng.choice((-2, 2))),
+                          Scalar.of(rng.choice((-1, 1))) * Scalar.v_pow(rng.randint(-2, 2)))
+                 for _ in range(3)]
+        prod = f
+        for g in atoms:
+            prod = prod * g
+        for g in atoms:
+            prod = ga_divexact(prod, g)
+        assert prod == f
 
 
 def test_divexact_rank_two_non_divisible_stops_at_once(monkeypatch):
-    # 1 / (1 - v e^(0,2)) is an infinite series; the quotient's Newton
-    # box is empty, so the first pass already proves non-divisibility
-    passes = []
+    # 1 / (1 - v e^(0,2)) is an infinite series: the one chain ends with a
+    # nonzero value, and the recurrence divides nothing
+    divisions = []
     divide = Scalar.__truediv__
     monkeypatch.setattr(Scalar, "__truediv__",
-                        lambda a, b: passes.append(1) or divide(a, b))
+                        lambda a, b: divisions.append(1) or divide(a, b))
     g = GAElem.unit(2) - mono(2, (0, 2), Scalar.v_pow(1))
     with pytest.raises(ValueError, match="not divisible"):
         ga_divexact(GAElem.unit(2), g)
-    assert len(passes) <= 1
-    # a remainder that only shows up after some passes is caught inside the box
+    # a remainder that only shows up at the end of a longer chain
     h = (GAElem.unit(2) + mono(2, (2, 2), 3)) * g + mono(2, (0, 0), 1)
     with pytest.raises(ValueError, match="not divisible"):
         ga_divexact(h, g)
-    assert len(passes) < 20
+    assert divisions == []
 
 
 def test_serialization_sorted_and_stable():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,23 @@ from mkpolys.mkengine import (
     verify_orthogonality,
     _qdiff_pieces,
 )
-from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
+from mkpolys.roots import (
+    build_root_system,
+    dominant_weights_upto,
+    eps,
+    satake_catalog,
+    weyl_apply,
+    weyl_group,
+)
 from mkpolys.scalars import SC_ONE, Scalar
-from mkpolys.weights import InnerProductEngine, KLabel, shifted_weight
+from mkpolys.weights import (
+    InnerProductEngine,
+    KLabel,
+    atom_gaelem,
+    half_density,
+    ratio_atoms,
+    shifted_weight,
+)
 
 AI1 = satake_catalog("AI1", 1)
 AIV2 = satake_catalog("AIVm", 1, 2)
@@ -47,11 +62,74 @@ def test_constants_are_eigenfunctions():
 def test_coefficient_functions_are_bar_images():
     # the two rank-one coefficient functions swap under weight negation
     k = KLabel.from_entry(AI1, 1)
-    cof, atoms, stab = _qdiff_pieces(k, RS1, (2,))
-    assert stab == 1 and set(cof) == {(2,), (-2,)}
-    assert cof[(-2,)] == cof[(2,)].bar()
-    neg = {(s, c, tuple(-x for x in w)) for (s, c, w) in atoms}
-    assert neg == set(atoms)  # common denominator is bar symmetric
+    pieces = _qdiff_pieces(k, RS1, (2,))
+    assert pieces.stab == 1 and set(pieces.cofs) == {(2,), (-2,)}
+    e_plus, plus = pieces.cofs[(2,)]
+    e_minus, minus = pieces.cofs[(-2,)]
+    assert e_minus == e_plus and minus == {(-w[0],): z for w, z in plus.items()}
+    neg = {(s, c, tuple(-x for x in w)) for (s, c, w) in pieces.atoms}
+    assert neg == set(pieces.atoms)  # common denominator is bar symmetric
+
+
+def _scalar_apply_qdiff(label, direction, f, rs):
+    """The operator on Scalar coefficients, as a reference for the integer
+    kernel: cofactors multiplied out as GAElems, the numerator divided atom
+    by atom by lex-leading-term long division."""
+    delta = half_density(label, rs)
+    pre, num_atoms, den_atoms = ratio_atoms(delta.translate(direction, label.base_exp), delta)
+    groups = {}
+    for w in weyl_group(rs.n):
+        eta = weyl_apply(w, direction)
+        groups.setdefault(eta, (pre.w_apply(w),
+                                [(s, c, weyl_apply(w, a)) for s, c, a in num_atoms],
+                                [(s, c, weyl_apply(w, a)) for s, c, a in den_atoms]))
+    lcm = Counter()
+    for _, _, dens in groups.values():
+        lcm |= Counter(dens)
+    acc = GAElem(rs.n)
+    for eta, (cof, nums, dens) in groups.items():
+        for a in nums + list((lcm - Counter(dens)).elements()):
+            cof = cof * atom_gaelem(a, rs.n)
+        acc = acc + cof * (f.translate(eta, label.base_exp) - f)
+    for a in lcm.elements():
+        g = atom_gaelem(a, rs.n)
+        gw = max(g.terms)
+        quo = GAElem(rs.n)
+        while not acc.is_zero():
+            fw = max(acc.terms)
+            t = GAElem.monomial(rs.n, tuple(x - y for x, y in zip(fw, gw)),
+                                acc.terms[fw] / g.terms[gw])
+            quo, acc = quo + t, acc - t * g
+        acc = quo
+    return acc.scale(Scalar.of(len(weyl_group(rs.n)) // len(groups)))
+
+
+@pytest.mark.parametrize("entry,n,l,bound", [
+    (AI1, 1, 0, 8), (AI1, 1, 2, 6), (AIV2, 1, 1, 6), (AIIIB2, 2, 1, 4),
+    (satake_catalog("CI", 2), 2, 0, 4), (satake_catalog("DI", 2), 2, 2, 2)],
+    ids=["AI1 l=0", "AI1 l=2", "AIVm l=1", "AIIIb l=1", "CI l=0", "DI l=2"])
+def test_integer_kernel_matches_the_scalar_operator(entry, n, l, bound):
+    rs = build_root_system(n)
+    k = KLabel.from_entry(entry, l)
+    for mu in dominant_weights_upto(n, bound):
+        f = orbit_sum(mu, n)
+        assert apply_qdiff(k, eps(0, n), f, rs) == _scalar_apply_qdiff(k, eps(0, n), f, rs)
+
+
+def test_integer_kernel_matches_the_scalar_operator_on_rational_coefficients():
+    k = KLabel.from_entry(AIIIB2, 1)
+    P = build_family(AIIIB2, 1, 4)[(4, 0)]
+    assert any(len(c.d) > 1 for c in P.coeffs.values())
+    g = P.as_gaelem(2)
+    assert apply_qdiff(k, (2, 0), g, RS2) == _scalar_apply_qdiff(k, (2, 0), g, RS2)
+
+
+def test_operator_with_a_negative_parameter():
+    # k1 < 0 puts atoms 1 - s v^c e^w with c < 0 into the cofactors
+    k = KLabel.make((-3, 1, 0, 0, 0), 2)
+    for mu in dominant_weights_upto(1, 6):
+        f = orbit_sum(mu, 1)
+        assert apply_qdiff(k, (2,), f, RS1) == _scalar_apply_qdiff(k, (2,), f, RS1)
 
 
 def test_operator_rejects_non_invariant_input():

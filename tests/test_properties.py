@@ -1,5 +1,7 @@
 """Property tests of the exact algebra: Q(v) field laws, the bar
-involution, group-algebra ring laws and exact division, with sympy as an
+involution, group-algebra ring laws and exact division by binomials (on
+Scalar and on evaluated-int coefficients, with the evaluation at v = 2^B
+that the operator runs on), with sympy as an
 independent oracle for Scalar arithmetic and the polynomial gcd, and the
 uniqueness of the canonical form that equality and hashing rely on; and
 the truncated series ring: its integer form, its ring laws, exact
@@ -8,11 +10,13 @@ division against a Fraction reference, and expansion against sympy."""
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolys.galg import GAElem, ga_divexact
+from mkpolys.qdiff import byte_width, int_reslot, p_from_int, p_to_int, split_atoms
 from mkpolys.scalars import (
     SC_ONE,
     SC_ZERO,
@@ -23,6 +27,7 @@ from mkpolys.scalars import (
     p_mul,
     scalar_to_series,
 )
+from mkpolys.weights import atom_gaelem
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -97,10 +102,105 @@ def test_group_algebra_ring_laws(f, g, h):
     assert (f * g).bar() == f.bar() * g.bar()
 
 
+# -- exact division by binomials, on Scalar and on evaluated-int coefficients
+
+ranks = st.integers(1, 3)
+
+
+def int_elem(rank, terms):
+    """A group-algebra element with int coefficients (v evaluated)."""
+    out = GAElem(rank)
+    out.terms = {w: c for w, c in terms.items() if c}
+    return out
+
+
+@st.composite
+def binomial_cases(draw, ints=False):
+    """(f, g) at rank 1-3: f with Laurent (or int) coefficients and
+    g = 1 + u*e^w, w nonzero, of either sign, u = +-v^c with c of either
+    sign (or an int, a signed power of two among them)."""
+    rank = draw(ranks)
+    weight = st.tuples(*[st.integers(-2, 2)] * rank)
+    w = draw(weight.filter(any))
+    if ints:
+        coeff = st.integers(-2 ** 40, 2 ** 40)
+        u = draw(st.one_of(st.builds(lambda s, k: s << k, st.sampled_from((-1, 1)),
+                                     st.integers(0, 90)),
+                           coeff.filter(bool)))
+        f = int_elem(rank, draw(st.dictionaries(weight, coeff, max_size=4)))
+        return f, int_elem(rank, {(0,) * rank: 1, w: u})
+    c = draw(st.integers(-3, 3))
+    u = Scalar.of(draw(st.sampled_from((-1, 1)))) * Scalar.v_pow(c)
+    f = GAElem(rank, draw(st.dictionaries(weight, laurent, max_size=4)))
+    return f, GAElem.unit(rank) + GAElem.monomial(rank, w, u)
+
+
 @SETTINGS
-@given(gaelems(), gaelems().filter(lambda g: not g.is_zero()))
-def test_divexact_inverts_multiplication(f, g):
+@given(st.one_of(binomial_cases(), binomial_cases(ints=True)))
+def test_divexact_inverts_multiplication(case):
+    f, g = case
     assert ga_divexact(f * g, g) == f
+
+
+@SETTINGS
+@given(st.one_of(binomial_cases(), binomial_cases(ints=True)), st.data())
+def test_divexact_rejects_a_non_multiple(case, data):
+    """f*g plus one more term is no multiple of g: a monomial is never
+    divisible by a binomial."""
+    f, g = case
+    w = data.draw(st.tuples(*[st.integers(-4, 4)] * f.rank))
+    extra = GAElem(f.rank)
+    extra.terms = {w: g.terms[(0,) * f.rank]}
+    with pytest.raises(ValueError, match="not divisible"):
+        ga_divexact(f * g + extra, g)
+
+
+@SETTINGS
+@given(st.data())
+def test_divexact_of_a_binomial_product_one_atom_at_a_time(data):
+    """Divide a product of several binomials by each factor in turn."""
+    f, g = data.draw(binomial_cases())
+    prod, atoms = f * g, [g]
+    for _ in range(data.draw(st.integers(0, 2))):
+        _, h = data.draw(binomial_cases().filter(lambda c: c[0].rank == f.rank))
+        prod, atoms = prod * h, atoms + [h]
+    for h in data.draw(st.permutations(atoms)):
+        prod = ga_divexact(prod, h)
+    assert prod == f
+
+
+@SETTINGS
+@given(st.integers(1, 2 ** 70), st.data())
+def test_evaluation_round_trips_at_the_proven_bound(bound, data):
+    """A Laurent polynomial whose coefficients reach the bound reads back
+    from v = 2^B for the width that bound gives, and moves to any wider
+    width exactly."""
+    B = byte_width(2 * bound)
+    cs = data.draw(st.lists(st.sampled_from((bound, -bound, 0, 1, -1))
+                            | st.integers(-bound, bound), min_size=1, max_size=8))
+    e = data.draw(st.integers(-5, 5))
+    x = Scalar.laurent(e, cs)
+    z = p_to_int(x.n, B)
+    assert Scalar.laurent(x.e, p_from_int(z, B)) == x
+    wider = B + 8 * data.draw(st.integers(0, 3))
+    assert int_reslot(z, B, wider) == p_to_int(x.n, wider)
+    assert int_reslot(int_reslot(z, B, wider), wider, B) == z
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(-4, 4),
+                          st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)),
+                max_size=4))
+def test_split_atoms_leaves_a_monomial_and_nonnegative_powers(atoms):
+    divisors, (sign, C, W) = split_atoms(atoms, 2)
+    assert all(c >= 0 for _, c, _ in divisors)
+    lhs = GAElem.unit(2)
+    for a in atoms:
+        lhs = lhs * atom_gaelem(a, 2)
+    rhs = GAElem.monomial(2, W, Scalar.of(sign) * Scalar.v_pow(C))
+    for a in divisors:
+        rhs = rhs * atom_gaelem(a, 2)
+    assert lhs == rhs
 
 
 # -- the canonical integer form ---------------------------------------------
