@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -71,8 +70,7 @@ def make_parser():
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES + ("all",))
-    v.add_argument("--precision", type=_int_at_least(0),
-                   default=os.environ.get("MKPOLYS_PRECISION", "40"))
+    v.add_argument("--precision", type=_int_at_least(0), default=40)
     v.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
     g = sub.add_parser("catalog", help="dump the family catalog")

@@ -1,8 +1,7 @@
 """Sparse elements of the group algebra of the doubled weight lattice.
 
-A GAElem is a finite map weight -> Scalar.  The two involutions are
-bar (negate weights) and zero_inv (bar-conjugate coefficients); both
-commute.  Exact division by a binomial 1 + u*e^w, the backbone of the
+A GAElem is a finite map weight -> Scalar; its involution bar negates
+weights.  Exact division by a binomial 1 + u*e^w, the backbone of the
 q-difference operator, is a chain recurrence that divides nothing, so it
 also runs on elements whose coefficients are ints (v evaluated at 2^B).
 """
@@ -129,12 +128,6 @@ class GAElem:
         out.terms = {wneg(w): c for w, c in self.terms.items()}
         return out
 
-    def zero_inv(self) -> "GAElem":
-        """Bar-conjugate all coefficients (v -> 1/v), keep weights."""
-        out = GAElem(self.rank)
-        out.terms = {w: c.bar() for w, c in self.terms.items()}
-        return out
-
     def w_apply(self, w) -> "GAElem":
         out = GAElem(self.rank)
         out.terms = {weyl_apply(w, wt): c for wt, c in self.terms.items()}
@@ -151,9 +144,6 @@ class GAElem:
             t[w] = c * Scalar.v_pow(int(e))
         out.terms = t
         return out
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.rank, SC_ZERO)
 
     def leading(self):
         """(weight, coeff) maximal in the (coordinate sum, lex) extension."""

@@ -15,7 +15,7 @@ from operator import add
 
 from .galg import GAElem, from_m_basis, ga_divexact, m_basis, orbit_sum
 from .roots import (
-    DEFAULT_D,
+    D,
     RootSystem,
     SatakeEntry,
     Weight,
@@ -128,7 +128,6 @@ def apply_qdiff(label: KLabel, direction: Weight, f: GAElem,
 class OperatorAction:
     direction: Weight
     label: KLabel
-    level: int
     basis: list                  # ordered dominant weights, (sum, lex)
     matrix: dict                 # (nu, mu) -> Scalar with nu <= mu
 
@@ -138,23 +137,19 @@ class OperatorAction:
         return self.matrix[(lam, lam)]
 
 
-def operator_action(label: KLabel, rs: RootSystem, basis,
-                    direction: Weight = None, level: int = 0,
-                    check: bool = True) -> OperatorAction:
-    """Matrix of the operator on the orbit-sum basis; asserts dominance
-    triangularity column by column."""
-    if direction is None:
-        direction = eps(0, rs.n)
+def operator_action(label: KLabel, rs: RootSystem, basis) -> OperatorAction:
+    """Matrix of the operator in the direction eps_1 on the orbit-sum
+    basis; asserts dominance triangularity column by column."""
+    direction = eps(0, rs.n)
     matrix = {}
     for mu in basis:
-        g = apply_qdiff(label, direction, orbit_sum(mu, rs.n), rs, check=False)
-        col = m_basis(g)
-        for nu, c in col.items():
-            if check and not dominance_leq(nu, mu):
+        g = apply_qdiff(label, direction, orbit_sum(mu, rs.n), rs)
+        for nu, c in m_basis(g).items():
+            if not dominance_leq(nu, mu):
                 raise ValueError("operator is not dominance triangular")
             matrix[(nu, mu)] = c
         matrix.setdefault((mu, mu), SC_ZERO)
-    return OperatorAction(direction, label, level, list(basis), matrix)
+    return OperatorAction(direction, label, list(basis), matrix)
 
 
 @dataclass
@@ -163,7 +158,6 @@ class MKPolynomial:
     coeffs: dict                 # dominant weight -> Scalar (orbit-sum basis)
     label: KLabel
     level: int = 0
-    construction: str = "operator-exact"
 
     def as_gaelem(self, n: int) -> GAElem:
         return from_m_basis(self.coeffs, n)
@@ -190,7 +184,7 @@ def build_polynomial(label: KLabel, lam: Weight, rs: RootSystem,
     coefficients in Q(v)."""
     below = dominant_weights_below(lam)
     if action is None:
-        action = operator_action(label, rs, below, level=level)
+        action = operator_action(label, rs, below)
     M = action.matrix
     E_lam = action.eigenvalue(lam)
     coeffs = {lam: SC_ONE}
@@ -219,13 +213,13 @@ def build_polynomial(label: KLabel, lam: Weight, rs: RootSystem,
 
 
 def build_family(entry: SatakeEntry, l: int, bound: int,
-                 sigma=Fraction(0), D: int = DEFAULT_D, verify: bool = False):
+                 sigma=Fraction(0), verify: bool = False):
     """Operator-exact polynomials for every dominant weight with
     coordinate sum <= bound, as a dict."""
     rs = build_root_system(entry.n)
-    label = KLabel.from_entry(entry, l, sigma, D)
+    label = KLabel.from_entry(entry, l, sigma)
     basis = dominant_weights_upto(entry.n, bound)
-    action = operator_action(label, rs, basis, level=l)
+    action = operator_action(label, rs, basis)
     return {
         lam: build_polynomial(label, lam, rs, action, level=l, verify=verify)
         for lam in basis
@@ -238,12 +232,12 @@ def build_family(entry: SatakeEntry, l: int, bound: int,
 # ---------------------------------------------------------------------------
 
 def gram_matrix(entry: SatakeEntry, l: int, basis, M: int = 40,
-                sigma=Fraction(0), D: int = DEFAULT_D) -> dict:
+                sigma=Fraction(0)) -> dict:
     """G[(mu, nu)] = ct(m_mu bar(m_nu) W_l) mod v^(M+1) for mu, nu in
     basis: the constant-term pairing of orbit sums, symmetric, with each
     unordered pair computed once over the window +-2 * span(basis)."""
     rs = build_root_system(entry.n)
-    label0 = KLabel.from_entry(entry, 0, sigma, D)
+    label0 = KLabel.from_entry(entry, 0, sigma)
     span = max((sum(abs(c) for c in w) for w in basis), default=0)
     window = ([-2 * span] * entry.n, [2 * span] * entry.n)
     engine = InnerProductEngine(shifted_weight(label0, entry, l, rs, sigma), M, window)
@@ -256,8 +250,7 @@ def gram_matrix(entry: SatakeEntry, l: int, basis, M: int = 40,
 
 
 def build_polynomial_gs(entry: SatakeEntry, l: int, lam: Weight,
-                        M: int = 40, sigma=Fraction(0), D: int = DEFAULT_D,
-                        gram=None):
+                        M: int = 40, sigma=Fraction(0), gram=None):
     """Truncated coefficients from the orthogonality characterization:
     solve ct(P bar(m_mu) W) = 0 mod v^(M+1) for all mu below lam.
 
@@ -266,7 +259,7 @@ def build_polynomial_gs(entry: SatakeEntry, l: int, lam: Weight,
     TruncSeries including the unit leading coefficient.
     """
     below = dominant_weights_below(lam)
-    G = gram if gram is not None else gram_matrix(entry, l, below, M, sigma, D)
+    G = gram if gram is not None else gram_matrix(entry, l, below, M, sigma)
     lower = below[:-1]
     rows = [[G[(mu, nu)] for mu in lower] for nu in lower]
     rhs = [-G[(lam, nu)] for nu in lower]
@@ -323,7 +316,7 @@ def dual_path_agree(poly: MKPolynomial, gs_coeffs: dict, M: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def verify_orthogonality(family: dict, entry: SatakeEntry, l: int,
-                         M: int = 40, sigma=Fraction(0), D: int = DEFAULT_D):
+                         M: int = 40, sigma=Fraction(0)):
     """Pairwise constant terms ct(P bar(P') W_l) = c^T G c', from one Gram
     matrix of orbit sums and each coefficient expanded to a series once;
     off-diagonal entries must vanish mod v^(M+1), each row reporting the
@@ -332,7 +325,7 @@ def verify_orthogonality(family: dict, entry: SatakeEntry, l: int,
     series = {lam: {a: scalar_to_series(c, M) for a, c in family[lam].coeffs.items()}
               for lam in lams}
     support = sorted({a for ser in series.values() for a in ser})
-    G = gram_matrix(entry, l, support, M, sigma, D)
+    G = gram_matrix(entry, l, support, M, sigma)
     report = {"entry": entry.family, "level": l, "pairs": [], "pass": True}
     zero = TruncSeries.zero(M)
     for i, lam in enumerate(lams):
@@ -451,7 +444,7 @@ def eigenvalue_closed_form_check(action: OperatorAction, pinned=None) -> bool:
 
 def eigenvalue_identity_check(entry: SatakeEntry, ambient_tag: str,
                               ambient_lams, bound: int = 6,
-                              shifts=(1, 2), D: int = DEFAULT_D) -> dict:
+                              shifts=(1, 2)) -> dict:
     """The central-character identity: the ambient Weyl sum of
     q^((w mu, lam + rho)) equals N times the restricted Weyl sum of
     B^((w mu~, lam~ + rho')) with rho' pinned from the operator, plus the
@@ -463,8 +456,8 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_tag: str,
     n = entry.n
     rs = build_root_system(n)
     basis = dominant_weights_upto(n, bound)
-    label0 = KLabel.from_entry(entry, 0, Fraction(0), D)
-    act0 = operator_action(label0, rs, basis, level=0)
+    label0 = KLabel.from_entry(entry, 0)
+    act0 = operator_action(label0, rs, basis)
     rho_res, _center = pin_rho(act0)
     b = label0.base_exp
     N = len(data.weyl) // len(weyl_group(n))
@@ -504,8 +497,8 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_tag: str,
 
     report["shift_law"] = []
     for l in shifts:
-        label_l = KLabel.from_entry(entry, l, Fraction(0), D)
-        act_l = operator_action(label_l, rs, basis, level=l)
+        label_l = KLabel.from_entry(entry, l)
+        act_l = operator_action(label_l, rs, basis)
         rho_l, center_l = pin_rho(act_l)
         want = tuple(r + Fraction(l, 2) for r in rho_res)
         ok = (rho_l == want

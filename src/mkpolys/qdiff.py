@@ -15,9 +15,9 @@ from collections import Counter
 from math import gcd
 
 from .galg import GAElem
-from .roots import RootSystem, Weight, weyl_apply, weyl_group, wneg, wsum
+from .roots import RootSystem, Weight, weyl_apply, weyl_group, wsum
 from .scalars import P_ONE, Scalar, p_divexact, p_gcd, p_mul
-from .weights import KLabel, half_density, ratio_atoms
+from .weights import KLabel, half_density, ratio_atoms, split_atoms
 
 
 def byte_width(bound: int) -> int:
@@ -179,20 +179,6 @@ class Pieces:
             g.terms = {unit: 1, w: -s << (c * B)}
             out.append(g)
         return out
-
-
-def split_atoms(atoms, rank: int):
-    """(divisors, (sign, C, W)) with prod(atoms) = sign * v^C * e^W *
-    prod(divisors), every divisor (s, c, w) having c >= 0: an atom
-    1 - s*v^c*e^w with c < 0 is -s*v^c*e^w * (1 - s*v^-c*e^-w)."""
-    sign, C, W = 1, 0, (0,) * rank
-    divisors = []
-    for s, c, w in atoms:
-        if c < 0:
-            sign, C, W = -s * sign, C + c, wsum(W, w)
-            c, w = -c, wneg(w)
-        divisors.append((s, c, w))
-    return divisors, (sign, C, W)
 
 
 def atom_product(pre: GAElem, atoms, B: int):

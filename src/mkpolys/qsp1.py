@@ -18,30 +18,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .galg import GAElem
-from .roots import DEFAULT_D
+from .roots import D
 from .scalars import SC_ONE, SC_ZERO, Scalar
 
 
-def q_pow(k, D: int = DEFAULT_D) -> Scalar:
+def q_pow(k) -> Scalar:
     e = Fraction(k) * D
     if e.denominator != 1:
-        raise ValueError("fractional q power not representable for this D")
+        raise ValueError("fractional q power not representable")
     return Scalar.v_pow(int(e))
 
 
-def q_int(l: int, D: int = DEFAULT_D) -> Scalar:
+def q_int(l: int) -> Scalar:
     """[l]_q = (q^l - q^-l) / (q - q^-1)."""
-    num = q_pow(l, D) - q_pow(-l, D)
-    den = q_pow(1, D) - q_pow(-1, D)
+    num = q_pow(l) - q_pow(-l)
+    den = q_pow(1) - q_pow(-1)
     return num / den
 
 
-def aiiia_parameter(sigma, m: int, D: int = DEFAULT_D) -> Scalar:
+def aiiia_parameter(sigma, m: int) -> Scalar:
     """The generator-parameter ratio of the rank-one unitary pair:
     (-1)^m q^(2 sigma)."""
     if m < 2:
         raise ValueError("m >= 2 required")
-    s = q_pow(2 * Fraction(sigma), D)
+    s = q_pow(2 * Fraction(sigma))
     return s if m % 2 == 0 else -s
 
 
@@ -144,17 +144,12 @@ class Rank1Module:
     weights: list            # doubled restricted weight per basis vector
     c_params: tuple          # (c,) or (c1, cn)
     s_param: Scalar
-    D: int
     ops: dict                # primitive generator matrices
 
-    def q(self, k):
-        return q_pow(k, self.D)
 
-
-def build_rank1(family: str, n: int = 1, c_params=None, s=SC_ZERO,
-                D: int = DEFAULT_D) -> Rank1Module:
+def build_rank1(family: str, n: int = 1, c_params=None, s=SC_ZERO) -> Rank1Module:
+    q = q_pow
     if family == "AI1":
-        q = lambda k: q_pow(k, D)
         c = c_params[0] if c_params else q(-1)
         if not c:
             raise ValueError("parameter c must be nonzero")
@@ -167,11 +162,10 @@ def build_rank1(family: str, n: int = 1, c_params=None, s=SC_ZERO,
         Kinv = eye(2)
         Kinv[0][0], Kinv[1][1] = q(-1), q(1)
         ops = {"E": E, "F": F, "K": K, "Kinv": Kinv}
-        return Rank1Module("AI1", 1, 2, [(1,), (-1,)], (c,), Scalar.of(s), D, ops)
+        return Rank1Module("AI1", 1, 2, [(1,), (-1,)], (c,), Scalar.of(s), ops)
     if family == "AIV":
         if n < 2:
             raise ValueError("AIV needs n >= 2")
-        q = lambda k: q_pow(k, D)
         c1, cn = c_params if c_params else (q(-1), q(-1))
         if not c1 or not cn:
             raise ValueError("parameters must be nonzero")
@@ -207,7 +201,7 @@ def build_rank1(family: str, n: int = 1, c_params=None, s=SC_ZERO,
         ops["rho_Twb_E_tau1"] = rT1
         ops["rho_Twb_E_taun"] = rTn
         weights = [(1,)] + [(0,)] * (n - 1) + [(-1,)]
-        return Rank1Module("AIV", n, dim, weights, (c1, cn), Scalar.of(s), D, ops)
+        return Rank1Module("AIV", n, dim, weights, (c1, cn), Scalar.of(s), ops)
     raise ValueError("unknown rank-one family %r" % family)
 
 
@@ -280,12 +274,12 @@ def solve_spherical(module: Rank1Module, l: int) -> SphericalPair:
     """The shift-l spherical pair (l >= 0)."""
     if l < 0:
         raise ValueError("negative shifts are handled by the flip symmetry")
-    q = module.q
+    q = q_pow
     if module.family == "AI1":
         c = module.c_params[0]
         if c != q(-1) or module.s_param:
             raise ValueError("solved only at the canonical parameter c = 1/q")
-        t = q_int(l, module.D)
+        t = q_int(l)
         v = _ai1_solve_side(module, q(-1), t, rho_side=False)
         f = _ai1_solve_side(module, q(1), q(1) * t, rho_side=True)
         assert v == [q(-l), SC_ONE]
@@ -379,7 +373,7 @@ def chain_res(module: Rank1Module, l: int) -> GAElem:
         if module.family == "AIV":
             mod = build_rank1("AIV", module.n,
                               (module.c_params[1], module.c_params[0]),
-                              module.s_param, module.D)
+                              module.s_param)
         l = -l
     out = GAElem.unit(1)
     for j in range(l):
@@ -388,14 +382,14 @@ def chain_res(module: Rank1Module, l: int) -> GAElem:
 
 
 def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0),
-                    c_params=None, D: int = DEFAULT_D) -> GAElem:
+                    c_params=None) -> GAElem:
     """Closed form of the level-l restriction: the half-weight prefactor
     e^(|l| eps/2) times a length-|l| Pochhammer binomial product in
     e^(-eps), normalized with leading coefficient one."""
     L = abs(l)
     if L == 0:
         return GAElem.unit(1)
-    q = lambda k: q_pow(k, D)
+    q = q_pow
     if family == "AI1":
         X = SC_ONE
     elif family == "AIV":
@@ -403,7 +397,7 @@ def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0),
             c1, cn = c_params
             ratio = (cn / c1) if l > 0 else (c1 / cn)
         else:
-            ratio = aiiia_parameter(sigma if l > 0 else -sigma, n, D)
+            ratio = aiiia_parameter(sigma if l > 0 else -sigma, n)
         X = ratio if n % 2 == 0 else -ratio
     else:
         raise ValueError("unknown rank-one family %r" % family)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 Weight = tuple
 
-DEFAULT_D = 2  # session denominator: v = q^(1/2) covers all half offsets
+D = 2  # v = q^(1/D): every half-integer power of q is a power of v
 
 
 def dot4(a: Weight, b: Weight) -> Fraction:
@@ -101,10 +101,6 @@ def is_dominant(wt: Weight) -> bool:
     return all(wt[i] >= wt[i + 1] for i in range(len(wt) - 1)) and (
         not wt or wt[-1] >= 0
     )
-
-
-def dominant_rep(wt: Weight) -> Weight:
-    return tuple(sorted((abs(c) for c in wt), reverse=True))
 
 
 def dominance_leq(mu: Weight, lam: Weight) -> bool:
@@ -193,7 +189,7 @@ class SatakeEntry:
     med_mult: int
     base_d: int
 
-    def base_exp(self, D: int = DEFAULT_D) -> int:
+    def base_exp(self) -> int:
         """The v-exponent of the base q_i^2."""
         return 2 * self.base_d * D
 
@@ -368,24 +364,6 @@ def ambient_data(tag: str, n: int = 1) -> AmbientData:
             rho=(Fraction(2), Fraction(1)),
             mu=(Fraction(1), Fraction(0)),
             restrict=lambda v: (_as_int(v[0]), _as_int(v[1])),
-        )
-    if tag == "AIIIb" and n == 2:
-        # sl4 in gl-coordinates; the involution swaps e1<->e4 and e2<->e3,
-        # so an ambient weight restricts to doubled (x1-x4, x2-x3)
-        mats = []
-        for perm in itertools.permutations(range(4)):
-            mat = [[Fraction(0)] * 4 for _ in range(4)]
-            for i in range(4):
-                mat[i][perm[i]] = Fraction(1)
-            mats.append(tuple(tuple(r) for r in mat))
-        eye4 = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
-        return AmbientData(
-            dim=4,
-            weyl=mats,
-            gram=eye4,
-            rho=(Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2)),
-            mu=(Fraction(3, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(-1, 4)),
-            restrict=lambda v: (_as_int(v[0] - v[3]), _as_int(v[1] - v[2])),
         )
     raise ValueError("ambient data not cataloged for %r n=%d" % (tag, n))
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(v) for a formal variable v = q^(1/D).
+"""Exact arithmetic in Q(v) for a formal variable v = q^(1/2).
 
 Every coefficient in this package is a Scalar, stored in one canonical
 integer form
@@ -335,9 +335,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.n)
 
-    def is_one(self) -> bool:
-        return self.e == 0 and self.n == P_ONE and self.d == P_ONE
-
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             other = Scalar.of(other)
@@ -393,18 +390,6 @@ class Scalar:
 
     def __truediv__(self, other):
         return self * Scalar.of(other).inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = SC_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def inverse(self) -> "Scalar":
         if not self.n:
@@ -554,11 +539,6 @@ class TruncSeries:
         return _canon(cs, self.den * other.den, M)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int):
-        """Multiply by v^k (k >= 0), keeping the precision."""
-        M = self.precision
-        return _canon(([0] * k + self.num)[: M + 1], self.den, M)
 
     def divide(self, other: "TruncSeries") -> "TruncSeries":
         """Series division; lowers precision by the divisor's valuation.

@@ -15,9 +15,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
 
 from .galg import GAElem
-from .roots import DEFAULT_D, RootSystem, SatakeEntry, Weight, dot4, wneg, weyl_apply
+from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
 from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _canon, scalar_to_series
 
 
@@ -43,23 +44,22 @@ class KLabel:
     k4: Fraction
     k5: Fraction
     base_exp: int
-    D: int = DEFAULT_D
 
     @staticmethod
-    def make(ks, base_exp, D=DEFAULT_D):
+    def make(ks, base_exp):
         ks = [Fraction(k) for k in ks]
-        lab = KLabel(ks[0], ks[1], ks[2], ks[3], ks[4], base_exp, D)
+        lab = KLabel(ks[0], ks[1], ks[2], ks[3], ks[4], base_exp)
         lab.r1_args()  # validates integrality
         return lab
 
     @staticmethod
-    def from_entry(entry: SatakeEntry, l: int = 0, sigma=Fraction(0), D=DEFAULT_D):
-        return KLabel.make(entry.recipe(l, sigma), entry.base_exp(D), D)
+    def from_entry(entry: SatakeEntry, l: int = 0, sigma=Fraction(0)):
+        return KLabel.make(entry.recipe(l, sigma), entry.base_exp())
 
     def _vexp(self, k: Fraction) -> int:
         e = k * self.base_exp
         if e.denominator != 1:
-            raise ValueError("parameter exponent not integral for this D")
+            raise ValueError("parameter exponent not integral")
         return int(e)
 
     def r1_args(self):
@@ -146,21 +146,10 @@ class PochProduct:
             and self.prefactor == other.prefactor
         )
 
-    def is_one(self) -> bool:
-        return not self.factors and self.prefactor == GAElem.unit(self.rank)
-
     def bar(self) -> "PochProduct":
         out = PochProduct(self.rank, prefactor=self.prefactor.bar())
         out.factors = {
             (s, c, wneg(w), b): m for (s, c, w, b), m in self.factors.items()
-        }
-        return out
-
-    def w_apply(self, w) -> "PochProduct":
-        out = PochProduct(self.rank, prefactor=self.prefactor.w_apply(w))
-        out.factors = {
-            (s, c, weyl_apply(w, wt), b): m
-            for (s, c, wt, b), m in self.factors.items()
         }
         return out
 
@@ -263,7 +252,7 @@ def half_density(k: KLabel, rs: RootSystem) -> PochProduct:
 
 
 def shift_factor(entry: SatakeEntry, l: int, rs: RootSystem,
-                 sigma=Fraction(0), D=DEFAULT_D) -> PochProduct:
+                 sigma=Fraction(0)) -> PochProduct:
     """The level-l factor: a finite Pochhammer per long restricted root.
 
     Reduced families get (-B^(1/2) e^a; B)_|l|.  The non-reduced AIII_a
@@ -273,7 +262,7 @@ def shift_factor(entry: SatakeEntry, l: int, rs: RootSystem,
     """
     if not isinstance(entry, SatakeEntry):
         raise ValueError("non-Hermitian entry")
-    b = entry.base_exp(D)
+    b = entry.base_exp()
     if b % 2:
         raise ValueError("odd base exponent")
     L = abs(l)
@@ -288,7 +277,7 @@ def shift_factor(entry: SatakeEntry, l: int, rs: RootSystem,
         off = -sigma + Fraction(1, 2)
     c = off * b
     if c.denominator != 1:
-        raise ValueError("parameter exponent not integral for this D")
+        raise ValueError("parameter exponent not integral")
     syms = []
     for alpha in rs.R1:  # the long restricted class in these coordinates
         syms.append((PochSymbol(-1, int(c), alpha, b, L), 1))
@@ -299,7 +288,7 @@ def shifted_weight(k: KLabel, entry: SatakeEntry, l: int,
                    rs: RootSystem, sigma=Fraction(0)) -> PochProduct:
     """The level-l orthogonality weight: shift factor times base weight,
     in cancellation-normal form."""
-    return shift_factor(entry, l, rs, sigma, k.D) * koornwinder_weight(k, rs)
+    return shift_factor(entry, l, rs, sigma) * koornwinder_weight(k, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +300,20 @@ def atom_gaelem(atom, rank: int) -> GAElem:
     weight)."""
     s, c, w = atom
     return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
+
+
+def split_atoms(atoms, rank: int):
+    """(divisors, (sign, C, W)) with prod(atoms) = sign * v^C * e^W *
+    prod(divisors), every divisor (s, c, w) having c >= 0: an atom
+    1 - s*v^c*e^w with c < 0 is -s*v^c*e^w * (1 - s*v^-c*e^-w)."""
+    sign, C, W = 1, 0, (0,) * rank
+    divisors = []
+    for s, c, w in atoms:
+        if c < 0:
+            sign, C, W = -s * sign, C + c, wsum(W, w)
+            c, w = -c, wneg(w)
+        divisors.append((s, c, w))
+    return divisors, (sign, C, W)
 
 
 def _finite_atoms(finite):
@@ -349,10 +352,6 @@ class SeriesElem:
         self.M = M
         self.terms = terms if terms is not None else {}
         self.den = den
-
-    @staticmethod
-    def one(rank, M):
-        return SeriesElem(rank, M, {(0,) * rank: [1] + [0] * M})
 
     def coeff(self, w) -> TruncSeries:
         cs = self.terms.get(tuple(w))
@@ -404,124 +403,113 @@ def _split_rescue(P: PochProduct) -> PochProduct:
 
 
 def _atoms_of(P: PochProduct, M: int):
-    """Flatten a product into binomial and geometric expansion atoms."""
+    """Flatten a collapsed product into (factor, atoms): mod v^(M+1) it is
+    the monomial GAElem factor times the atoms (s, c, w, reps), each
+    standing for 1 - s*v^c*e^w (reps = 0, a binomial, 0 <= c <= M) or its
+    inverse (reps = M // c, a geometric atom, 0 < c <= M), w nonzero."""
     finite, infinite = P.collapsed()
-    atoms = []
-
-    def push(sign, c, w, m):
-        if m > 0:
-            atoms.extend([("bin", sign, c, w)] * m)
-        else:
-            if c <= 0:
-                raise ValueError("cannot expand: nonpositive valuation in denominator")
-            atoms.extend([("geo", sign, c, w)] * (-m))
-
-    for sym, m in finite:
-        for j in range(sym.length):
-            push(sym.sign, sym.v_exp + j * sym.base_exp, sym.weight, m)
+    num, den = _finite_atoms(finite)
     for sym, m in infinite:
-        if m < 0 and sym.v_exp <= 0:
-            raise ValueError("cannot expand: nonpositive valuation in denominator")
-        j = 0
-        while sym.v_exp + j * sym.base_exp <= M:
-            push(sym.sign, sym.v_exp + j * sym.base_exp, sym.weight, m)
-            j += 1
-    return atoms
+        tail = [(sym.sign, c, sym.weight) for c in range(sym.v_exp, M + 1, sym.base_exp)]
+        (num if m > 0 else den).extend(tail * abs(m))
+    if any(c <= 0 for _, c, _ in den):
+        raise ValueError("cannot expand: nonpositive valuation in denominator")
+    bins, (sign, C, W) = split_atoms(num, P.rank)
+    scalar, atoms = Scalar.monomial(sign, C), []
+    for s, c, w, reps in [a + (0,) for a in bins] + [a + (M // a[1],) for a in den]:
+        if not any(w):          # 1 - s*v^c is a scalar
+            x = Scalar.monomial(-s, c) + 1
+            scalar = scalar / x if reps else scalar * x
+        elif c <= M:
+            atoms.append((s, c, w, reps))
+    # high valuations first: an atom moves only the orders below M + 1 - c,
+    # so the weights spread by the low ones meet the tightest reach boxes
+    atoms.sort(key=lambda a: -a[1])
+    return GAElem.monomial(P.rank, W, scalar), atoms
 
 
 def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesElem:
     """Expand to a SeriesElem, exact for every weight inside the window up
     to order M.  window is (lo, hi) per-coordinate bounds on doubled
-    coordinates; None restricts to the zero weight only."""
+    coordinates; None restricts to the zero weight only.
+
+    Each weight holds one dense row of M + 1 integer numerators over the
+    one denominator of the prefactor's coefficients.  A binomial atom
+    subtracts a shifted copy of each row at weight + w; a geometric atom
+    runs the recurrence out[j] = in[j] + s*v^c*out[j - 1] along each chain
+    x0 + j*w, for M // c steps past the chain's last input.  A weight is
+    dropped once the remaining atoms cannot move it back into the window.
+    """
     if M < 0:
         raise ValueError("nonpositive precision")
     rank = P.rank
-    if window is None:
-        window = ([0] * rank, [0] * rank)
-    lo, hi = window
-
+    lo, hi = window or ([0] * rank, [0] * rank)
     Q = _split_rescue(P)
-    atoms = _atoms_of(Q, M)
+    factor, atoms = _atoms_of(Q, M)
 
-    # window pruning: a term survives if some suffix of factors can still
-    # move its weight back into the window
-    moves = []
-    for kind, s, c, w in atoms:
-        reps = 1 if kind == "bin" else max(M // c, 0)
-        moves.append((
-            [min(0, x * reps) for x in w],
-            [max(0, x * reps) for x in w],
-        ))
-    suffix = [([0] * rank, [0] * rank)]
-    for mlo, mhi in reversed(moves):
-        plo, phi = suffix[-1]
-        suffix.append((
-            [a + b for a, b in zip(plo, mlo)],
-            [a + b for a, b in zip(phi, mhi)],
-        ))
-    suffix.reverse()
+    # boxes[k]: the weights from which atoms k, k+1, ... can still reach
+    # the window
+    boxes = [(list(lo), list(hi))]
+    for _, _, w, reps in reversed(atoms):
+        blo, bhi = boxes[-1]
+        k = max(reps, 1)
+        boxes.append(([a - max(0, k * x) for a, x in zip(blo, w)],
+                      [b - min(0, k * x) for b, x in zip(bhi, w)]))
+    boxes.reverse()
 
-    def keep(wt, order, idx):
-        if order > M:
-            return False
-        slo, shi = suffix[idx]
-        for i in range(rank):
-            if wt[i] + shi[i] < lo[i] or wt[i] + slo[i] > hi[i]:
-                return False
-        return True
+    def inside(wt, box):
+        return all(map(le, box[0], wt)) and all(map(le, wt, box[1]))
 
     # the atoms have integer coefficients: one denominator, the lcm of
     # the prefactor's, serves every term
-    pre = [(w, scalar_to_series(coef, M)) for w, coef in Q.prefactor.terms.items()]
+    pre = [(w, scalar_to_series(coef, M)) for w, coef in (Q.prefactor * factor).terms.items()]
     den = 1
     for _, ser in pre:
         den = den * ser.den // gcd(den, ser.den)
-    acc = {}
-    for w, ser in pre:
-        f = den // ser.den
-        entry = {i: x * f for i, x in enumerate(ser.num) if x}
-        if entry and keep(w, min(entry), 0):
-            acc[w] = entry
+    rows = {w: [x * (den // ser.den) for x in ser.num]
+            for w, ser in pre if inside(w, boxes[0])}
 
-    for idx, (kind, s, c, w) in enumerate(atoms):
-        new = {}
-
-        def bump(wt, o, val):
-            if val and keep(wt, o, idx + 1):
-                slot = new.setdefault(wt, {})
-                x = slot.get(o, 0) + val
-                if x:
-                    slot[o] = x
-                elif o in slot:
-                    del slot[o]
-
-        if kind == "bin":
-            for wt, orders in acc.items():
-                wt2 = tuple(a + b for a, b in zip(wt, w))
-                for o, val in orders.items():
-                    bump(wt, o, val)
-                    bump(wt2, o + c, -s * val)
+    for (s, c, w, reps), box in zip(atoms, boxes[1:]):
+        if not reps:
+            new = {wt: row for wt, row in rows.items() if inside(wt, box)}
+            for wt, row in rows.items():
+                tail = row[: M + 1 - c]
+                wt2 = tuple(map(add, wt, w))
+                if any(tail) and inside(wt2, box):
+                    old = new.get(wt2)
+                    if old is None:
+                        new[wt2] = [0] * c + ([-x for x in tail] if s > 0 else tail)
+                    else:
+                        new[wt2] = old[:c] + list(map(sub if s > 0 else add, old[c:], tail))
         else:
-            mmax = M // c
-            for wt, orders in acc.items():
-                for mm in range(mmax + 1):
-                    sgn = 1 if (s > 0 or mm % 2 == 0) else -1
-                    wt2 = tuple(a + mm * b for a, b in zip(wt, w))
-                    for o, val in orders.items():
-                        bump(wt2, o + mm * c, sgn * val)
-        acc = {wt: orders for wt, orders in new.items() if orders}
-
-    out = {}
-    for wt, orders in acc.items():
-        if not all(lo[i] <= wt[i] <= hi[i] for i in range(rank)):
-            continue
-        cs = [0] * (M + 1)
-        for o, v in orders.items():
-            if o <= M:
-                cs[o] = v
-        if any(cs):
-            out[wt] = cs
-    return SeriesElem(rank, M, out, den)
+            i = next(k for k, x in enumerate(w) if x)
+            chains = {}
+            for wt, row in rows.items():
+                j = wt[i] // w[i]
+                chains.setdefault(tuple(a - j * b for a, b in zip(wt, w)), {})[j] = row
+            new = {}
+            for x0, ins in chains.items():
+                out, seen = None, False
+                last = max(ins)
+                for j in range(min(ins), last + reps + 1):
+                    row = ins.get(j)
+                    if out is not None:
+                        tail = out[: M + 1 - c]
+                        shifted = [0] * c + (tail if s > 0 else [-x for x in tail])
+                        row = shifted if row is None else list(map(add, row, shifted))
+                    out = row
+                    if not any(row):
+                        if j >= last:
+                            break
+                        continue
+                    wt = tuple(a + j * b for a, b in zip(x0, w))
+                    if inside(wt, box):
+                        new[wt] = row
+                        seen = True
+                    elif seen:
+                        break       # a chain meets the box in one segment
+        rows = new
+    return SeriesElem(rank, M, {wt: row for wt, row in rows.items() if any(row)}, den)
 
 
 def poch_to_gaelem(P: PochProduct) -> GAElem:

@@ -1,10 +1,13 @@
 """Pochhammer product machinery, checked against a small independent
 expander that multiplies factor by factor over (weight, order) pairs."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkpolys.galg import GAElem
 from mkpolys.roots import build_root_system, satake_catalog
@@ -37,16 +40,19 @@ def binom(rank, w, sign, vexp):
 
 # --- independent expansion oracle -----------------------------------------
 
-def oracle_expand(symbols, M, wmax):
-    """Multiply out (sign, v_exp, weight(int), base, length, mult) symbols
-    over a 1-d lattice, tracking dict[(weight, order)] exactly."""
-    acc = {(0, 0): Fraction(1)}
+def oracle_expand(pre, symbols, M):
+    """Multiply {(weight, order): Fraction} pre by (sign, v_exp, weight,
+    base, length, mult) symbols (length None for infinity), factor by
+    factor over (weight, order) pairs, exactly and over the whole support:
+    every factor has nonnegative valuation, so dropping the orders past M
+    is the only truncation."""
+    acc = dict(pre)
 
     def mul_binom(acc, sign, c, w):
         out = dict(acc)
         for (wt, o), val in acc.items():
-            key = (wt + w, o + c)
-            if key[1] <= M and abs(key[0]) <= wmax + 4 * len(symbols):
+            if o + c <= M:
+                key = (tuple(a + b for a, b in zip(wt, w)), o + c)
                 out[key] = out.get(key, Fraction(0)) - sign * val
         return {k: v for k, v in out.items() if v}
 
@@ -54,18 +60,14 @@ def oracle_expand(symbols, M, wmax):
         # multiply by the geometric series of sign*v^c*e^w
         out = {}
         for (wt, o), val in acc.items():
-            m = 0
-            while o + m * c <= M:
-                key = (wt + m * w, o + m * c)
-                if abs(key[0]) <= wmax + 4 * len(symbols):
-                    out[key] = out.get(key, Fraction(0)) + (sign ** m) * val
-                m += 1
+            for m in range((M - o) // c + 1):
+                key = (tuple(a + m * b for a, b in zip(wt, w)), o + m * c)
+                out[key] = out.get(key, Fraction(0)) + (sign ** m) * val
         return {k: v for k, v in out.items() if v}
 
     for sign, vexp, w, base, length, mult in symbols:
-        js = range(length) if length is not None else range(0, max(M // base + 1, 1))
-        for j in js:
-            c = vexp + j * base
+        stop = vexp + length * base if length is not None else M + 1
+        for c in range(vexp, stop, base):
             for _ in range(abs(mult)):
                 if mult > 0:
                     acc = mul_binom(acc, sign, c, w)
@@ -95,12 +97,12 @@ def test_koornwinder_weight_sign_of_k2_symbol():
 
 def test_klabel_integrality_guard():
     with pytest.raises(ValueError, match="not integral"):
-        KLabel.make([Fraction(1, 8), 0, 0, 0, 0], base_exp=4, D=2)
+        KLabel.make([Fraction(1, 8), 0, 0, 0, 0], base_exp=4)
 
 
 def test_shift_factor_level_zero_is_empty():
-    assert shift_factor(AI1, 0, RS1).is_one()
-    assert shift_factor(AIV2, 0, RS1).is_one()
+    assert shift_factor(AI1, 0, RS1) == poch_one(1)
+    assert shift_factor(AIV2, 0, RS1) == poch_one(1)
 
 
 def test_shift_factor_reduced_rank_one_l2():
@@ -192,13 +194,52 @@ def test_expand_matches_oracle_on_weight():
     # feed the oracle the irreducible collapsed form (after splitting)
     from mkpolys.weights import _split_rescue
     fin, inf = _split_rescue(W).collapsed()
-    syms = [(s.sign, s.v_exp, s.weight[0], s.base_exp, s.length, m) for s, m in fin]
-    syms += [(s.sign, s.v_exp, s.weight[0], s.base_exp, None, m) for s, m in inf]
-    want = oracle_expand(syms, M, wmax)
+    syms = [(s.sign, s.v_exp, s.weight, s.base_exp, s.length, m) for s, m in fin]
+    syms += [(s.sign, s.v_exp, s.weight, s.base_exp, None, m) for s, m in inf]
+    want = oracle_expand({((0,), 0): Fraction(1)}, syms, M)
     for w in range(-wmax, wmax + 1, 2):
         coeffs = got.coeff((w,)).coeffs
         for o in range(M + 1):
-            assert coeffs[o] == want.get((w, o), Fraction(0)), (w, o)
+            assert coeffs[o] == want.get(((w,), o), Fraction(0)), (w, o)
+
+
+directions = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def rank_two_products(draw):
+    """(prefactor {weight: (coefficient, order)}, symbols, M, window):
+    finite and infinite numerator and denominator symbols along directions
+    whose first coordinate may be zero or negative (the zero direction, a
+    scalar factor, included), a prefactor with rational coefficients, and
+    a window that may cut the chains."""
+    symbols = []
+    for _ in range(draw(st.integers(1, 4))):
+        mult = draw(st.sampled_from((1, 2, -1, -2)))
+        symbols.append((draw(st.sampled_from((1, -1))),
+                        draw(st.integers(0 if mult > 0 else 1, 3)),
+                        draw(directions), draw(st.integers(1, 3)),
+                        draw(st.one_of(st.none(), st.integers(1, 3))), mult))
+    coefficient = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    pre = draw(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                               st.tuples(coefficient, st.integers(0, 2)),
+                               min_size=1, max_size=3))
+    lo = [draw(st.integers(-4, 2)) for _ in range(2)]
+    hi = [a + draw(st.integers(0, 4)) for a in lo]
+    return pre, symbols, draw(st.integers(0, 6)), (lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_two_products())
+def test_expand_matches_oracle_at_rank_two(case):
+    pre, symbols, M, (lo, hi) = case
+    P = PochProduct(2, [(PochSymbol(s, c, w, b, L), m) for s, c, w, b, L, m in symbols],
+                    GAElem(2, {w: Scalar.monomial(x, k) for w, (x, k) in pre.items()}))
+    got = expand(P, M, (lo, hi))
+    want = oracle_expand({(w, k): x for w, (x, k) in pre.items()}, symbols, M)
+    assert all(lo[i] <= wt[i] <= hi[i] for wt in got.terms for i in (0, 1))
+    for wt in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
+        assert got.coeff(wt).coeffs == [want.get((wt, o), 0) for o in range(M + 1)], wt
 
 
 def test_expand_constant_term_order_zero():
@@ -229,6 +270,16 @@ def test_expand_product_multiplicativity():
                 prod = p.coeff(w1) * q.coeff(w2)
                 acc = [a + b for a, b in zip(acc, prod.coeffs)]
             assert acc == pq.coeff((w,)).coeffs
+
+
+def test_expand_numerator_of_negative_valuation():
+    # v^2 (1 - v^-2 e^2) = v^2 - e^2; without the v^2 it has a pole at v = 0
+    atom = [(PochSymbol(1, -2, (2,), 4, 1), 1)]
+    se = expand(PochProduct(1, atom, GAElem.monomial(1, (0,), Scalar.v_pow(2))), 4, ([-2], [2]))
+    assert se.coeff((0,)).coeffs == [0, 0, 1, 0, 0]
+    assert se.coeff((2,)).coeffs == [-1, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="pole at origin"):
+        expand(PochProduct(1, atom), 4, ([-2], [2]))
 
 
 def test_expand_rejects_divergent_denominator():
