@@ -5,7 +5,9 @@ coefficients, and the assembled level products.
 
 Level convention: the level-l spherical element is the product of the
 matrix coefficients of the shift-j spherical pairs for j = 0, ..., l-1;
-solve_spherical(module, j) returns the shift-j pair.
+solve_spherical(module, j) returns the shift-j pair.  Its right vector
+solves the module's generator constraints, and its left vector solves the
+transposed constraints (F_i = E_i^T, K_i is diagonal).
 
 Torus restrictions live on the doubled rank-one lattice where the long
 restricted root is the doubled vector (2,): the module's basis weights
@@ -65,15 +67,12 @@ def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def zeros(n, m):
-    return [[SC_ZERO for _ in range(m)] for _ in range(n)]
-
-
 def eye(n, c=SC_ONE):
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = c
-    return M
+    return [[c if i == j else SC_ZERO for j in range(n)] for i in range(n)]
+
+
+def transpose(M):
+    return [list(col) for col in zip(*M)]
 
 
 def nullspace(rows):
@@ -140,101 +139,63 @@ def eval_at_one(x: Scalar) -> Fraction:
 class Rank1Module:
     family: str              # "AI1" or "AIV"
     n: int                   # 1 for AI1; >= 2 for AIV
-    dim: int
+    dim: int                 # n + 1
     weights: list            # doubled restricted weight per basis vector
     c_params: tuple          # (c,) or (c1, cn)
-    s_param: Scalar
-    ops: dict                # primitive generator matrices
+    ops: dict                # the generator table
 
 
-def build_rank1(family: str, n: int = 1, c_params=None, s=SC_ZERO) -> Rank1Module:
+def build_rank1(family: str, n: int = 1, c_params=None) -> Rank1Module:
+    """The module of basis w_1..w_{n+1} with its generator table: E_i
+    (E_i w_{i+1} = w_i), F_i = E_i^T, K_i and K_i^-1 for i = 1..n; AI1 is
+    the case n = 1, and AIV adds the braid images T1 and Tn."""
     q = q_pow
     if family == "AI1":
-        c = c_params[0] if c_params else q(-1)
-        if not c:
-            raise ValueError("parameter c must be nonzero")
-        E = zeros(2, 2)
-        E[0][1] = SC_ONE
-        F = zeros(2, 2)
-        F[1][0] = SC_ONE
-        K = eye(2)
-        K[0][0], K[1][1] = q(1), q(-1)
-        Kinv = eye(2)
-        Kinv[0][0], Kinv[1][1] = q(-1), q(1)
-        ops = {"E": E, "F": F, "K": K, "Kinv": Kinv}
-        return Rank1Module("AI1", 1, 2, [(1,), (-1,)], (c,), Scalar.of(s), ops)
-    if family == "AIV":
+        n, c_params = 1, (c_params[0] if c_params else q(-1),)
+    elif family == "AIV":
         if n < 2:
             raise ValueError("AIV needs n >= 2")
-        c1, cn = c_params if c_params else (q(-1), q(-1))
-        if not c1 or not cn:
-            raise ValueError("parameters must be nonzero")
-        dim = n + 1
-        ops = {}
-        for i in range(1, n + 1):
-            E = zeros(dim, dim)
-            E[i - 1][i] = SC_ONE        # E_i w_{i+1} = w_i
-            F = zeros(dim, dim)
-            F[i][i - 1] = SC_ONE        # F_i w_i = w_{i+1}
-            K = eye(dim)
-            K[i - 1][i - 1] = q(1)
-            K[i][i] = q(-1)
-            Kinv = eye(dim)
-            Kinv[i - 1][i - 1] = q(-1)
-            Kinv[i][i] = q(1)
-            ops["E%d" % i] = E
-            ops["F%d" % i] = F
-            ops["K%d" % i] = K
-            ops["K%dinv" % i] = Kinv
+        c_params = tuple(c_params) if c_params else (q(-1), q(-1))
+    else:
+        raise ValueError("unknown rank-one family %r" % family)
+    if not all(c_params):
+        raise ValueError("parameters must be nonzero")
+    dim = n + 1
+    ops = {}
+    for i in range(1, n + 1):
+        E, K, Kinv = eye(dim, SC_ZERO), eye(dim), eye(dim)
+        E[i - 1][i] = SC_ONE
+        K[i - 1][i - 1], K[i][i] = q(1), q(-1)
+        Kinv[i - 1][i - 1], Kinv[i][i] = q(-1), q(1)
+        ops.update({"E%d" % i: E, "F%d" % i: transpose(E),
+                    "K%d" % i: K, "K%dinv" % i: Kinv})
+    if family == "AIV":
+        T1, Tn = eye(dim, SC_ZERO), eye(dim, SC_ZERO)
+        T1[1][n] = SC_ONE               # braid image of E_{tau(1)}: w_{n+1} -> w_2
         sign = SC_ONE if n % 2 == 0 else -SC_ONE
-        coef = sign * q(-n + 2)
-        T1 = zeros(dim, dim)            # braid image of E_{tau(1)}: w_{n+1} -> w_2
-        T1[1][dim - 1] = SC_ONE
-        Tn = zeros(dim, dim)            # braid image of E_{tau(n)}: w_n -> coef w_1
-        Tn[0][dim - 2] = coef
-        rT1 = zeros(dim, dim)           # transpose-pair under the bilinear form
-        rT1[dim - 1][1] = SC_ONE
-        rTn = zeros(dim, dim)
-        rTn[dim - 2][0] = coef
-        ops["Twb_E_tau1"] = T1
-        ops["Twb_E_taun"] = Tn
-        ops["rho_Twb_E_tau1"] = rT1
-        ops["rho_Twb_E_taun"] = rTn
-        weights = [(1,)] + [(0,)] * (n - 1) + [(-1,)]
-        return Rank1Module("AIV", n, dim, weights, (c1, cn), Scalar.of(s), ops)
-    raise ValueError("unknown rank-one family %r" % family)
+        Tn[0][n - 1] = sign * q(-n + 2)   # E_{tau(n)}: w_n -> (-1)^n q^(2-n) w_1
+        ops.update(T1=T1, Tn=Tn)
+    weights = [(1,)] + [(0,)] * (n - 1) + [(-1,)]
+    return Rank1Module(family, n, dim, weights, c_params, ops)
 
 
 def ai1_b_matrix(module: Rank1Module, c: Scalar, s: Scalar):
     """B = F + c E K^-1 + s K^-1 on the two-dimensional module."""
     o = module.ops
-    M = mat_add(o["F"], mat_scale(mat_mul(o["E"], o["Kinv"]), c))
-    return mat_add(M, mat_scale(o["Kinv"], s))
+    M = mat_add(o["F1"], mat_scale(mat_mul(o["E1"], o["K1inv"]), c))
+    return mat_add(M, mat_scale(o["K1inv"], s))
 
 
-def ai1_rho_b_matrix(module: Rank1Module, c: Scalar, s: Scalar):
-    """The transposed generator E + c K^-1 F + s K^-1."""
-    o = module.ops
-    M = mat_add(o["E"], mat_scale(mat_mul(o["Kinv"], o["F"]), c))
-    return mat_add(M, mat_scale(o["Kinv"], s))
-
-
-def aiv_b_matrices(module: Rank1Module, d1: Scalar, dn: Scalar):
-    o = module.ops
-    n = module.n
-    B1 = mat_add(o["F1"], mat_scale(mat_mul(o["Twb_E_tau1"], o["K1inv"]), d1))
-    Bn = mat_add(o["F%d" % n],
-                 mat_scale(mat_mul(o["Twb_E_taun"], o["K%dinv" % n]), dn))
-    return B1, Bn
-
-
-def aiv_rho_b_matrices(module: Rank1Module, d1: Scalar, dn: Scalar):
-    o = module.ops
-    n = module.n
-    B1 = mat_add(o["E1"], mat_scale(mat_mul(o["K1inv"], o["rho_Twb_E_tau1"]), d1))
-    Bn = mat_add(o["E%d" % n],
-                 mat_scale(mat_mul(o["K%dinv" % n], o["rho_Twb_E_taun"]), dn))
-    return B1, Bn
+def aiv_blocks(module: Rank1Module, d1: Scalar, dn: Scalar):
+    """The constraint blocks of the vector module at parameters (d1, dn):
+    F_1 + d1 T1 K_1^-1, F_n + dn Tn K_n^-1, K_1 K_n^-1 - q, and E_j, F_j for
+    each 1 < j < n."""
+    o, n = module.ops, module.n
+    kn = o["K%dinv" % n]
+    return ([mat_add(o["F1"], mat_scale(mat_mul(o["T1"], o["K1inv"]), d1)),
+             mat_add(o["F%d" % n], mat_scale(mat_mul(o["Tn"], kn), dn)),
+             mat_add(mat_mul(o["K1"], kn), eye(module.dim, -q_pow(1)))]
+            + [o[g % j] for j in range(2, n) for g in ("E%d", "F%d")])
 
 
 @dataclass
@@ -254,100 +215,65 @@ class SphericalPair:
             self.level, params, fmt(self.right_vector), fmt(self.left_vector))
 
 
-def _ai1_solve_side(module, d, t, rho_side: bool):
-    """Eigenvector a w1 + w2 of the (possibly transposed) generator whose
-    branch specializes to +1 classically."""
-    if rho_side:
-        M = ai1_rho_b_matrix(module, d, t)
-    else:
-        M = ai1_b_matrix(module, d, t)
+def _ai1_eigenvector(M):
+    """The eigenvector a w1 + w2 of M whose branch specializes to +1
+    classically."""
     # a M[0][0] + M[0][1] = lam a ; a M[1][0] + M[1][1] = lam
     # eliminate lam: a^2 M[1][0] + a (M[1][1] - M[0][0]) - M[0][1] = 0
-    r1, r2 = solve_quadratic(M[1][0], M[1][1] - M[0][0], -M[0][1])
-    for a in (r1, r2):
+    for a in solve_quadratic(M[1][0], M[1][1] - M[0][0], -M[0][1]):
         if eval_at_one(a) == 1:
             return [a, SC_ONE]
     raise ValueError("character not integrable here")
 
 
+def _kernel_vector(blocks):
+    """The one vector killed by every block (up to scale)."""
+    basis = nullspace([row for M in blocks for row in M])
+    if len(basis) != 1:
+        raise ValueError("character not integrable here")
+    return basis[0]
+
+
+def _normalized(vec, i, negate=False):
+    """vec scaled so its coordinate i is 1, or -1 when negate."""
+    if not vec[i]:
+        raise ValueError("cannot normalize: coordinate w%d is zero" % (i + 1))
+    s = -vec[i].inverse() if negate else vec[i].inverse()
+    return [x * s for x in vec]
+
+
 def solve_spherical(module: Rank1Module, l: int) -> SphericalPair:
-    """The shift-l spherical pair (l >= 0)."""
+    """The shift-l spherical pair (l >= 0).  The right vector solves the
+    generator constraints and the left vector their transposes; both are
+    checked against their closed forms (ValueError if off)."""
     if l < 0:
         raise ValueError("negative shifts are handled by the flip symmetry")
     q = q_pow
     if module.family == "AI1":
-        c = module.c_params[0]
-        if c != q(-1) or module.s_param:
+        if module.c_params[0] != q(-1):
             raise ValueError("solved only at the canonical parameter c = 1/q")
         t = q_int(l)
-        v = _ai1_solve_side(module, q(-1), t, rho_side=False)
-        f = _ai1_solve_side(module, q(1), q(1) * t, rho_side=True)
-        assert v == [q(-l), SC_ONE]
-        assert f == [q(-l - 1), SC_ONE]
+        v = _ai1_eigenvector(ai1_b_matrix(module, q(-1), t))
+        f = _ai1_eigenvector(transpose(ai1_b_matrix(module, q(1), q(1) * t)))
+        if v != [q(-l), SC_ONE] or f != [q(-l - 1), SC_ONE]:
+            raise ValueError("solved AI1 vectors differ from their closed form")
         return SphericalPair(l, v, f, {"d": q(-1), "t": t})
 
     c1, cn = module.c_params
-    n, dim = module.n, module.dim
+    n = module.n
     d1, dn = c1 * q(-l), cn * q(l)
-    B1, Bn = aiv_b_matrices(module, d1, dn)
-    rows = list(B1) + list(Bn)
-    rows += _weight_rows(module, q(1))
-    rows += _bullet_rows(module, rho_side=False)
-    basis = nullspace(rows)
-    if len(basis) != 1:
-        raise ValueError("character not integrable here")
-    v = _normalize_last(basis[0], dim)
-    # transposed side carries the weight-shifted parameters c_i q^n
+    v = _kernel_vector(aiv_blocks(module, d1, dn))
+    # display convention: the last nonzero coordinate is -1
+    v = _normalized(v, max(i for i, x in enumerate(v) if x), negate=True)
+    # the left vector carries the weight-shifted parameters c_i q^n
     d1r, dnr = c1 * q(n) * q(-l), cn * q(n) * q(l)
-    rB1, rBn = aiv_rho_b_matrices(module, d1r, dnr)
-    rows = list(rB1) + list(rBn)
-    rows += _weight_rows(module, q(1))
-    rows += _bullet_rows(module, rho_side=True)
-    basis = nullspace(rows)
-    if len(basis) != 1:
-        raise ValueError("character not integrable here")
-    f = _normalize_first(basis[0])
+    f = _kernel_vector(transpose(M) for M in aiv_blocks(module, d1r, dnr))
+    f = _normalized(f, 0)
     sgn = SC_ONE if n % 2 == 0 else -SC_ONE
-    assert v[0] == d1 and v[dim - 1] == -SC_ONE
-    assert f[dim - 1] == -sgn * q(l + 1) * cn
+    if v[0] != d1 or v[-1] != -SC_ONE or f[-1] != -sgn * q(l + 1) * cn:
+        raise ValueError("solved AIV vectors differ from their closed form")
     return SphericalPair(l, v, f,
                          {"d1": d1, "dn": dn, "d1_rho": d1r, "dn_rho": dnr})
-
-
-def _weight_rows(module, target):
-    """Rows of K_1 K_n^-1 - target."""
-    o = module.ops
-    n = module.n
-    K = mat_mul(o["K1"], o["K%dinv" % n])
-    return mat_add(K, eye(module.dim, -target))
-
-
-def _bullet_rows(module, rho_side):
-    rows = []
-    o = module.ops
-    for j in range(2, module.n):
-        if rho_side:
-            rows += o["F%d" % j] + o["E%d" % j]
-        else:
-            rows += o["E%d" % j] + o["F%d" % j]
-    return rows
-
-
-def _normalize_last(vec, dim):
-    """Scale so the last nonzero coordinate is -1 (display convention)."""
-    piv = None
-    for i in range(dim - 1, -1, -1):
-        if vec[i]:
-            piv = i
-            break
-    s = -vec[piv].inverse()
-    return [x * s for x in vec]
-
-
-def _normalize_first(vec):
-    """Scale so the first coordinate is 1."""
-    s = vec[0].inverse()
-    return [x * s for x in vec]
 
 
 def matrix_coeff_res(pair: SphericalPair, module: Rank1Module) -> GAElem:
@@ -371,9 +297,7 @@ def chain_res(module: Rank1Module, l: int) -> GAElem:
     mod = module
     if l < 0:
         if module.family == "AIV":
-            mod = build_rank1("AIV", module.n,
-                              (module.c_params[1], module.c_params[0]),
-                              module.s_param)
+            mod = build_rank1("AIV", module.n, module.c_params[::-1])
         l = -l
     out = GAElem.unit(1)
     for j in range(l):
@@ -381,8 +305,7 @@ def chain_res(module: Rank1Module, l: int) -> GAElem:
     return out
 
 
-def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0),
-                    c_params=None) -> GAElem:
+def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0)) -> GAElem:
     """Closed form of the level-l restriction: the half-weight prefactor
     e^(|l| eps/2) times a length-|l| Pochhammer binomial product in
     e^(-eps), normalized with leading coefficient one."""
@@ -393,11 +316,7 @@ def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0),
     if family == "AI1":
         X = SC_ONE
     elif family == "AIV":
-        if c_params is not None:
-            c1, cn = c_params
-            ratio = (cn / c1) if l > 0 else (c1 / cn)
-        else:
-            ratio = aiiia_parameter(sigma if l > 0 else -sigma, n)
+        ratio = aiiia_parameter(sigma if l > 0 else -sigma, n)
         X = ratio if n % 2 == 0 else -ratio
     else:
         raise ValueError("unknown rank-one family %r" % family)

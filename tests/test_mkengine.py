@@ -56,7 +56,7 @@ def _engine(entry, l, M, span):
 
 def test_constants_are_eigenfunctions():
     k = KLabel.from_entry(AI1, 0)
-    assert apply_qdiff(k, (2,), GAElem.unit(1), RS1, check=True).is_zero()
+    assert apply_qdiff(k, (2,), GAElem.unit(1), RS1).is_zero()
 
 
 def test_coefficient_functions_are_bar_images():
@@ -134,8 +134,8 @@ def test_operator_with_a_negative_parameter():
 
 def test_operator_rejects_non_invariant_input():
     k = KLabel.from_entry(AI1, 0)
-    with pytest.raises(ValueError, match="Weyl invariant"):
-        apply_qdiff(k, (2,), GAElem.monomial(1, (2,)), RS1, check=True)
+    with pytest.raises(ValueError, match="non-polynomial result"):
+        apply_qdiff(k, (2,), GAElem.monomial(1, (2,)), RS1)
 
 
 @pytest.mark.parametrize("entry,n,bound", [(AI1, 1, 8), (AIV2, 1, 6), (AIIIB2, 2, 4)])

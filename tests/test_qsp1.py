@@ -2,18 +2,24 @@ from fractions import Fraction
 
 import pytest
 
+from mkpolys import qsp1
+from mkpolys.checks import CHECKS
 from mkpolys.galg import GAElem
 from mkpolys.qsp1 import (
     ai1_b_matrix,
-    ai1_rho_b_matrix,
     aiiia_parameter,
+    aiv_blocks,
     build_rank1,
     chain_res,
     fundamental_res,
+    mat_add,
+    mat_mul,
+    mat_scale,
     matrix_coeff_res,
     q_int,
     q_pow,
     solve_spherical,
+    transpose,
 )
 from mkpolys.roots import build_root_system, satake_catalog
 from mkpolys.scalars import SC_ONE, Scalar
@@ -33,7 +39,7 @@ def test_generator_table_two_dim():
     B = ai1_b_matrix(m, c, s)
     assert col(B, 0) == [s * q(-1), SC_ONE]            # B w1 = w2 + s/q w1
     assert col(B, 1) == [c * q(1), s * q(1)]           # B w2 = cq w1 + sq w2
-    rB = ai1_rho_b_matrix(m, c, s)
+    rB = transpose(ai1_b_matrix(m, c, s))
     assert col(rB, 0) == [s * q(-1), c * q(1)]         # cq w2 + s/q w1
     assert col(rB, 1) == [SC_ONE, s * q(1)]            # w1 + sq w2
 
@@ -48,8 +54,8 @@ def test_canonical_parameter_swaps_basis_vectors():
 def test_aiv_generator_case_split():
     for n in (2, 3):
         m = build_rank1("AIV", n)
-        T1 = m.ops["Twb_E_tau1"]
-        Tn = m.ops["Twb_E_taun"]
+        T1 = m.ops["T1"]
+        Tn = m.ops["Tn"]
         sign = SC_ONE if n % 2 == 0 else -SC_ONE
         coef = sign * q(-n + 2)
         for j in range(n + 1):
@@ -61,6 +67,27 @@ def test_aiv_generator_case_split():
             if j == n - 1:                  # w_n -> (-1)^n q^{2-n} w_1
                 expectn[0] = coef
             assert col(Tn, j) == expectn
+
+
+def test_transposed_generators_match_their_formulas():
+    # the left vector solves the transposes of the generator constraints;
+    # the transposed generators written out, as a reference
+    o = build_rank1("AI1").ops
+    c, s = Scalar.of(Fraction(2, 7)), Scalar.of(3)
+    rho = mat_add(mat_add(o["E1"], mat_scale(mat_mul(o["K1inv"], o["F1"]), c)),
+                  mat_scale(o["K1inv"], s))
+    assert transpose(ai1_b_matrix(build_rank1("AI1"), c, s)) == rho
+    d1, dn = Scalar.of(Fraction(3, 2)), q(2) * Scalar.of(5)
+    for n in (2, 3, 4):
+        m = build_rank1("AIV", n)
+        o = m.ops
+        rho1 = mat_add(o["E1"], mat_scale(mat_mul(o["K1inv"], transpose(o["T1"])), d1))
+        rhon = mat_add(o["E%d" % n],
+                       mat_scale(mat_mul(o["K%dinv" % n], transpose(o["Tn"])), dn))
+        B1, Bn = aiv_blocks(m, d1, dn)[:2]
+        assert transpose(B1) == rho1 and transpose(Bn) == rhon
+        for i in range(1, n + 1):
+            assert o["F%d" % i] == transpose(o["E%d" % i])
 
 
 def test_build_rank1_rejects_zero_parameter():
@@ -84,7 +111,7 @@ def test_vector_module_spherical_vectors():
     # both solved vectors sit on the extreme basis vectors; the generator
     # actions force this even though the display in the source swaps one
     # index (see the decisions ledger)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         c1, cn = Scalar.of(Fraction(3, 2)), q(2) * Scalar.of(5)
         m = build_rank1("AIV", n, (c1, cn))
         for l in (0, 1, 2):
@@ -169,3 +196,23 @@ def test_solve_rejects_noncanonical_two_dim_parameter():
     m = build_rank1("AI1", c_params=(Scalar.of(7),))
     with pytest.raises(ValueError, match="canonical parameter"):
         solve_spherical(m, 1)
+
+
+@pytest.mark.parametrize("fault", ["double", "zero"])
+def test_solved_vector_checks_survive_optimization(monkeypatch, fault):
+    # the closed-form checks of solve_spherical are ValueErrors, not
+    # asserts: a corrupted kernel vector fails the rank1 row with an error
+    solve = qsp1.nullspace
+
+    def corrupted(rows):
+        basis = solve(rows)
+        first = basis[0][0] * Scalar.of(2) if fault == "double" else Scalar.of(0)
+        return [[first] + basis[0][1:]] + basis[1:]
+
+    monkeypatch.setattr(qsp1, "nullspace", corrupted)
+    m = build_rank1("AIV", 2, (SC_ONE, aiiia_parameter(Fraction(0), 2)))
+    with pytest.raises(ValueError):
+        solve_spherical(m, 1)
+    check = next(c for c in CHECKS if c.suite == "rank1" and "AIV" in c.cases[0][0])
+    row = check.row(check.cases[0], 8)
+    assert row["pass"] is False and row["error"]
