@@ -15,7 +15,7 @@ from .roots import (
     dot4,
     is_dominant,
     weyl_apply,
-    weyl_group,
+    weyl_group,  # noqa: F401 -- the perfbench tests read galg.weyl_group
     weyl_orbit,
     wneg,
     wsum,
@@ -149,12 +149,6 @@ class GAElem:
         """(weight, coeff) maximal in the (coordinate sum, lex) extension."""
         w = max(self.terms, key=lambda t: (sum(t), t))
         return w, self.terms[w]
-
-    def is_invariant(self) -> bool:
-        for w in weyl_group(self.rank):
-            if self.w_apply(w) != self:
-                return False
-        return True
 
     def to_json(self) -> str:
         rows = [

@@ -32,9 +32,10 @@ from .roots import (
     weyl_apply,
     weyl_group,
 )
-from .qdiff import Pieces, clear_denominators, int_reslot, l1_norm, p_from_int, p_to_int
+from .qdiff import Pieces, clear_denominators
 from .scalars import SC_ONE, SC_ZERO, Scalar, TruncSeries, scalar_to_series
-from .weights import InnerProductEngine, KLabel, shifted_weight
+from .weights import (InnerProductEngine, KLabel, int_reslot, l1_norm, p_from_int, p_to_int,
+                      shifted_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """The q-difference operator of mkengine.apply_qdiff in integer form.
 
 An integer polynomial a travels as one int, its value a(2^B) (Kronecker
-substitution in v, Harvey, JSC 2009), and an integer Laurent polynomial
-as such an int times a power of v.  Slot widths B are whole bytes, so
-balanced digits are read back, and moved to another width, bytewise.
-Pieces holds, per direction, the operator's cofactors multiplied out in
-that form, the common binomial atoms to divide by, and the proven bounds
-that give the slot widths.
+substitution in v, Harvey, JSC 2009; the kernel lives in weights beside
+the binomial atoms), and an integer Laurent polynomial as such an int
+times a power of v.  Pieces holds, per direction, the operator's
+cofactors multiplied out in that form, the common binomial atoms to
+divide by, and the proven bounds that give the slot widths.
 """
 
 from __future__ import annotations
@@ -15,61 +14,10 @@ from collections import Counter
 from math import gcd
 
 from .galg import GAElem
-from .roots import RootSystem, Weight, weyl_apply, weyl_group, wsum
+from .roots import RootSystem, Weight, weyl_apply, weyl_group
 from .scalars import P_ONE, Scalar, p_divexact, p_gcd, p_mul
-from .weights import KLabel, half_density, ratio_atoms, split_atoms
-
-
-def byte_width(bound: int) -> int:
-    """The least multiple of 8 that is at least bound's bit length: a slot
-    width B with |c| < 2^(B-1) for every |c| <= bound / 2."""
-    return -(-bound.bit_length() // 8) * 8
-
-
-def p_to_int(a, B: int) -> int:
-    """a(2^B): the integer polynomial a as one int (Kronecker substitution)."""
-    z = 0
-    for c in reversed(a):
-        z = (z << B) + c
-    return z
-
-
-def _bias(m: int, k: int, n: int) -> int:
-    """2^(8m-1) in each of n slots of k bytes: added to an int whose
-    balanced base-2^(8k) digits lie below 2^(8m-1) in absolute value, it
-    makes every digit nonnegative and below 2^(8m)."""
-    return int.from_bytes((bytes(m - 1) + b"\x80" + bytes(k - m)) * n, "little")
-
-
-def p_from_int(z: int, B: int) -> list:
-    """The integer polynomial a with a(2^B) = z whose coefficients c satisfy
-    -2^(B-1) <= c < 2^(B-1): the balanced base-2^B digits of z, for B a
-    multiple of 8, possibly with trailing zeros."""
-    if not z:
-        return []
-    k = B // 8
-    n = z.bit_length() // B + 2
-    raw = (z + _bias(k, k, n)).to_bytes(n * k, "little")
-    half = 1 << (B - 1)
-    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
-
-
-def int_reslot(z: int, B0: int, B: int) -> int:
-    """a(2^B) from z = a(2^B0), for B0 and B multiples of 8 and an integer
-    polynomial a with coefficients below 2^(min(B0, B) - 1) in absolute
-    value: the biased digits are moved bytewise to the new slots."""
-    k0, k, m = B0 // 8, B // 8, min(B0, B) // 8
-    n = z.bit_length() // B0 + 2
-    raw = (z + _bias(m, k0, n)).to_bytes(n * k0, "little")
-    out = bytearray(n * k)
-    for j in range(m):
-        out[j::k] = raw[j::k0]
-    return int.from_bytes(out, "little") - _bias(m, k, n)
-
-
-def _atom_apply_w(atom, w):
-    s, c, wt = atom
-    return (s, c, weyl_apply(w, wt))
+from .weights import (KLabel, atom_product, byte_width, half_density, int_reslot, l1_norm,
+                      ratio_atoms, split_atoms)
 
 
 class Pieces:
@@ -96,8 +44,8 @@ class Pieces:
             if eta not in groups:
                 groups[eta] = (
                     pre.w_apply(w),
-                    [_atom_apply_w(a, w) for a in num_atoms],
-                    [_atom_apply_w(a, w) for a in den_atoms],
+                    [(s, c, weyl_apply(w, a)) for s, c, a in num_atoms],
+                    [(s, c, weyl_apply(w, a)) for s, c, a in den_atoms],
                 )
         self.stab = len(weyl_group(rs.n)) // len(groups)
         lcm = Counter()
@@ -179,36 +127,6 @@ class Pieces:
             g.terms = {unit: 1, w: -s << (c * B)}
             out.append(g)
         return out
-
-
-def atom_product(pre: GAElem, atoms, B: int):
-    """pre times the binomials 1 - s*v^c*e^w of atoms, multiplied out with
-    v evaluated at 2^B, as (e0, {weight: z}) for the Laurent polynomial
-    v^e0 * sum z(v) e^weight; pre must have integer Laurent coefficients."""
-    if any(c.d != P_ONE for c in pre.terms.values()):
-        raise ValueError("prefactor is not a Laurent polynomial")
-    e = min(c.e for c in pre.terms.values())
-    terms = {w: p_to_int(c.n, B) << ((c.e - e) * B) for w, c in pre.terms.items()}
-    for s, c, w in atoms:
-        # 1 - s v^c e^w, as v^c (v^-c - s e^w) when c < 0
-        one, mono = (-c * B, 0) if c < 0 else (0, c * B)
-        e += min(c, 0)
-        out = {x: z << one for x, z in terms.items()}
-        for x, z in terms.items():
-            y = wsum(x, w)
-            t = out.get(y, 0) - s * (z << mono)
-            if t:
-                out[y] = t
-            else:
-                del out[y]
-        terms = out
-    return e, terms
-
-
-def l1_norm(x: Scalar) -> int:
-    """The sum of the absolute values of x's numerator coefficients: the
-    l1 norm of x when x is an integer Laurent polynomial."""
-    return sum(map(abs, x.n))
 
 
 def clear_denominators(f: GAElem):

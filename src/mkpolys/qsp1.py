@@ -7,7 +7,9 @@ Level convention: the level-l spherical element is the product of the
 matrix coefficients of the shift-j spherical pairs for j = 0, ..., l-1;
 solve_spherical(module, j) returns the shift-j pair.  Its right vector
 solves the module's generator constraints, and its left vector solves the
-transposed constraints (F_i = E_i^T, K_i is diagonal).
+transposed constraints (F_i = E_i^T, K_i is diagonal).  A module keeps
+its solved chain, so each shift is solved once per module; callers must
+not modify the returned element.
 
 Torus restrictions live on the doubled rank-one lattice where the long
 restricted root is the doubled vector (2,): the module's basis weights
@@ -16,12 +18,13 @@ restrict to (1,), (0,), ..., (0,), (-1,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .galg import GAElem
 from .roots import D
 from .scalars import SC_ONE, SC_ZERO, Scalar
+from .weights import binomial_product
 
 
 def q_pow(k) -> Scalar:
@@ -143,21 +146,30 @@ class Rank1Module:
     weights: list            # doubled restricted weight per basis vector
     c_params: tuple          # (c,) or (c1, cn)
     ops: dict                # the generator table
+    # chain[j] is the level-j restriction; flipped serves AIV levels l < 0
+    chain: list = field(default_factory=lambda: [GAElem.unit(1)], compare=False, repr=False)
+    flipped: Rank1Module | None = field(default=None, compare=False, repr=False)
 
 
 def build_rank1(family: str, n: int = 1, c_params=None) -> Rank1Module:
     """The module of basis w_1..w_{n+1} with its generator table: E_i
-    (E_i w_{i+1} = w_i), F_i = E_i^T, K_i and K_i^-1 for i = 1..n; AI1 is
-    the case n = 1, and AIV adds the braid images T1 and Tn."""
+    (E_i w_{i+1} = w_i), F_i = E_i^T, K_i and K_i^-1 for i = 1..n, and the
+    parameter-free block products; AI1 is the case n = 1 with parameters
+    (c,), and AIV adds the braid images T1 and Tn, with (c1, cn)."""
     q = q_pow
     if family == "AI1":
-        n, c_params = 1, (c_params[0] if c_params else q(-1),)
+        if n != 1:
+            raise ValueError("AI1 is the case n = 1")
+        default = (q(-1),)
     elif family == "AIV":
         if n < 2:
             raise ValueError("AIV needs n >= 2")
-        c_params = tuple(c_params) if c_params else (q(-1), q(-1))
+        default = (q(-1), q(-1))
     else:
         raise ValueError("unknown rank-one family %r" % family)
+    c_params = tuple(c_params) if c_params else default
+    if len(c_params) != len(default):
+        raise ValueError("%s takes %d parameters" % (family, len(default)))
     if not all(c_params):
         raise ValueError("parameters must be nonzero")
     dim = n + 1
@@ -174,7 +186,11 @@ def build_rank1(family: str, n: int = 1, c_params=None) -> Rank1Module:
         T1[1][n] = SC_ONE               # braid image of E_{tau(1)}: w_{n+1} -> w_2
         sign = SC_ONE if n % 2 == 0 else -SC_ONE
         Tn[0][n - 1] = sign * q(-n + 2)   # E_{tau(n)}: w_n -> (-1)^n q^(2-n) w_1
-        ops.update(T1=T1, Tn=Tn)
+        kn = ops["K%dinv" % n]
+        ops.update(T1=T1, Tn=Tn, T1K1inv=mat_mul(T1, ops["K1inv"]),
+                   TnKninv=mat_mul(Tn, kn), K1Kninv=mat_mul(ops["K1"], kn))
+    else:
+        ops.update(E1K1inv=mat_mul(ops["E1"], ops["K1inv"]))
     weights = [(1,)] + [(0,)] * (n - 1) + [(-1,)]
     return Rank1Module(family, n, dim, weights, c_params, ops)
 
@@ -182,8 +198,7 @@ def build_rank1(family: str, n: int = 1, c_params=None) -> Rank1Module:
 def ai1_b_matrix(module: Rank1Module, c: Scalar, s: Scalar):
     """B = F + c E K^-1 + s K^-1 on the two-dimensional module."""
     o = module.ops
-    M = mat_add(o["F1"], mat_scale(mat_mul(o["E1"], o["K1inv"]), c))
-    return mat_add(M, mat_scale(o["K1inv"], s))
+    return mat_add(mat_add(o["F1"], mat_scale(o["E1K1inv"], c)), mat_scale(o["K1inv"], s))
 
 
 def aiv_blocks(module: Rank1Module, d1: Scalar, dn: Scalar):
@@ -191,10 +206,9 @@ def aiv_blocks(module: Rank1Module, d1: Scalar, dn: Scalar):
     F_1 + d1 T1 K_1^-1, F_n + dn Tn K_n^-1, K_1 K_n^-1 - q, and E_j, F_j for
     each 1 < j < n."""
     o, n = module.ops, module.n
-    kn = o["K%dinv" % n]
-    return ([mat_add(o["F1"], mat_scale(mat_mul(o["T1"], o["K1inv"]), d1)),
-             mat_add(o["F%d" % n], mat_scale(mat_mul(o["Tn"], kn), dn)),
-             mat_add(mat_mul(o["K1"], kn), eye(module.dim, -q_pow(1)))]
+    return ([mat_add(o["F1"], mat_scale(o["T1K1inv"], d1)),
+             mat_add(o["F%d" % n], mat_scale(o["TnKninv"], dn)),
+             mat_add(o["K1Kninv"], eye(module.dim, -q_pow(1)))]
             + [o[g % j] for j in range(2, n) for g in ("E%d", "F%d")])
 
 
@@ -291,37 +305,30 @@ def matrix_coeff_res(pair: SphericalPair, module: Rank1Module) -> GAElem:
 
 def chain_res(module: Rank1Module, l: int) -> GAElem:
     """Restriction of the level-l spherical element: the product of the
-    shift-j matrix coefficients for j = 0..|l|-1 (flipped module for l<0)."""
-    if l == 0:
-        return GAElem.unit(1)
-    mod = module
-    if l < 0:
-        if module.family == "AIV":
-            mod = build_rank1("AIV", module.n, module.c_params[::-1])
-        l = -l
-    out = GAElem.unit(1)
-    for j in range(l):
-        out = out * matrix_coeff_res(solve_spherical(mod, j), mod)
-    return out
+    shift-j matrix coefficients for j = 0..|l|-1 (flipped module for AIV
+    at l < 0).  The module keeps the chain, so each shift is solved once
+    per module; callers must not modify the returned element."""
+    if l < 0 and module.family == "AIV":
+        if module.flipped is None:
+            module.flipped = build_rank1("AIV", module.n, module.c_params[::-1])
+        module = module.flipped
+    chain = module.chain
+    while len(chain) <= abs(l):
+        j = len(chain) - 1
+        chain.append(chain[j] * matrix_coeff_res(solve_spherical(module, j), module))
+    return chain[abs(l)]
 
 
 def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0)) -> GAElem:
-    """Closed form of the level-l restriction: the half-weight prefactor
-    e^(|l| eps/2) times a length-|l| Pochhammer binomial product in
-    e^(-eps), normalized with leading coefficient one."""
+    """Closed form of the level-l restriction, with leading coefficient
+    one: e^(|l| eps/2) prod_{j<|l|} (1 + X q^(2j+1) e^(-eps)), where X = 1
+    for AI1 (n = 1) and X = (-1)^n cn/c1 = q^(2 sigma sign(l)) for AIV."""
     L = abs(l)
-    if L == 0:
-        return GAElem.unit(1)
-    q = q_pow
-    if family == "AI1":
-        X = SC_ONE
-    elif family == "AIV":
-        ratio = aiiia_parameter(sigma if l > 0 else -sigma, n)
-        X = ratio if n % 2 == 0 else -ratio
+    if family == "AI1" and n == 1:
+        x = 0
+    elif family == "AIV" and n >= 2:
+        x = 2 * Fraction(sigma) if l > 0 else -2 * Fraction(sigma)
     else:
-        raise ValueError("unknown rank-one family %r" % family)
-    out = GAElem.monomial(1, (L,))
-    for j in range(L):
-        out = out * (GAElem.unit(1)
-                     + GAElem.monomial(1, (-2,), X * q(2 * j + 1)))
-    return out
+        raise ValueError("no rank-one family %r with n = %d" % (family, n))
+    atoms = [(-1, q_pow(x + 2 * j + 1).e, (-2,)) for j in range(L)]
+    return binomial_product(GAElem.monomial(1, (L,)), atoms)

@@ -19,7 +19,7 @@ from operator import add, le, sub
 
 from .galg import GAElem
 from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
-from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _canon, scalar_to_series
+from .scalars import DEFAULT_PRECISION, P_ONE, Scalar, TruncSeries, _canon, scalar_to_series
 
 
 @dataclass(frozen=True)
@@ -292,15 +292,10 @@ def shifted_weight(k: KLabel, entry: SatakeEntry, l: int,
 
 
 # ---------------------------------------------------------------------------
-# Binomial atoms: the finite, exact form of a collapsed product
+# Binomial atoms: the finite, exact form of a collapsed product, multiplied
+# out on ints, an integer polynomial a as one int a(2^B) (Kronecker
+# substitution in v, Harvey, JSC 2009); B is whole bytes, read bytewise.
 # ---------------------------------------------------------------------------
-
-def atom_gaelem(atom, rank: int) -> GAElem:
-    """The binomial 1 - sign * v^v_exp * e^weight of atom (sign, v_exp,
-    weight)."""
-    s, c, w = atom
-    return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
-
 
 def split_atoms(atoms, rank: int):
     """(divisors, (sign, C, W)) with prod(atoms) = sign * v^C * e^W *
@@ -314,6 +309,93 @@ def split_atoms(atoms, rank: int):
             c, w = -c, wneg(w)
         divisors.append((s, c, w))
     return divisors, (sign, C, W)
+
+
+def byte_width(bound: int) -> int:
+    """The least multiple of 8 that is at least bound's bit length: a slot
+    width B with |c| < 2^(B-1) for every |c| <= bound / 2."""
+    return -(-bound.bit_length() // 8) * 8
+
+
+def p_to_int(a, B: int) -> int:
+    """a(2^B): the integer polynomial a as one int (Kronecker substitution)."""
+    z = 0
+    for c in reversed(a):
+        z = (z << B) + c
+    return z
+
+
+def _bias(m: int, k: int, n: int) -> int:
+    """2^(8m-1) in each of n slots of k bytes: added to an int whose
+    balanced base-2^(8k) digits lie below 2^(8m-1) in absolute value, it
+    makes every digit nonnegative and below 2^(8m)."""
+    return int.from_bytes((bytes(m - 1) + b"\x80" + bytes(k - m)) * n, "little")
+
+
+def p_from_int(z: int, B: int) -> list:
+    """The integer polynomial a with a(2^B) = z whose coefficients c satisfy
+    -2^(B-1) <= c < 2^(B-1): the balanced base-2^B digits of z, for B a
+    multiple of 8, possibly with trailing zeros."""
+    if not z:
+        return []
+    k = B // 8
+    n = z.bit_length() // B + 2
+    raw = (z + _bias(k, k, n)).to_bytes(n * k, "little")
+    half = 1 << (B - 1)
+    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
+
+
+def int_reslot(z: int, B0: int, B: int) -> int:
+    """a(2^B) from z = a(2^B0), for B0 and B multiples of 8 and an integer
+    polynomial a with coefficients below 2^(min(B0, B) - 1) in absolute
+    value: the biased digits are moved bytewise to the new slots."""
+    k0, k, m = B0 // 8, B // 8, min(B0, B) // 8
+    n = z.bit_length() // B0 + 2
+    raw = (z + _bias(m, k0, n)).to_bytes(n * k0, "little")
+    out = bytearray(n * k)
+    for j in range(m):
+        out[j::k] = raw[j::k0]
+    return int.from_bytes(out, "little") - _bias(m, k, n)
+
+
+def atom_product(pre: GAElem, atoms, B: int):
+    """pre times the binomials 1 - s*v^c*e^w of atoms, multiplied out with
+    v evaluated at 2^B, as (e0, {weight: z}) for the Laurent polynomial
+    v^e0 * sum z(v) e^weight; pre must have integer Laurent coefficients."""
+    if any(c.d != P_ONE for c in pre.terms.values()):
+        raise ValueError("prefactor is not a Laurent polynomial")
+    e = min(c.e for c in pre.terms.values())
+    terms = {w: p_to_int(c.n, B) << ((c.e - e) * B) for w, c in pre.terms.items()}
+    for s, c, w in atoms:
+        # 1 - s v^c e^w, as v^c (v^-c - s e^w) when c < 0
+        one, mono = (-c * B, 0) if c < 0 else (0, c * B)
+        e += min(c, 0)
+        out = {x: z << one for x, z in terms.items()}
+        for x, z in terms.items():
+            y = wsum(x, w)
+            t = out.get(y, 0) - s * (z << mono)
+            if t:
+                out[y] = t
+            else:
+                del out[y]
+        terms = out
+    return e, terms
+
+
+def l1_norm(x: Scalar) -> int:
+    """The sum of the absolute values of x's numerator coefficients: the
+    l1 norm of x when x is an integer Laurent polynomial."""
+    return sum(map(abs, x.n))
+
+
+def binomial_product(pre: GAElem, atoms) -> GAElem:
+    """pre times the binomials 1 - s*v^c*e^w of atoms, exactly, for pre with
+    integer Laurent coefficients (ValueError otherwise).  The l1 norm is
+    submultiplicative and binomials have norm 2, so the slot width holds
+    every coefficient of every partial product: |pre|_1 * 2^len(atoms)."""
+    B = byte_width(2 * sum(map(l1_norm, pre.terms.values())) << len(atoms))
+    e, terms = atom_product(pre, atoms, B)
+    return GAElem(pre.rank, {w: Scalar.laurent(e, p_from_int(z, B)) for w, z in terms.items()})
 
 
 def _finite_atoms(finite):
@@ -520,10 +602,7 @@ def poch_to_gaelem(P: PochProduct) -> GAElem:
     num, den = _finite_atoms(finite)
     if infinite or den:
         raise ValueError("product is not a finite Laurent element")
-    out = Q.prefactor
-    for atom in num:
-        out = out * atom_gaelem(atom, Q.rank)
-    return out
+    return binomial_product(Q.prefactor, num)
 
 
 # ---------------------------------------------------------------------------

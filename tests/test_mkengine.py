@@ -34,7 +34,6 @@ from mkpolys.scalars import SC_ONE, Scalar
 from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
-    atom_gaelem,
     half_density,
     ratio_atoms,
     shifted_weight,
@@ -71,6 +70,12 @@ def test_coefficient_functions_are_bar_images():
     assert neg == set(pieces.atoms)  # common denominator is bar symmetric
 
 
+def atom_binomial(atom, rank):
+    """The binomial 1 - s*v^c*e^w of atom (s, c, w)."""
+    s, c, w = atom
+    return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
+
+
 def _scalar_apply_qdiff(label, direction, f, rs):
     """The operator on Scalar coefficients, as a reference for the integer
     kernel: cofactors multiplied out as GAElems, the numerator divided atom
@@ -89,10 +94,10 @@ def _scalar_apply_qdiff(label, direction, f, rs):
     acc = GAElem(rs.n)
     for eta, (cof, nums, dens) in groups.items():
         for a in nums + list((lcm - Counter(dens)).elements()):
-            cof = cof * atom_gaelem(a, rs.n)
+            cof = cof * atom_binomial(a, rs.n)
         acc = acc + cof * (f.translate(eta, label.base_exp) - f)
     for a in lcm.elements():
-        g = atom_gaelem(a, rs.n)
+        g = atom_binomial(a, rs.n)
         gw = max(g.terms)
         quo = GAElem(rs.n)
         while not acc.is_zero():
@@ -146,7 +151,9 @@ def test_triangularity_and_invariance(entry, n, bound):
     act = operator_action(k, rs, basis)   # asserts triangularity
     for mu in basis[:3]:
         img = apply_qdiff(k, act.direction, orbit_sum(mu, n), rs)
-        assert img.is_invariant()
+        # Weyl invariant: every image of a term's weight carries its coefficient
+        for w, c in img.terms.items():
+            assert all(img.terms.get(weyl_apply(g, w)) == c for g in weyl_group(n))
 
 
 def test_eigenvalue_examples():

@@ -1,7 +1,8 @@
 """Property tests of the exact algebra: Q(v) field laws, the bar
 involution, group-algebra ring laws and exact division by binomials (on
 Scalar and on evaluated-int coefficients, with the evaluation at v = 2^B
-that the operator runs on), with sympy as an
+that the operator runs on), products of binomial atoms on that
+evaluation against one GAElem product at a time, with sympy as an
 independent oracle for Scalar arithmetic and the polynomial gcd, and the
 uniqueness of the canonical form that equality and hashing rely on; and
 the truncated series ring: its integer form, its ring laws, exact
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolys.galg import GAElem, ga_divexact
-from mkpolys.qdiff import byte_width, int_reslot, p_from_int, p_to_int
+from mkpolys.roots import build_root_system, satake_catalog
 from mkpolys.scalars import (
     SC_ONE,
     SC_ZERO,
@@ -27,7 +28,19 @@ from mkpolys.scalars import (
     p_mul,
     scalar_to_series,
 )
-from mkpolys.weights import atom_gaelem, split_atoms
+from mkpolys.weights import (
+    PochProduct,
+    PochSymbol,
+    _finite_atoms,
+    _split_rescue,
+    byte_width,
+    int_reslot,
+    p_from_int,
+    p_to_int,
+    poch_to_gaelem,
+    shift_factor,
+    split_atoms,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -187,6 +200,25 @@ def test_evaluation_round_trips_at_the_proven_bound(bound, data):
     assert int_reslot(int_reslot(z, B, wider), wider, B) == z
 
 
+# -- binomial atoms, and their products on the integer kernel ---------------
+
+def atom_binomial(atom, rank):
+    s, c, w = atom
+    return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
+
+
+def binomial_oracle(pre, atoms):
+    """pre times the binomials 1 - s*v^c*e^w, one GAElem product at a time."""
+    for a in atoms:
+        pre = pre * atom_binomial(a, pre.rank)
+    return pre
+
+
+def finite_product(pre, atoms, b):
+    """pre times the atoms as a PochProduct of length-one symbols (x; v^b)_1."""
+    return PochProduct(pre.rank, [(PochSymbol(s, c, w, b, 1), 1) for s, c, w in atoms], pre)
+
+
 @SETTINGS
 @given(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(-4, 4),
                           st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)),
@@ -194,13 +226,55 @@ def test_evaluation_round_trips_at_the_proven_bound(bound, data):
 def test_split_atoms_leaves_a_monomial_and_nonnegative_powers(atoms):
     divisors, (sign, C, W) = split_atoms(atoms, 2)
     assert all(c >= 0 for _, c, _ in divisors)
-    lhs = GAElem.unit(2)
-    for a in atoms:
-        lhs = lhs * atom_gaelem(a, 2)
-    rhs = GAElem.monomial(2, W, Scalar.of(sign) * Scalar.v_pow(C))
-    for a in divisors:
-        rhs = rhs * atom_gaelem(a, 2)
+    lhs = binomial_oracle(GAElem.unit(2), atoms)
+    rhs = binomial_oracle(GAElem.monomial(2, W, Scalar.of(sign) * Scalar.v_pow(C)), divisors)
     assert lhs == rhs
+
+
+@st.composite
+def atom_products(draw):
+    """(prefactor, atoms, base) at rank 1-2; zero weights and negative
+    powers of v included."""
+    rank = draw(st.integers(1, 2))
+    weight = st.tuples(*[st.integers(-2, 2)] * rank)
+    atoms = draw(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(-4, 4), weight),
+                          max_size=6))
+    pre = draw(gaelems(rank).filter(lambda g: not g.is_zero()))
+    return pre, atoms, draw(st.integers(1, 4))
+
+
+@SETTINGS
+@given(atom_products())
+def test_poch_to_gaelem_multiplies_atoms_like_the_oracle(case):
+    pre, atoms, b = case
+    assert poch_to_gaelem(finite_product(pre, atoms, b)) == binomial_oracle(pre, atoms)
+
+
+def test_poch_to_gaelem_slot_width_holds_large_binomial_coefficients():
+    # (1 - v e^2)^20 has the coefficient -C(20, 10) = -184756, beyond 16 bits
+    pre, atoms = GAElem.unit(1), [(1, 1, (2,))] * 20
+    got = poch_to_gaelem(finite_product(pre, atoms, 1))
+    assert got.terms[(20,)] == Scalar.monomial(184756, 10)
+    assert got == binomial_oracle(pre, atoms)
+
+
+def test_poch_to_gaelem_rejects_a_non_laurent_prefactor():
+    pre = GAElem.monomial(1, (0,), SC_ONE / (SC_ONE + Scalar.v_pow(1)))
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        poch_to_gaelem(finite_product(pre, [(1, 1, (2,))], 1))
+
+
+@pytest.mark.parametrize("tag,n,m,sigma", [
+    ("AI1", 1, 0, 0), ("AIVm", 1, 2, Fraction(1, 2)), ("AIVm", 1, 3, 0),
+    ("AIIIb", 2, 0, 0), ("CI", 2, 0, 0)])
+def test_shift_factors_multiply_like_the_oracle(tag, n, m, sigma):
+    entry, rs = satake_catalog(tag, n, m), build_root_system(n)
+    for l in range(-3, 4):
+        S = shift_factor(entry, l, rs, sigma)
+        P = _split_rescue(S)
+        num, den = _finite_atoms(P.collapsed()[0])
+        assert not den and len(num) == abs(l) * len(rs.R1)
+        assert poch_to_gaelem(S) == binomial_oracle(P.prefactor, num)
 
 
 # -- the canonical integer form ---------------------------------------------

@@ -178,6 +178,12 @@ def test_fundamental_res_trivial_level():
     assert fundamental_res("AIV", 2, 0) == GAElem.unit(1)
 
 
+def test_fundamental_res_rejects_sizes_without_a_module():
+    for family, n in (("AIV", 1), ("AI1", 2), ("BI", 1)):
+        with pytest.raises(ValueError, match="no rank-one family"):
+            fundamental_res(family, n, 2)
+
+
 def test_fundamental_res_leading_coefficient():
     f = fundamental_res("AIV", 2, 3, Fraction(1, 2))
     w, c = f.leading()
@@ -216,3 +222,36 @@ def test_solved_vector_checks_survive_optimization(monkeypatch, fault):
     check = next(c for c in CHECKS if c.suite == "rank1" and "AIV" in c.cases[0][0])
     row = check.row(check.cases[0], 8)
     assert row["pass"] is False and row["error"]
+
+
+@pytest.mark.parametrize("family,n,c_params", [
+    ("AIV", 2, (SC_ONE,)), ("AIV", 3, (SC_ONE, SC_ONE, SC_ONE)),
+    ("AI1", 2, None), ("AI1", 1, (SC_ONE, SC_ONE))],
+    ids=["AIV one parameter", "AIV three parameters", "AI1 n=2", "AI1 two parameters"])
+def test_build_rank1_rejects_what_it_would_ignore(family, n, c_params):
+    with pytest.raises(ValueError):
+        build_rank1(family, n, c_params)
+
+
+def test_chain_solves_each_shift_once_per_module(monkeypatch):
+    calls = []
+    solve = qsp1.solve_spherical
+
+    def counted(module, l):
+        calls.append((id(module), l))
+        return solve(module, l)
+
+    monkeypatch.setattr(qsp1, "solve_spherical", counted)
+    m = build_rank1("AI1")
+    for l in (8, 3, 1, 5, -6):
+        assert chain_res(m, l) == fundamental_res("AI1", 1, l)
+    assert sorted(calls) == [(id(m), j) for j in range(8)]
+    for n in (2, 3):
+        for sigma in (Fraction(0), Fraction(1, 2)):
+            mod = build_rank1("AIV", n, (SC_ONE, aiiia_parameter(sigma, n)))
+            calls.clear()
+            for l in (3, -6, 1, 6, -2, 5, -4, 2, -1, 4, -5, -3, 6, -6):
+                assert chain_res(mod, l) == fundamental_res("AIV", n, l, sigma)
+            # max |l| solves per direction; l < 0 solves on the flipped module
+            assert sorted(calls) == sorted((id(x), j) for x in (mod, mod.flipped)
+                                           for j in range(6))

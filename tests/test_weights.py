@@ -17,7 +17,6 @@ from mkpolys.weights import (
     KLabel,
     PochProduct,
     PochSymbol,
-    atom_gaelem,
     expand,
     half_density,
     koornwinder_weight,
@@ -161,8 +160,6 @@ def test_poch_ratio_examples():
     pre, num, den = ratio_atoms(aq2, a_inf)
     assert pre == GAElem.unit(1) and num == []
     assert den == [(1, 2, (2,)), (1, 2 + b, (2,))]
-    assert atom_gaelem(den[0], 1) * atom_gaelem(den[1], 1) == (
-        binom(1, (2,), 1, 2) * binom(1, (2,), 1, 2 + b))
 
 
 def test_poch_ratio_non_collapsing_raises():
