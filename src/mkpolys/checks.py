@@ -4,8 +4,8 @@
 them.  A check names its `verify` suite, the claim its rows print
 ("{order}" stands for M + 1), its cases as (row id, arguments) pairs of
 plain data, and the function that decides one case at series precision
-M.  Families are built on first use and shared between checks for the
-life of the process; importing this module builds nothing.
+M.  Families and rank-one modules are built once, on first use, and
+shared for the life of the process; importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -85,14 +85,18 @@ def _squares_to_factor(mod, entry, l, sigma):
     return chain, chain * chain.bar() == factor
 
 
+# one module per parameter set, so each shift of its chain is solved once
+rank1_module = lru_cache(maxsize=None)(build_rank1)
+
+
 def _rank1_ai1(M, l):
     chain, squares = _squares_to_factor(
-        build_rank1("AI1"), satake_catalog("AI1"), l, S0)
+        rank1_module("AI1"), satake_catalog("AI1"), l, S0)
     return squares and chain == fundamental_res("AI1", 1, l)
 
 
 def _rank1_aiv(M, n, sigma, l):
-    mod = build_rank1("AIV", n, (SC_ONE, aiiia_parameter(sigma, n)))
+    mod = rank1_module("AIV", n, (SC_ONE, aiiia_parameter(sigma, n)))
     entry = satake_catalog("AIVm", 1, n)
     chain, squares = _squares_to_factor(mod, entry, l, sigma)
     return (squares and chain == fundamental_res("AIV", n, l, sigma)
@@ -166,7 +170,7 @@ CHECKS = (
           "solved chain equals the closed product and squares to the level factor",
           tuple(("rank1 AI1 l=%d" % l, (l,)) for l in (1, 2, 3, 4)),
           _rank1_ai1,
-          show=lambda l: solve_spherical(build_rank1("AI1"), l - 1).describe()),
+          show=lambda l: solve_spherical(rank1_module("AI1"), l - 1).describe()),
     Check("rank1",
           "solved chain equals the closed product and squares to the level "
           "factor (both signs)",

@@ -33,9 +33,8 @@ from .roots import (
     weyl_group,
 )
 from .qdiff import Pieces, clear_denominators
-from .scalars import SC_ONE, SC_ZERO, Scalar, TruncSeries, scalar_to_series
-from .weights import (InnerProductEngine, KLabel, int_reslot, l1_norm, p_from_int, p_to_int,
-                      shifted_weight)
+from .scalars import SC_ONE, SC_ZERO, Scalar, TruncSeries, p_from_int, p_to_int, scalar_to_series
+from .weights import InnerProductEngine, KLabel, int_reslot, l1_norm, shifted_weight
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The q-difference operator of mkengine.apply_qdiff in integer form.
 
 An integer polynomial a travels as one int, its value a(2^B) (Kronecker
-substitution in v, Harvey, JSC 2009; the kernel lives in weights beside
-the binomial atoms), and an integer Laurent polynomial as such an int
-times a power of v.  Pieces holds, per direction, the operator's
-cofactors multiplied out in that form, the common binomial atoms to
-divide by, and the proven bounds that give the slot widths.
+substitution in v, Harvey, JSC 2009; the kernel lives in scalars), and
+an integer Laurent polynomial as such an int times a power of v.  Pieces
+holds, per direction, the operator's cofactors multiplied out in that
+form, the common binomial atoms to divide by, and the proven bounds that
+give the slot widths.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from math import gcd
 
 from .galg import GAElem
 from .roots import RootSystem, Weight, weyl_apply, weyl_group
-from .scalars import P_ONE, Scalar, p_divexact, p_gcd, p_mul
-from .weights import (KLabel, atom_product, byte_width, half_density, int_reslot, l1_norm,
-                      ratio_atoms, split_atoms)
+from .scalars import P_ONE, Scalar, byte_width, p_divexact, p_gcd, p_mul
+from .weights import (KLabel, atom_product, half_density, int_reslot, l1_norm, ratio_atoms,
+                      split_atoms)
 
 
 class Pieces:
@@ -138,7 +138,7 @@ def clear_denominators(f: GAElem):
         d = c.d
         if d != P_ONE and d != L:
             k = gcd(gcd(*L), gcd(*d))
-            L = p_divexact(p_mul(L, d), p_mul(p_gcd(L, d), (k,)))
+            L = tuple(x // k for x in p_mul(L, p_gcd(L, d)[2]))  # L * (d / gcd) / k
     if L == P_ONE:
         return None, f
     out = GAElem(f.rank)

@@ -20,6 +20,12 @@ Laurent polynomial with integer coefficients has D = (1,); on those,
 need no gcd.  The bar involution v -> 1/v reverses N and D.  Only an
 operation on a true rational function (D not constant) reaches p_gcd.
 
+Integer polynomials also travel as one int, their value at v = 2^B
+(Kronecker substitution, Harvey, JSC 2009), the kernel that weights and
+qdiff share.  On it, p_gcd is the heuristic gcd GCDHEU: one integer gcd,
+the gcd and both cofactors read back from digits and certified by exact
+products; reductions take the cofactors and divide nothing.
+
 TruncSeries is the oracle ring Q[[v]] / (v^(M+1)) used by the
 constant-term machinery, in the same kind of integer form: a list num of
 M + 1 Python ints over one integer denominator den > 0, with
@@ -50,18 +56,6 @@ def p_make(coeffs) -> Poly:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def p_from_terms(pairs) -> Poly:
-    """Build a polynomial from (exponent, coefficient) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        return P_ZERO
-    deg = max(e for e, _ in pairs)
-    cs = [0] * (deg + 1)
-    for e, c in pairs:
-        cs[e] += c
-    return p_make(cs)
 
 
 def p_neg(a: Poly) -> Poly:
@@ -104,60 +98,96 @@ def p_divexact(a: Poly, b: Poly) -> Poly:
     return tuple(q)
 
 
-def _prim(a):
-    """Primitive part with a positive leading coefficient."""
+def byte_width(bound: int) -> int:
+    """The least multiple of 8 that is at least bound's bit length: a slot
+    width B with |c| < 2^(B-1) for every |c| <= bound / 2."""
+    return -(-bound.bit_length() // 8) * 8
+
+
+def p_to_int(a, B: int) -> int:
+    """a(2^B): the integer polynomial a as one int (Kronecker substitution)."""
+    z = 0
+    for c in reversed(a):
+        z = (z << B) + c
+    return z
+
+
+def _bias(m: int, k: int, n: int) -> int:
+    """2^(8m-1) in each of n slots of k bytes: added to an int whose
+    balanced base-2^(8k) digits lie below 2^(8m-1) in absolute value, it
+    makes every digit nonnegative and below 2^(8m)."""
+    return int.from_bytes((bytes(m - 1) + b"\x80" + bytes(k - m)) * n, "little")
+
+
+def p_from_int(z: int, B: int) -> list:
+    """The integer polynomial a with a(2^B) = z whose coefficients c satisfy
+    -2^(B-1) <= c < 2^(B-1): the balanced base-2^B digits of z, for B a
+    multiple of 8, possibly with trailing zeros."""
+    if not z:
+        return []
+    k = B // 8
+    n = z.bit_length() // B + 2
+    raw = (z + _bias(k, k, n)).to_bytes(n * k, "little")
+    half = 1 << (B - 1)
+    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
+
+
+def _content(a):
+    """The content of a nonzero a, with the sign of its leading coefficient."""
     g = gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else tuple(c // g for c in a)
+    return -g if a[-1] < 0 else g
 
 
-def _prem(A, B):
-    """Pseudo-remainder of A by B over Z (ascending coefficient lists)."""
-    dA, dB = len(A) - 1, len(B) - 1
-    if dA < dB:
-        return list(A)
-    lb = B[-1]
-    R = list(A)
-    n = dA - dB + 1
-    while R and len(R) - 1 >= dB:
-        e = len(R) - 1 - dB
-        top = R[-1]
-        R = [lb * c for c in R]
-        for i, cb in enumerate(B):
-            R[e + i] -= top * cb
-        while R and R[-1] == 0:
-            R.pop()
-        n -= 1
-    if n > 0:
-        s = lb ** n
-        R = [s * c for c in R]
-    return R
+def _certify(g, q, a, norm, k) -> bool:
+    """g * q == a as polynomials, for a of infinity norm norm, given
+    g(2^k) * q(2^k) == a(2^k).  At a width W that holds every coefficient
+    of both sides below 2^(W-1) in absolute value (|g|_1 * |q|_inf bounds
+    those of g * q), their difference has coefficients below 2^W, and
+    evaluation at 2^W is injective on such polynomials: one integer
+    product at W decides, and the given one at k does when W <= k."""
+    W = byte_width(2 * max(sum(map(abs, g)) * max(map(abs, q), default=0), norm))
+    return W <= k or p_to_int(g, W) * p_to_int(q, W) == p_to_int(a, W)
 
 
-def p_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd of integer polynomials by the subresultant remainder sequence:
-    primitive, with a positive leading coefficient."""
-    if not a:
-        return _prim(b) if b else P_ZERO
-    if not b:
-        return _prim(a)
-    A, B = _prim(a), _prim(b)
-    if len(A) < len(B):
-        A, B = B, A
-    g = h = 1
+def p_gcd(a: Poly, b: Poly):
+    """(g, a / g, b / g) for integer polynomials a and b, with g their
+    gcd, primitive with a positive leading coefficient (g = 0 when both
+    are zero), by the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+    J. Symbolic Comput. 7, 1989) on the Kronecker kernel.
+
+    Let A, B be the primitive parts of a, b and xi = 2^k, k a multiple of
+    8, with xi >= 2 min(|A|_inf, |B|_inf) + 2.  G is the primitive part of
+    the polynomial whose balanced base-xi digits are gcd(A(xi), B(xi)).
+    The theorem: if G divides A and B, then G is their gcd.  The cofactor
+    candidates are the digits of A(xi) / G(xi) and B(xi) / G(xi), and
+    G * A' = A, G * B' = B, which hold at xi, are certified as
+    polynomials (_certify); a failed certificate doubles k.
+
+    Termination: with g the gcd, A = g A0 and B = g B0, gcd(A(xi), B(xi))
+    is g(xi) times gamma = gcd(A0(xi), B0(xi)), and gamma divides the
+    resultant res(A0, B0), which is nonzero (A0, B0 are coprime) and free
+    of xi, since res = S A0 + T B0 with S, T in Z[v].  Once xi / 2
+    exceeds the coefficients of gamma * g and of the cofactors, the digits
+    are gamma * g and the certificates hold, so a finite width succeeds."""
+    if not a or not b:
+        c = _content(a or b) if a or b else 1
+        return tuple(x // c for x in a or b), (c,) if a else P_ZERO, (c,) if b else P_ZERO
+    ca, cb = _content(a), _content(b)
+    A, B = [c // ca for c in a], [c // cb for c in b]
+    na, nb = max(map(abs, A)), max(map(abs, B))
+    k = byte_width(2 * min(na, nb) + 2)
     while True:
-        delta = len(A) - len(B)
-        R = _prem(A, B)
-        if not R:
-            break
-        if len(R) == 1:
-            return P_ONE
-        A, B = B, [c // (g * h ** delta) for c in R]
-        g = A[-1]
-        if delta > 0:
-            h = g ** delta // h ** (delta - 1)
-    return _prim(tuple(B))
+        xa, xb = p_to_int(A, k), p_to_int(B, k)
+        h = gcd(xa, xb)
+        G = p_make(p_from_int(h, k))
+        if len(G) == 1:
+            return P_ONE, a, b
+        cg = _content(G)
+        G, xg = tuple(c // cg for c in G), h // cg
+        A1, B1 = p_make(p_from_int(xa // xg, k)), p_make(p_from_int(xb // xg, k))
+        if _certify(G, A1, A, na, k) and _certify(G, B1, B, nb, k):
+            return G, tuple(ca * c for c in A1), tuple(cb * c for c in B1)
+        k *= 2
 
 
 def p_sqrt(a: Poly):
@@ -238,13 +268,11 @@ def _laurent_add(ea, a, eb, b):
 
 
 def _split(a, b):
-    """(a / g, b / g, g) for g = gcd(a, b); constant polynomials share no
+    """(g, a / g, b / g) for g = gcd(a, b); constant polynomials share no
     factor worth a gcd."""
     if len(a) > 1 and len(b) > 1:
-        g = p_gcd(a, b)
-        if len(g) > 1:
-            return p_divexact(a, g), p_divexact(b, g), g
-    return a, b, P_ONE
+        return p_gcd(a, b)
+    return P_ONE, a, b
 
 
 _new_object = object.__new__
@@ -274,7 +302,7 @@ def _normal(e, n, d):
 
 def _reduce(e, n, d):
     """The Scalar v^e * n/d for n, d with nonzero constant terms."""
-    n, d, _ = _split(n, d)
+    _, n, d = _split(n, d)
     return _normal(e, n, d)
 
 
@@ -360,11 +388,11 @@ class Scalar:
             if b == P_ONE:
                 return _new(e, t, P_ONE)
             return _reduce(e, t, b)
-        b, d, g = _split(b, d)
+        g, b, d = _split(b, d)
         e, t = _laurent_add(self.e, p_mul(self.n, d), other.e, p_mul(other.n, b))
         if not t:
             return SC_ZERO
-        t, g, _ = _split(t, g)
+        _, t, g = _split(t, g)
         return _normal(e, t, p_mul(p_mul(b, d), g))
 
     __radd__ = __add__
@@ -382,8 +410,8 @@ class Scalar:
         e = self.e + other.e
         if self.d == P_ONE and other.d == P_ONE:
             return _new(e, p_mul(self.n, other.n), P_ONE)
-        n1, d2, _ = _split(self.n, other.d)
-        n2, d1, _ = _split(other.n, self.d)
+        _, n1, d2 = _split(self.n, other.d)
+        _, n2, d1 = _split(other.n, self.d)
         return _normal(e, p_mul(n1, n2), p_mul(d1, d2))
 
     __rmul__ = __mul__

@@ -19,7 +19,8 @@ from operator import add, le, sub
 
 from .galg import GAElem
 from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
-from .scalars import DEFAULT_PRECISION, P_ONE, Scalar, TruncSeries, _canon, scalar_to_series
+from .scalars import (DEFAULT_PRECISION, P_ONE, Scalar, TruncSeries, _bias, _canon, byte_width,
+                      p_from_int, p_to_int, scalar_to_series)
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,8 @@ def shifted_weight(k: KLabel, entry: SatakeEntry, l: int,
 
 # ---------------------------------------------------------------------------
 # Binomial atoms: the finite, exact form of a collapsed product, multiplied
-# out on ints, an integer polynomial a as one int a(2^B) (Kronecker
-# substitution in v, Harvey, JSC 2009); B is whole bytes, read bytewise.
+# out on ints by the Kronecker kernel of scalars (an integer polynomial a
+# as one int a(2^B), B whole bytes).
 # ---------------------------------------------------------------------------
 
 def split_atoms(atoms, rank: int):
@@ -309,40 +310,6 @@ def split_atoms(atoms, rank: int):
             c, w = -c, wneg(w)
         divisors.append((s, c, w))
     return divisors, (sign, C, W)
-
-
-def byte_width(bound: int) -> int:
-    """The least multiple of 8 that is at least bound's bit length: a slot
-    width B with |c| < 2^(B-1) for every |c| <= bound / 2."""
-    return -(-bound.bit_length() // 8) * 8
-
-
-def p_to_int(a, B: int) -> int:
-    """a(2^B): the integer polynomial a as one int (Kronecker substitution)."""
-    z = 0
-    for c in reversed(a):
-        z = (z << B) + c
-    return z
-
-
-def _bias(m: int, k: int, n: int) -> int:
-    """2^(8m-1) in each of n slots of k bytes: added to an int whose
-    balanced base-2^(8k) digits lie below 2^(8m-1) in absolute value, it
-    makes every digit nonnegative and below 2^(8m)."""
-    return int.from_bytes((bytes(m - 1) + b"\x80" + bytes(k - m)) * n, "little")
-
-
-def p_from_int(z: int, B: int) -> list:
-    """The integer polynomial a with a(2^B) = z whose coefficients c satisfy
-    -2^(B-1) <= c < 2^(B-1): the balanced base-2^B digits of z, for B a
-    multiple of 8, possibly with trailing zeros."""
-    if not z:
-        return []
-    k = B // 8
-    n = z.bit_length() // B + 2
-    raw = (z + _bias(k, k, n)).to_bytes(n * k, "little")
-    half = 1 << (B - 1)
-    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
 
 
 def int_reslot(z: int, B0: int, B: int) -> int:

@@ -8,6 +8,7 @@ uniqueness of the canonical form that equality and hashing rely on; and
 the truncated series ring: its integer form, its ring laws, exact
 division against a Fraction reference, and expansion against sympy."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -23,9 +24,12 @@ from mkpolys.scalars import (
     SC_ZERO,
     Scalar,
     TruncSeries,
-    p_from_terms,
+    byte_width,
+    p_from_int,
     p_gcd,
+    p_make,
     p_mul,
+    p_to_int,
     scalar_to_series,
 )
 from mkpolys.weights import (
@@ -33,10 +37,7 @@ from mkpolys.weights import (
     PochSymbol,
     _finite_atoms,
     _split_rescue,
-    byte_width,
     int_reslot,
-    p_from_int,
-    p_to_int,
     poch_to_gaelem,
     shift_factor,
     split_atoms,
@@ -45,7 +46,7 @@ from mkpolys.weights import (
 SETTINGS = settings(max_examples=40, deadline=None)
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-polys = st.lists(coeffs, max_size=4).map(lambda cs: p_from_terms(enumerate(cs)))
+polys = st.lists(coeffs, max_size=4).map(p_make)
 nonzero_polys = polys.filter(bool)
 scalars = st.builds(Scalar, polys, nonzero_polys)
 laurent = st.builds(lambda c, k: Scalar.of(c) * Scalar.v_pow(k),
@@ -283,8 +284,8 @@ def fields(x: Scalar):
     return (x.e, x.n, x.d), hash(x)
 
 
-int_polys = st.lists(st.integers(-4, 4), max_size=5).map(lambda cs: p_from_terms(enumerate(cs)))
-monomials = st.builds(lambda c, k: p_from_terms([(k, c)]),
+int_polys = st.lists(st.integers(-4, 4), max_size=5).map(p_make)
+monomials = st.builds(lambda c, k: (0,) * k + (c,),
                       st.integers(-3, 3).filter(bool), st.integers(0, 2))
 
 
@@ -327,22 +328,69 @@ def test_laurent_arithmetic_agrees_with_sympy(x, y):
         assert same(x / y, sx / sy)
 
 
+def sympy_gcd(f, g):
+    """sympy's gcd of integer coefficient tuples, primitive with a positive
+    leading coefficient; () when both are zero."""
+    theirs = sympy.Poly(sympy.gcd(sympy.Poly(f[::-1] or [0], V), sympy.Poly(g[::-1] or [0], V)), V)
+    if theirs.is_zero:
+        return ()
+    _, prim = theirs.primitive()
+    expect = tuple(int(x) for x in prim.all_coeffs()[::-1])
+    return expect if expect[-1] > 0 else tuple(-x for x in expect)
+
+
 @SETTINGS
 @given(int_polys, int_polys, int_polys)
 def test_gcd_agrees_with_sympy(a, b, c):
     """p_gcd(a*c, b*c) is sympy's gcd up to sign and content: primitive,
     with a positive leading coefficient."""
     f, g = p_mul(a, c), p_mul(b, c)
-    ours = p_gcd(f, g)
-    theirs = sympy.Poly(sympy.gcd(sympy.Poly(f[::-1] or [0], V), sympy.Poly(g[::-1] or [0], V)), V)
-    if theirs.is_zero:
-        assert ours == ()
-        return
-    _, prim = theirs.primitive()
-    expect = tuple(int(x) for x in prim.all_coeffs()[::-1])
-    if expect[-1] < 0:
-        expect = tuple(-x for x in expect)
-    assert ours == expect
+    assert p_gcd(f, g)[0] == sympy_gcd(f, g)
+
+
+@st.composite
+def engine_polys(draw, max_degree):
+    """Integer polynomials of degree up to max_degree, all of whose
+    coefficients are small or all large, with a nonzero leading one."""
+    m = draw(st.sampled_from([4, 2 ** 40]))
+    d = draw(st.integers(0, max_degree))
+    cs = draw(st.lists(st.integers(-m, m), min_size=d, max_size=d))
+    return tuple(cs) + (draw(st.integers(-m, m).filter(bool)),)
+
+
+@SETTINGS
+@given(engine_polys(60), engine_polys(90), engine_polys(90))
+def test_gcd_cofactors_multiply_back_at_engine_sizes(c, a, b):
+    """p_gcd(f, g) is (h, f/h, g/h): h times each cofactor gives back its
+    input exactly, and h is sympy's gcd, at the sizes Scalar arithmetic
+    meets (common factors up to degree 60, products up to degree 150)."""
+    f, g = p_mul(a, c), p_mul(b, c)
+    h, cf, cg = p_gcd(f, g)
+    assert p_mul(h, cf) == f and p_mul(h, cg) == g
+    assert h == sympy_gcd(f, g)
+
+
+def test_gcd_widens_past_a_spurious_first_width():
+    """Coprime a, b whose values at the first slot width 2^k share a
+    spurious integer factor: the digits of gcd(a(2^k), b(2^k)) are a
+    nonconstant G, which cannot divide both (their gcd is 1), so the
+    first certificate fails and p_gcd must widen to find the gcd 1."""
+    rng = random.Random(0)
+    for _ in range(10000):
+        a, b = (tuple([1] + [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))] + [1])
+                for _ in "ab")
+        k = byte_width(2 * min(max(map(abs, a)), max(map(abs, b))) + 2)
+        xa, xb = p_to_int(a, k), p_to_int(b, k)
+        G = p_make(p_from_int(gcd(xa, xb), k))
+        if len(G) > 1 and sympy_gcd(a, b) == (1,):
+            break
+    else:
+        pytest.fail("no coprime pair with a spurious factor at the first width")
+    content = gcd(*G)
+    G = tuple(c // content for c in G)
+    cofactors = [p_make(p_from_int(x // p_to_int(G, k), k)) for x in (xa, xb)]
+    assert [p_mul(G, q) for q in cofactors] != [a, b]
+    assert p_gcd(a, b) == ((1,), a, b)
 
 
 # -- the truncated series ring ----------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mkpolys import qsp1
+from mkpolys import checks, qsp1
 from mkpolys.checks import CHECKS
 from mkpolys.galg import GAElem
 from mkpolys.qsp1 import (
@@ -220,8 +220,32 @@ def test_solved_vector_checks_survive_optimization(monkeypatch, fault):
     with pytest.raises(ValueError):
         solve_spherical(m, 1)
     check = next(c for c in CHECKS if c.suite == "rank1" and "AIV" in c.cases[0][0])
+    checks.rank1_module.cache_clear()  # the row must solve under the fault, not reuse a chain
     row = check.row(check.cases[0], 8)
     assert row["pass"] is False and row["error"]
+
+
+def test_rank1_rows_solve_each_shift_once(monkeypatch):
+    """The rank1 rows share one module per parameter set, so their chains
+    solve each shift of each module, and of each flipped AIV module, once:
+    AI1 shifts 0..3, and 3 + 3 shifts for each of the four AIV modules.
+    The AI1 rows' show solves its shift once more, for display."""
+    chains, shown = [], []
+    solve = qsp1.solve_spherical
+
+    def counted(calls):
+        def run(module, l):
+            calls.append((id(module), l))
+            return solve(module, l)
+        return run
+
+    monkeypatch.setattr(qsp1, "solve_spherical", counted(chains))
+    monkeypatch.setattr(checks, "solve_spherical", counted(shown))
+    checks.rank1_module.cache_clear()
+    rows = [c.row(case, 8) for c in CHECKS if c.suite == "rank1" for case in c.cases]
+    assert len(rows) == 16 and all(r["pass"] for r in rows)
+    assert len(chains) == len(set(chains)) == 4 + 4 * (3 + 3)
+    assert len(shown) == 4 and set(shown) <= set(chains)
 
 
 @pytest.mark.parametrize("family,n,c_params", [
