@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .checks import SUITES, cases
 from .mkengine import build_family
-from .roots import FAMILIES, catalog_json, satake_catalog
+from .roots import FAMILIES, catalog_json, is_dominant, satake_catalog
+from .weights import KLabel
 
 
 def _frac(text):
@@ -96,16 +97,29 @@ def cmd_compute(args) -> int:
     if args.sigma and entry.reduced:
         return _usage_error("%s is reduced: --sigma does not apply" % entry.family)
     try:
+        ks = entry.recipe(args.level, args.sigma)
+    except ValueError as exc:       # the family's identification is open
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
+    try:
+        KLabel.make(ks, entry.base_exp())
+    except ValueError as exc:
+        return _usage_error("--sigma %s: %s" % (args.sigma, exc))
+    lam = args.lam
+    if lam is not None and len(lam) != entry.n:
+        return _usage_error("--lambda %s has %d coordinates, but %s has rank %d"
+                            % (list(lam), len(lam), entry.family, entry.n))
+    if lam is not None and not is_dominant(lam):
+        return _usage_error("--lambda %s is not dominant" % (list(lam),))
+    if lam is not None and sum(lam) > args.bound:
+        return _usage_error("--lambda %s has coordinate sum above --bound %d"
+                            % (list(lam), args.bound))
+    try:
         fam = build_family(entry, args.level, args.bound, args.sigma)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    lams = sorted(fam, key=lambda w: (sum(w), w))
-    if args.lam is not None:
-        lams = [w for w in lams if w == args.lam]
-        if not lams:
-            print("error: weight outside the computed bound", file=sys.stderr)
-            return 1
+    lams = sorted(fam, key=lambda w: (sum(w), w)) if lam is None else [lam]
     if args.format == "json":
         for lam in lams:
             print(fam[lam].to_json())

@@ -52,11 +52,11 @@ def _qdiff_pieces(label: KLabel, rs: RootSystem, direction: Weight) -> Pieces:
     return hit
 
 
-def apply_qdiff(label: KLabel, direction: Weight, f: GAElem,
-                rs: RootSystem) -> GAElem:
+def apply_qdiff(label: KLabel, direction: Weight, fs, rs: RootSystem) -> list:
     """Apply the q-difference operator in the given minuscule-type
-    direction to f; exact.  f must be Weyl invariant: this is not checked,
-    and a non-invariant f gives a wrong result or "non-polynomial result".
+    direction to each f of the list fs, as one batch; exact.  Each f must
+    be Weyl invariant: this is not checked, and a non-invariant f gives a
+    wrong result or "non-polynomial result".
 
     The operator is the difference form sum_w w(A * (T - 1) f): only the
     second-order normalization that kills the value at e^0 preserves
@@ -66,47 +66,63 @@ def apply_qdiff(label: KLabel, direction: Weight, f: GAElem,
 
     L * f, for L the common denominator of f's coefficients, has integer
     Laurent coefficients; with v evaluated at 2^B (Kronecker substitution
-    in v) each is one int times a power of v shared by the numerator.  The
-    numerator is a sum of int products, ga_divexact divides it by each
-    common atom, and the result is read back and divided by L.
-    Pieces.slot_width gives B and proves it wide enough.
+    in v) each is one int times a power of v shared by the numerator.  Each
+    input's numerator is a sum of int products, shifted into its own band
+    of v-slots; the sum of the bands is divided by each common atom once
+    (ga_divexact), read back, split by band and divided by each L.
+    Pieces.slot_width gives B and the gap between bands, and proves that
+    the batch raises exactly when one of its inputs would alone.
     """
-    den, g = clear_denominators(f)
     pieces = _qdiff_pieces(label, rs, direction)
     b = label.base_exp
-    # per image eta, the terms T_eta moves: (weight, coefficient, v-shift)
-    moved = {}
-    for eta in pieces.cofs:
-        rows = []
-        for w, c in g.terms.items():
-            t = dot4(eta, w) * b
-            if t.denominator != 1:
-                raise ValueError("non-integral translation exponent")
-            if t:
-                rows.append((w, c, int(t)))
-        moved[eta] = rows
-    if not any(moved.values()):
-        return GAElem(rs.n)       # f is constant
-    ws = list(g.terms)
-    nu = max(l1_norm(c) for c in g.terms.values())
+    out = [GAElem(rs.n) for _ in fs]
+    batch = []                  # (result, L, L * f) of each nonconstant f
+    for res, f in zip(out, fs):
+        den, g = clear_denominators(f)
+        if any(map(any, g.terms)):  # else f is constant and its image zero
+            batch.append((res, den, g))
+    if not batch:
+        return out
+    ws = [w for _, _, g in batch for w in g.terms]
+    nu = max(l1_norm(c) for _, _, g in batch for c in g.terms.values())
     B1 = pieces.product_width(nu)
-    B = pieces.slot_width(nu, [min(x) for x in zip(*ws)], [max(x) for x in zip(*ws)])
+    B, gap = pieces.slot_width(nu, [min(x) for x in zip(*ws)], [max(x) for x in zip(*ws)])
     cofs = pieces.at(B1)
-    E = min(e0 + c.e + min(t, 0) for eta, e0, _ in cofs for _, c, t in moved[eta])
-    acc = {}
-    for eta, e0, crows in cofs:
-        base = E - e0
-        diff = []
-        for w, c, t in moved[eta]:
-            z = p_to_int(c.n, B1)
-            diff.append((w, (z << ((c.e + t - base) * B1)) - (z << ((c.e - base) * B1))))
-        for w1, z1 in crows:
-            for w2, z2 in diff:
-                w = tuple(map(add, w1, w2))
-                acc[w] = acc.get(w, 0) + z1 * z2
+    acc, bands, off = {}, [], 0
+    for res, den, g in batch:
+        # per image eta, the terms T_eta moves: (weight, coefficient, v-shift)
+        moved = {}
+        for eta, _, _ in cofs:
+            rows = []
+            for w, c in g.terms.items():
+                t = dot4(eta, w) * b
+                if t.denominator != 1:
+                    raise ValueError("non-integral translation exponent")
+                if t:
+                    rows.append((w, c, int(t)))
+            moved[eta] = rows
+        E = min(e0 + c.e + min(t, 0) for eta, e0, _ in cofs for _, c, t in moved[eta])
+        part = {}
+        for eta, e0, crows in cofs:
+            base = E - e0
+            diff = []
+            for w, c, t in moved[eta]:
+                z = p_to_int(c.n, B1)
+                diff.append((w, (z << ((c.e + t - base) * B1)) - (z << ((c.e - base) * B1))))
+            for w1, z1 in crows:
+                for w2, z2 in diff:
+                    w = tuple(map(add, w1, w2))
+                    part[w] = part.get(w, 0) + z1 * z2
+        # balanced digits below 2^(B1-1) put a top slot d at bit length >= d * B1
+        top = max((abs(z).bit_length() for z in part.values()), default=0) // B1
+        for w, z in part.items():
+            acc[w] = acc.get(w, 0) + (z << (off * B1))
+        bands.append((res, den, E, off * B, 1 << ((top + 1) * B)))
+        off += top + 1 + gap
     # the division needs the wider slots of slot_width
     num = GAElem(rs.n)
     num.terms = {w: z if B == B1 else int_reslot(z, B1, B) for w, z in acc.items() if z}
+    del acc                     # frees the ints at B1 before the division
     try:
         for d in pieces.binomials(B):
             num = ga_divexact(num, d)
@@ -114,10 +130,14 @@ def apply_qdiff(label: KLabel, direction: Weight, f: GAElem,
         raise ValueError("non-polynomial result")
     sign, C, W = pieces.monomial
     k = sign * pieces.stab
-    out = GAElem(rs.n)
     for w, z in num.terms.items():
-        x = Scalar.laurent(E - C, [k * d for d in p_from_int(z, B)])
-        out.terms[wdiff(w, W)] = x if den is None else x / den
+        w = wdiff(w, W)
+        for res, den, E, s, m in bands:
+            # the band's balanced digits; those below sum to under half of 2^s
+            z1 = ((z + (1 << s >> 1) >> s) + (m >> 1)) % m - (m >> 1)
+            if z1:
+                x = Scalar.laurent(E - C, [k * d for d in p_from_int(z1, B)])
+                res.terms[w] = x if den is None else x / den
     return out
 
 
@@ -136,11 +156,12 @@ class OperatorAction:
 
 def operator_action(label: KLabel, rs: RootSystem, basis) -> OperatorAction:
     """Matrix of the operator in the direction eps_1 on the orbit-sum
-    basis; asserts dominance triangularity column by column."""
+    basis, from one batch; asserts dominance triangularity column by
+    column."""
     direction = eps(0, rs.n)
+    images = apply_qdiff(label, direction, [orbit_sum(mu, rs.n) for mu in basis], rs)
     matrix = {}
-    for mu in basis:
-        g = apply_qdiff(label, direction, orbit_sum(mu, rs.n), rs)
+    for mu, g in zip(basis, images):
         for nu, c in m_basis(g).items():
             if not dominance_leq(nu, mu):
                 raise ValueError("operator is not dominance triangular")
@@ -174,39 +195,41 @@ class MKPolynomial:
         })
 
 
-def build_polynomial(label: KLabel, lam: Weight, rs: RootSystem,
+def build_polynomial(label: KLabel, lams, rs: RootSystem,
                      action: OperatorAction = None, level: int = 0,
-                     verify: bool = True) -> MKPolynomial:
-    """Triangular eigenfunction solve: unit leading coefficient, exact
-    coefficients in Q(v)."""
-    below = dominant_weights_below(lam)
+                     verify: bool = True) -> dict:
+    """Triangular eigenfunction solves, {lam: MKPolynomial} for each lam of
+    lams: unit leading coefficient, exact coefficients in Q(v).  The
+    self-check applies the operator to all of them as one batch."""
     if action is None:
-        action = operator_action(label, rs, below)
+        below = {mu for lam in lams for mu in dominant_weights_below(lam)}
+        action = operator_action(label, rs, sorted(below, key=lambda w: (sum(w), w)))
     M = action.matrix
-    E_lam = action.eigenvalue(lam)
-    coeffs = {lam: SC_ONE}
-    for kappa in reversed(below[:-1]):
-        rhs = SC_ZERO
-        for nu, c in coeffs.items():
-            if nu != kappa and (kappa, nu) in M:
-                rhs = rhs + M[(kappa, nu)] * c
-        gap = E_lam - action.eigenvalue(kappa)
-        if not gap:
-            raise ValueError(
-                "non-generic parameters: eigenvalue collision at %s / %s"
-                % (lam, kappa)
-            )
-        b = rhs / gap
-        if b:
-            coeffs[kappa] = b
-    poly = MKPolynomial(lam, coeffs, label, level)
+    out = {}
+    for lam in lams:
+        E_lam = action.eigenvalue(lam)
+        coeffs = {lam: SC_ONE}
+        for kappa in reversed(dominant_weights_below(lam)[:-1]):
+            rhs = SC_ZERO
+            for nu, c in coeffs.items():
+                if nu != kappa and (kappa, nu) in M:
+                    rhs = rhs + M[(kappa, nu)] * c
+            gap = E_lam - action.eigenvalue(kappa)
+            if not gap:
+                raise ValueError("non-generic parameters: eigenvalue collision at %s / %s"
+                                 % (lam, kappa))
+            b = rhs / gap
+            if b:
+                coeffs[kappa] = b
+        out[lam] = MKPolynomial(lam, coeffs, label, level)
     if verify:
-        # the operator is Q(v)-linear: check it on L * P, which has integer
-        # Laurent coefficients
-        _, g = clear_denominators(poly.as_gaelem(rs.n))
-        if apply_qdiff(label, action.direction, g, rs) != g.scale(E_lam):
-            raise ValueError("eigenfunction check failed")
-    return poly
+        # the operator is Q(v)-linear: check it on each L * P, which has
+        # integer Laurent coefficients
+        gs = [clear_denominators(P.as_gaelem(rs.n))[1] for P in out.values()]
+        for lam, g, img in zip(out, gs, apply_qdiff(label, action.direction, gs, rs)):
+            if img != g.scale(action.eigenvalue(lam)):
+                raise ValueError("eigenfunction check failed at %s" % (lam,))
+    return out
 
 
 def build_family(entry: SatakeEntry, l: int, bound: int,
@@ -217,10 +240,7 @@ def build_family(entry: SatakeEntry, l: int, bound: int,
     label = KLabel.from_entry(entry, l, sigma)
     basis = dominant_weights_upto(entry.n, bound)
     action = operator_action(label, rs, basis)
-    return {
-        lam: build_polynomial(label, lam, rs, action, level=l, verify=verify)
-        for lam in basis
-    }
+    return build_polynomial(label, basis, rs, action, level=l, verify=verify)
 
 
 # ---------------------------------------------------------------------------

@@ -28,40 +28,34 @@ class Pieces:
     (the common atoms (s, c, w), each standing for 1 - s*v^c*e^w) is kept
     as cofs[eta] = (e0, {weight: z}): the Laurent polynomial
     v^e0 * sum z(v) e^weight, with z in Z[v] evaluated at v = 2^width.
-    norm bounds the cofactors' summed l1 norm and [lo, hi] is the box of
-    their weights.  The final division happens binomial by binomial, by
-    the divisors and monomial of split_atoms.  slots caches the cofactors
-    evaluated at each further slot width.
+    The common atoms, the union of w(dens) over all of W, are W-stable, so
+    the cofactor at w(direction) is w applied to the one at direction, the
+    only one multiplied out.  norm bounds the cofactors' summed l1 norm
+    and [lo, hi] is the box of their weights.  The final division happens
+    binomial by binomial, by the divisors and monomial of split_atoms.
+    slots caches the cofactors evaluated at each further slot width.
     """
 
     def __init__(self, label: KLabel, rs: RootSystem, direction: Weight):
         delta = half_density(label, rs)
         tdelta = delta.translate(direction, label.base_exp)
         pre, num_atoms, den_atoms = ratio_atoms(tdelta, delta)
-        groups = {}
-        for w in weyl_group(rs.n):
-            eta = weyl_apply(w, direction)
-            if eta not in groups:
-                groups[eta] = (
-                    pre.w_apply(w),
-                    [(s, c, weyl_apply(w, a)) for s, c, a in num_atoms],
-                    [(s, c, weyl_apply(w, a)) for s, c, a in den_atoms],
-                )
-        self.stab = len(weyl_group(rs.n)) // len(groups)
+        reps = {}                  # eta -> the first w with w(direction) = eta
         lcm = Counter()
-        for _, _, dens in groups.values():
-            lcm |= Counter(dens)
+        for w in weyl_group(rs.n):
+            reps.setdefault(weyl_apply(w, direction), w)
+            lcm |= Counter((s, c, weyl_apply(w, a)) for s, c, a in den_atoms)
+        self.stab = len(weyl_group(rs.n)) // len(reps)
         self.atoms = list(lcm.elements())
-        # cofactor: pre_w times the numerator atoms and the denominator
-        # atoms missing at eta; binomials have l1 norm 2, and the l1 norm
-        # is submultiplicative
-        factors = {eta: (pre_w, nums + list((lcm - Counter(dens)).elements()))
-                   for eta, (pre_w, nums, dens) in groups.items()}
-        self.norm = sum(sum(map(l1_norm, pre_w.terms.values())) << len(atoms)
-                        for pre_w, atoms in factors.values())
+        # the cofactor at direction: pre times the numerator atoms and the
+        # denominator atoms missing there; binomials have l1 norm 2, and
+        # the l1 norm is submultiplicative and W-invariant
+        atoms = num_atoms + list((lcm - Counter(den_atoms)).elements())
+        self.norm = len(reps) * (sum(map(l1_norm, pre.terms.values())) << len(atoms))
         self.width = self.product_width(1)
-        self.cofs = {eta: atom_product(pre_w, atoms, self.width)
-                     for eta, (pre_w, atoms) in factors.items()}
+        e0, terms = atom_product(pre, atoms, self.width)
+        self.cofs = {eta: (e0, {weyl_apply(w, x): z for x, z in terms.items()})
+                     for eta, w in reps.items()}
         ws = [w for _, terms in self.cofs.values() for w in terms]
         self.lo = [min(x) for x in zip(*ws)]
         self.hi = [max(x) for x in zip(*ws)]
@@ -74,10 +68,11 @@ class Pieces:
         beta_0 = 2 * nu * norm in absolute value (see slot_width)."""
         return byte_width(4 * nu * self.norm)
 
-    def slot_width(self, nu: int, lo, hi) -> int:
-        """A slot width B that certifies the division and the read-back
-        for an input f whose coefficients have l1 norm at most nu and whose
-        weights lie in the box [lo, hi].
+    def slot_width(self, nu: int, lo, hi):
+        """(B, gap): a slot width B that certifies the division and the
+        read-back for inputs f whose coefficients have l1 norm at most nu
+        and whose weights lie in the box [lo, hi], and the gap, in slots,
+        that keeps the bands of a batch of such inputs apart.
 
         Evaluation at v = 2^B is a ring homomorphism, so products and the
         division recurrence are exact at any B; B matters only where a
@@ -95,18 +90,29 @@ class Pieces:
         each quotient at most beta_k.  Evaluation at 2^B is injective on
         integer polynomials with coefficients below 2^B in absolute value,
         and balanced digits read back those below 2^(B-1); B covers both,
-        rounded up to whole bytes."""
+        rounded up to whole bytes.
+
+        A batch divides sum_i v^off_i * F_i, F_i in the band of slots
+        [off_i, off_i + d_i]; the recurrence is linear, so each value it
+        makes is the sum of the bands' own.  An exact quotient by
+        1 - s*v^c*e^w (c >= 0) keeps its dividend's v-degrees, so while
+        every band divides, each stays in its slots.  At the first divisor
+        where a band does not, its chain-end value (times (-u)^k further
+        along the batch's chain) lies in [off_i, off_i + d_i + c*(n - 1)].
+        With bands gap >= c * n apart (c = 0 needs none), the batch's value
+        is zero only when every band's is: a batch raises "non-polynomial
+        result" exactly when one of its inputs would alone."""
         beta = 2 * nu * self.norm
-        need = beta
+        need, gap = beta, 0
         lo = [a + b for a, b in zip(self.lo, lo)]
         hi = [a + b for a, b in zip(self.hi, hi)]
-        for _, _, w in self.divisors:
+        for _, c, w in self.divisors:
             n = max(1, min((h - l) // abs(x) + 1 for l, h, x in zip(lo, hi, w) if x))
-            need = max(need, n * beta)
+            need, gap = max(need, n * beta), max(gap, c * n)
             beta *= max(1, n // 2)
             lo = [l - min(x, 0) for l, x in zip(lo, w)]
             hi = [h - max(x, 0) for h, x in zip(hi, w)]
-        return byte_width(max(need, 2 * beta))
+        return byte_width(max(need, 2 * beta)), gap
 
     def at(self, B: int) -> list:
         """The cofactors with v evaluated at 2^B, as (eta, e0, [(weight, z)])."""

@@ -45,7 +45,7 @@ def test_compute_lambda_selector_and_csv():
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "lambda,mu,coefficient"
     bad = run("compute", "--family", "AI1", "--bound", "4", "--lambda", "100")
-    assert bad.returncode == 1
+    assert bad.returncode == 2
 
 
 def test_compute_open_family_fails_cleanly():
@@ -72,10 +72,17 @@ def test_usage_error_is_exit_two():
     (("compute", "--family", "AIVm"), "AIVm needs aux m >= 2"),
     (("compute", "--family", "BI", "--m", "2"), "BI needs ambient rank >= 3"),
     (("compute", "--family", "CI", "--n", "1"), "CI needs rank >= 2"),
+    (("compute", "--family", "AI1", "--lambda", "2,2"), "has 2 coordinates"),
+    (("compute", "--family", "AIIIb", "--n", "2", "--lambda", "2,4"), "not dominant"),
+    (("compute", "--family", "AI1", "--bound", "4", "--lambda", "6"), "above --bound 4"),
+    (("compute", "--family", "AIVm", "--m", "2", "--sigma", "3/7"),
+     "--sigma 3/7: parameter exponent not integral"),
 ], ids=["lambda-not-int", "lambda-odd", "sigma-zero-denominator",
         "negative-bound", "rank-mismatch", "negative-precision",
         "unknown-family", "m-without-auxiliary-size", "sigma-on-reduced-family",
-        "aux-size-missing", "aux-size-too-small", "rank-too-small"])
+        "aux-size-missing", "aux-size-too-small", "rank-too-small",
+        "lambda-coordinate-count", "lambda-not-dominant", "lambda-above-bound",
+        "sigma-rejected-by-recipe"])
 def test_bad_input_is_exit_two_with_a_message(args, message):
     out = run(*args)
     assert out.returncode == 2

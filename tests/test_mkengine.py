@@ -22,6 +22,7 @@ from mkpolys.mkengine import (
     verify_orthogonality,
     _qdiff_pieces,
 )
+from mkpolys.qdiff import Pieces, clear_denominators
 from mkpolys.roots import (
     build_root_system,
     dominant_weights_upto,
@@ -34,6 +35,7 @@ from mkpolys.scalars import SC_ONE, Scalar
 from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
+    atom_product,
     half_density,
     ratio_atoms,
     shifted_weight,
@@ -55,7 +57,7 @@ def _engine(entry, l, M, span):
 
 def test_constants_are_eigenfunctions():
     k = KLabel.from_entry(AI1, 0)
-    assert apply_qdiff(k, (2,), GAElem.unit(1), RS1).is_zero()
+    assert apply_qdiff(k, (2,), [GAElem.unit(1)], RS1)[0].is_zero()
 
 
 def test_coefficient_functions_are_bar_images():
@@ -76,10 +78,10 @@ def atom_binomial(atom, rank):
     return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
 
 
-def _scalar_apply_qdiff(label, direction, f, rs):
-    """The operator on Scalar coefficients, as a reference for the integer
-    kernel: cofactors multiplied out as GAElems, the numerator divided atom
-    by atom by lex-leading-term long division."""
+def _per_image_atoms(label, rs, direction):
+    """Per Weyl image eta = w(direction), for the first such w: w(pre),
+    w(numerator atoms), w(denominator atoms); and the least common
+    multiple of the images' denominator atoms."""
     delta = half_density(label, rs)
     pre, num_atoms, den_atoms = ratio_atoms(delta.translate(direction, label.base_exp), delta)
     groups = {}
@@ -91,6 +93,14 @@ def _scalar_apply_qdiff(label, direction, f, rs):
     lcm = Counter()
     for _, _, dens in groups.values():
         lcm |= Counter(dens)
+    return groups, lcm
+
+
+def _scalar_apply_qdiff(label, direction, f, rs):
+    """The operator on Scalar coefficients, as a reference for the integer
+    kernel: cofactors multiplied out as GAElems, the numerator divided atom
+    by atom by lex-leading-term long division."""
+    groups, lcm = _per_image_atoms(label, rs, direction)
     acc = GAElem(rs.n)
     for eta, (cof, nums, dens) in groups.items():
         for a in nums + list((lcm - Counter(dens)).elements()):
@@ -116,9 +126,9 @@ def _scalar_apply_qdiff(label, direction, f, rs):
 def test_integer_kernel_matches_the_scalar_operator(entry, n, l, bound):
     rs = build_root_system(n)
     k = KLabel.from_entry(entry, l)
-    for mu in dominant_weights_upto(n, bound):
-        f = orbit_sum(mu, n)
-        assert apply_qdiff(k, eps(0, n), f, rs) == _scalar_apply_qdiff(k, eps(0, n), f, rs)
+    fs = [orbit_sum(mu, n) for mu in dominant_weights_upto(n, bound)]
+    assert apply_qdiff(k, eps(0, n), fs, rs) == [_scalar_apply_qdiff(k, eps(0, n), f, rs)
+                                                 for f in fs]
 
 
 def test_integer_kernel_matches_the_scalar_operator_on_rational_coefficients():
@@ -126,7 +136,7 @@ def test_integer_kernel_matches_the_scalar_operator_on_rational_coefficients():
     P = build_family(AIIIB2, 1, 4)[(4, 0)]
     assert any(len(c.d) > 1 for c in P.coeffs.values())
     g = P.as_gaelem(2)
-    assert apply_qdiff(k, (2, 0), g, RS2) == _scalar_apply_qdiff(k, (2, 0), g, RS2)
+    assert apply_qdiff(k, (2, 0), [g], RS2) == [_scalar_apply_qdiff(k, (2, 0), g, RS2)]
 
 
 def test_operator_with_a_negative_parameter():
@@ -134,13 +144,68 @@ def test_operator_with_a_negative_parameter():
     k = KLabel.make((-3, 1, 0, 0, 0), 2)
     for mu in dominant_weights_upto(1, 6):
         f = orbit_sum(mu, 1)
-        assert apply_qdiff(k, (2,), f, RS1) == _scalar_apply_qdiff(k, (2,), f, RS1)
+        assert apply_qdiff(k, (2,), [f], RS1) == [_scalar_apply_qdiff(k, (2,), f, RS1)]
+
+
+@pytest.mark.parametrize("label,n,bound", [
+    (KLabel.from_entry(AI1, 1), 1, 6), (KLabel.from_entry(AIV2, -1, Fraction(1, 2)), 1, 6),
+    (KLabel.make((-1, 1, 0, 0, 0), 2), 1, 6), (KLabel.from_entry(AIIIB2, 1), 2, 4)],
+    ids=["AI1 l=1", "AIVm l=-1", "negative k1", "AIIIb l=1"])
+def test_a_batch_gives_each_input_its_own_image(label, n, bound):
+    # orbit sums with varied coefficients, each P (rational coefficients)
+    # and each L * P, in a scrambled order
+    rs = build_root_system(n)
+    rng = random.Random(n * 100 + bound)
+    fs = []
+    for mu, P in build_polynomial(label, dominant_weights_upto(n, bound), rs,
+                                  verify=False).items():
+        c = Scalar.of(rng.randint(-99, 99)) * Scalar.v_pow(rng.randint(-5, 5))
+        g = P.as_gaelem(n)
+        fs += [orbit_sum(mu, n).scale(c), g, clear_denominators(g)[1]]
+    rng.shuffle(fs)
+    assert any(len(c.d) > 1 for f in fs for c in f.terms.values())
+    assert apply_qdiff(label, eps(0, n), fs, rs) == [_scalar_apply_qdiff(label, eps(0, n), f, rs)
+                                                     for f in fs]
 
 
 def test_operator_rejects_non_invariant_input():
     k = KLabel.from_entry(AI1, 0)
     with pytest.raises(ValueError, match="non-polynomial result"):
-        apply_qdiff(k, (2,), GAElem.monomial(1, (2,)), RS1)
+        apply_qdiff(k, (2,), [GAElem.monomial(1, (2,))], RS1)
+
+
+@pytest.mark.parametrize("entry,n,bad", [
+    (AI1, 1, GAElem.monomial(1, (2,))),
+    (AIIIB2, 2, orbit_sum((2, 0), 2) + GAElem.monomial(2, (4, 2), Scalar.v_pow(3)))],
+    ids=["AI1", "AIIIb"])
+def test_a_batch_with_one_non_invariant_input_raises(entry, n, bad):
+    rs = build_root_system(n)
+    k = KLabel.from_entry(entry, 1)
+    with pytest.raises(ValueError, match="non-polynomial result"):
+        apply_qdiff(k, eps(0, n), [bad], rs)
+    fs = [orbit_sum(mu, n) for mu in dominant_weights_upto(n, 4)]
+    for i in range(len(fs) + 1):
+        with pytest.raises(ValueError, match="non-polynomial result"):
+            apply_qdiff(k, eps(0, n), fs[:i] + [bad] + fs[i:], rs)
+
+
+@pytest.mark.parametrize("entry,l,sigma", [
+    (AI1, 0, 0), (AI1, 2, 0), (AIV2, -1, Fraction(1, 2)), (AIV2, 1, Fraction(1, 2)),
+    (AIIIB2, 1, 0), (satake_catalog("CI", 2), 0, 0), (satake_catalog("BI", 2, 3), 1, 0),
+    (satake_catalog("DI", 2, 4), 2, 0), (satake_catalog("AIIIa", 2, 2), 1, Fraction(1, 2)),
+    (satake_catalog("EVII", 3), 0, 0)],
+    ids=["AI1 l=0", "AI1 l=2", "AIVm l=-1", "AIVm l=1", "AIIIb l=1", "CI l=0", "BI l=1",
+         "DI l=2", "AIIIa l=1", "EVII l=0"])
+def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
+    # the cofactors as multiplied out one Weyl image at a time
+    rs = build_root_system(entry.n)
+    label = KLabel.from_entry(entry, l, sigma)
+    pieces = Pieces(label, rs, eps(0, entry.n))
+    groups, lcm = _per_image_atoms(label, rs, eps(0, entry.n))
+    assert Counter(pieces.atoms) == lcm
+    assert pieces.cofs == {
+        eta: atom_product(pre_w, nums + list((lcm - Counter(dens)).elements()), pieces.width)
+        for eta, (pre_w, nums, dens) in groups.items()}
 
 
 @pytest.mark.parametrize("entry,n,bound", [(AI1, 1, 8), (AIV2, 1, 6), (AIIIB2, 2, 4)])
@@ -150,7 +215,7 @@ def test_triangularity_and_invariance(entry, n, bound):
     basis = dominant_weights_upto(n, bound)
     act = operator_action(k, rs, basis)   # asserts triangularity
     for mu in basis[:3]:
-        img = apply_qdiff(k, act.direction, orbit_sum(mu, n), rs)
+        img, = apply_qdiff(k, act.direction, [orbit_sum(mu, n)], rs)
         # Weyl invariant: every image of a term's weight carries its coefficient
         for w, c in img.terms.items():
             assert all(img.terms.get(weyl_apply(g, w)) == c for g in weyl_group(n))
@@ -187,9 +252,9 @@ def test_spectral_pinning_and_closed_form():
 
 def test_build_polynomial_base_cases():
     k = KLabel.from_entry(AI1, 0)
-    P0 = build_polynomial(k, (0,), RS1)
+    P0 = build_polynomial(k, [(0,)], RS1)[(0,)]
     assert P0.coeffs == {(0,): SC_ONE}
-    P1 = build_polynomial(k, (2,), RS1)
+    P1 = build_polynomial(k, [(2,)], RS1)[(2,)]
     assert P1.coeffs[(2,)] == SC_ONE
     assert set(P1.coeffs) <= {(2,), (0,)}
 
@@ -198,14 +263,14 @@ def test_eigenfunction_property_reverified():
     k = KLabel.from_entry(AIV2, 1)
     basis = dominant_weights_upto(1, 6)
     act = operator_action(k, RS1, basis)
-    P = build_polynomial(k, (4,), RS1, act, verify=True)  # raises on failure
+    P = build_polynomial(k, [(4,)], RS1, act, verify=True)[(4,)]  # raises on failure
     g = P.as_gaelem(1)
-    assert apply_qdiff(k, (2,), g, RS1) == g.scale(act.eigenvalue((4,)))
+    assert apply_qdiff(k, (2,), [g], RS1) == [g.scale(act.eigenvalue((4,)))]
 
 
 def test_polynomial_json():
     import json
-    P = build_polynomial(KLabel.from_entry(AI1, 0), (2,), RS1)
+    P = build_polynomial(KLabel.from_entry(AI1, 0), [(2,)], RS1)[(2,)]
     blob = json.loads(P.to_json())
     assert blob["lambda"] == [2] and blob["basis"] == "m"
     assert blob["coeffs"][-1]["c"] == "1"
@@ -334,7 +399,7 @@ def test_orthogonality_row_needs_the_requested_precision():
 def test_bar_invariance():
     fam = build_family(AI1, 2, 6)
     assert all(check_bar_invariance(P) for P in fam.values())
-    P1 = build_polynomial(KLabel.from_entry(AI1, 0), (0,), RS1)
+    P1 = build_polynomial(KLabel.from_entry(AI1, 0), [(0,)], RS1)[(0,)]
     assert check_bar_invariance(P1)
 
 
@@ -360,8 +425,7 @@ def test_self_adjointness_mod_precision():
         for mu in basis:
             f = f + orbit_sum(mu, 1).scale(Scalar.of(rng.randint(-2, 2)))
             g = g + orbit_sum(mu, 1).scale(Scalar.v_pow(rng.randint(-1, 1)))
-        Df = apply_qdiff(k, (2,), f, RS1)
-        Dg = apply_qdiff(k, (2,), g, RS1)
+        Df, Dg = apply_qdiff(k, (2,), [f, g], RS1)
         shift = Scalar.v_pow(max(_pole_order(Df), _pole_order(Dg)))
         lhs = eng.ct_pair(Df.scale(shift), g)
         rhs = eng.ct_pair(f.scale(shift), Dg)
