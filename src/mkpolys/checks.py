@@ -204,7 +204,8 @@ CHECKS = (
                     ("AI1", 1, 0, 8, 6, (0, 1, 2)),
                     ("AIVm", 1, 2, 6, 4, (0, 1, 2)),
                     ("AIIIb", 2, 0, 4, 4, (0, 1, 2)),
-                    ("CI", 2, 0, 4, None, (0, 1)))
+                    ("CI", 2, 0, 4, None, (0, 1)),
+                    ("EVII", 3, 0, 4, 4, (0,)))
                 for l in levels),
           _soundness),
 )

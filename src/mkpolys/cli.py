@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from .checks import SUITES, cases
-from .mkengine import build_family
-from .roots import FAMILIES, catalog_json, is_dominant, satake_catalog
+from .mkengine import build_family, build_polynomial
+from .roots import FAMILIES, build_root_system, catalog_json, is_dominant, satake_catalog
 from .weights import KLabel
 
 
@@ -102,7 +102,7 @@ def cmd_compute(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        KLabel.make(ks, entry.base_exp())
+        label = KLabel.make(ks, entry.base_exp())
     except ValueError as exc:
         return _usage_error("--sigma %s: %s" % (args.sigma, exc))
     lam = args.lam
@@ -115,7 +115,11 @@ def cmd_compute(args) -> int:
         return _usage_error("--lambda %s has coordinate sum above --bound %d"
                             % (list(lam), args.bound))
     try:
-        fam = build_family(entry, args.level, args.bound, args.sigma)
+        if lam is None:
+            fam = build_family(entry, args.level, args.bound, args.sigma)
+        else:                   # only the weights below lam
+            fam = build_polynomial(label, [lam], build_root_system(entry.n),
+                                   level=args.level, verify=False)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

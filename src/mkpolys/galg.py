@@ -9,6 +9,8 @@ also runs on elements whose coefficients are ints (v evaluated at 2^B).
 from __future__ import annotations
 
 import json
+from collections import Counter
+from math import factorial, prod
 
 from .roots import (
     Weight,
@@ -186,6 +188,20 @@ def m_basis(f: GAElem) -> dict:
         out[lam] = c
         rem = rem - orbit_sum(lam, f.rank).scale(c)
     return out
+
+
+def require_invariant(f: GAElem, name: str):
+    """ValueError naming f unless f is Weyl invariant, in O(terms): per
+    dominant weight d, the terms in its orbit whose coefficient is the one
+    at d must number the orbit's size, n! / prod(mult!) * 2^(nonzero entries)."""
+    count = Counter()
+    for w, c in f.terms.items():
+        d = tuple(sorted(map(abs, w), reverse=True))
+        count[d] += c == f.terms.get(d, 0)
+    for d, k in count.items():
+        size = factorial(len(d)) // prod(map(factorial, Counter(d).values())) << sum(map(bool, d))
+        if k != size:
+            raise ValueError("%s is not Weyl invariant on the orbit of %s" % (name, d))
 
 
 def from_m_basis(coeffs: dict, n: int) -> GAElem:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 
-from .galg import GAElem, from_m_basis, ga_divexact, m_basis, orbit_sum
+from .galg import GAElem, from_m_basis, ga_divexact, m_basis, orbit_sum, require_invariant
 from .roots import (
     D,
     RootSystem,
@@ -55,8 +55,8 @@ def _qdiff_pieces(label: KLabel, rs: RootSystem, direction: Weight) -> Pieces:
 def apply_qdiff(label: KLabel, direction: Weight, fs, rs: RootSystem) -> list:
     """Apply the q-difference operator in the given minuscule-type
     direction to each f of the list fs, as one batch; exact.  Each f must
-    be Weyl invariant: this is not checked, and a non-invariant f gives a
-    wrong result or "non-polynomial result".
+    be Weyl invariant: galg.require_invariant checks it in O(terms), and
+    its ValueError names the first input that is not.
 
     The operator is the difference form sum_w w(A * (T - 1) f): only the
     second-order normalization that kills the value at e^0 preserves
@@ -66,18 +66,20 @@ def apply_qdiff(label: KLabel, direction: Weight, fs, rs: RootSystem) -> list:
 
     L * f, for L the common denominator of f's coefficients, has integer
     Laurent coefficients; with v evaluated at 2^B (Kronecker substitution
-    in v) each is one int times a power of v shared by the numerator.  Each
-    input's numerator is a sum of int products, shifted into its own band
-    of v-slots; the sum of the bands is divided by each common atom once
-    (ga_divexact), read back, split by band and divided by each L.
-    Pieces.slot_width gives B and the gap between bands, and proves that
-    the batch raises exactly when one of its inputs would alone.
+    in v) each is one int times a power of v shared by the numerator.  As
+    f is invariant, its numerator is sum_eta w_eta(G) for the one product
+    G = cof * (T_direction f - f) (see qdiff.Pieces), shifted into a band
+    of v-slots of its own; the sum of the bands is divided by each common
+    atom once (ga_divexact), read back, split by band and divided by each
+    L.  Pieces.slot_width gives B and the gap between bands, and proves
+    that the batch raises exactly when one of its inputs would alone.
     """
     pieces = _qdiff_pieces(label, rs, direction)
     b = label.base_exp
     out = [GAElem(rs.n) for _ in fs]
     batch = []                  # (result, L, L * f) of each nonconstant f
-    for res, f in zip(out, fs):
+    for i, (res, f) in enumerate(zip(out, fs)):
+        require_invariant(f, "input %d" % i)
         den, g = clear_denominators(f)
         if any(map(any, g.terms)):  # else f is constant and its image zero
             batch.append((res, den, g))
@@ -87,37 +89,39 @@ def apply_qdiff(label: KLabel, direction: Weight, fs, rs: RootSystem) -> list:
     nu = max(l1_norm(c) for _, _, g in batch for c in g.terms.values())
     B1 = pieces.product_width(nu)
     B, gap = pieces.slot_width(nu, [min(x) for x in zip(*ws)], [max(x) for x in zip(*ws)])
-    cofs = pieces.at(B1)
+    e0, cof = pieces.cof
+    if B1 != pieces.width:
+        cof = {w: int_reslot(z, pieces.width, B1) for w, z in cof.items()}
     acc, bands, off = {}, [], 0
     for res, den, g in batch:
-        # per image eta, the terms T_eta moves: (weight, coefficient, v-shift)
-        moved = {}
-        for eta, _, _ in cofs:
-            rows = []
-            for w, c in g.terms.items():
-                t = dot4(eta, w) * b
-                if t.denominator != 1:
-                    raise ValueError("non-integral translation exponent")
-                if t:
-                    rows.append((w, c, int(t)))
-            moved[eta] = rows
-        E = min(e0 + c.e + min(t, 0) for eta, e0, _ in cofs for _, c, t in moved[eta])
+        moved = []              # the terms T_direction moves: (weight, e, v-shift, z)
+        for w, c in g.terms.items():
+            t = dot4(direction, w) * b
+            if t.denominator != 1:
+                raise ValueError("non-integral translation exponent")
+            if t:
+                moved.append((w, c.e, int(t), p_to_int(c.n, B1)))
+        base = min(e + min(t, 0) for _, e, t, _ in moved)
+        diff = [(w, (z << ((e + t - base) * B1)) - (z << ((e - base) * B1)))
+                for w, e, t, z in moved]
+        G = {}
+        for w1, z1 in cof.items():
+            for w2, z2 in diff:
+                w = tuple(map(add, w1, w2))
+                G[w] = G.get(w, 0) + z1 * z2
+        # sum_eta w_eta(G), each w a signed permutation of G's weight columns
+        cols = list(zip(*G))
+        negs = [tuple(map(neg, c)) for c in cols]
         part = {}
-        for eta, e0, crows in cofs:
-            base = E - e0
-            diff = []
-            for w, c, t in moved[eta]:
-                z = p_to_int(c.n, B1)
-                diff.append((w, (z << ((c.e + t - base) * B1)) - (z << ((c.e - base) * B1))))
-            for w1, z1 in crows:
-                for w2, z2 in diff:
-                    w = tuple(map(add, w1, w2))
-                    part[w] = part.get(w, 0) + z1 * z2
+        for perm, signs in pieces.reps:
+            images = zip(*[(cols if s > 0 else negs)[p] for p, s in zip(perm, signs)])
+            for w, z in zip(images, G.values()):
+                part[w] = part.get(w, 0) + z
         # balanced digits below 2^(B1-1) put a top slot d at bit length >= d * B1
         top = max((abs(z).bit_length() for z in part.values()), default=0) // B1
         for w, z in part.items():
             acc[w] = acc.get(w, 0) + (z << (off * B1))
-        bands.append((res, den, E, off * B, 1 << ((top + 1) * B)))
+        bands.append((res, den, base + e0, off * B, 1 << ((top + 1) * B)))
         off += top + 1 + gap
     # the division needs the wider slots of slot_width
     num = GAElem(rs.n)

@@ -16,8 +16,7 @@ from math import gcd
 from .galg import GAElem
 from .roots import RootSystem, Weight, weyl_apply, weyl_group
 from .scalars import P_ONE, Scalar, byte_width, p_divexact, p_gcd, p_mul
-from .weights import (KLabel, atom_product, half_density, int_reslot, l1_norm, ratio_atoms,
-                      split_atoms)
+from .weights import KLabel, atom_product, half_density, l1_norm, ratio_atoms, split_atoms
 
 
 class Pieces:
@@ -25,15 +24,17 @@ class Pieces:
 
     The coefficient at the image eta = w(direction) is a ratio of binomial
     products; its cofactor against the factored least common denominator
-    (the common atoms (s, c, w), each standing for 1 - s*v^c*e^w) is kept
-    as cofs[eta] = (e0, {weight: z}): the Laurent polynomial
-    v^e0 * sum z(v) e^weight, with z in Z[v] evaluated at v = 2^width.
-    The common atoms, the union of w(dens) over all of W, are W-stable, so
-    the cofactor at w(direction) is w applied to the one at direction, the
-    only one multiplied out.  norm bounds the cofactors' summed l1 norm
-    and [lo, hi] is the box of their weights.  The final division happens
-    binomial by binomial, by the divisors and monomial of split_atoms.
-    slots caches the cofactors evaluated at each further slot width.
+    (the common atoms (s, c, w), each standing for 1 - s*v^c*e^w) is the
+    Laurent polynomial v^e0 * sum z(v) e^weight, z in Z[v] evaluated at
+    v = 2^width.  The common atoms, the union of w(dens) over all of W,
+    are W-stable, so the cofactor at w(direction) is w applied to the one
+    at direction, cof = (e0, {weight: z}), the only one kept; reps holds
+    the first w with w(direction) = eta, per eta.  For Weyl invariant f,
+    w(T_direction f) = T_eta(w f) = T_eta f, so the numerator
+    sum_eta cof_eta * (T_eta f - f) is sum_eta w_eta(cof * (T_direction f - f)).
+    norm bounds the summed l1 norm of the images' cofactors and [lo, hi]
+    is the box of their weights.  The final division happens binomial by
+    binomial, by the divisors and monomial of split_atoms.
     """
 
     def __init__(self, label: KLabel, rs: RootSystem, direction: Weight):
@@ -45,6 +46,7 @@ class Pieces:
         for w in weyl_group(rs.n):
             reps.setdefault(weyl_apply(w, direction), w)
             lcm |= Counter((s, c, weyl_apply(w, a)) for s, c, a in den_atoms)
+        self.reps = list(reps.values())
         self.stab = len(weyl_group(rs.n)) // len(reps)
         self.atoms = list(lcm.elements())
         # the cofactor at direction: pre times the numerator atoms and the
@@ -53,14 +55,11 @@ class Pieces:
         atoms = num_atoms + list((lcm - Counter(den_atoms)).elements())
         self.norm = len(reps) * (sum(map(l1_norm, pre.terms.values())) << len(atoms))
         self.width = self.product_width(1)
-        e0, terms = atom_product(pre, atoms, self.width)
-        self.cofs = {eta: (e0, {weyl_apply(w, x): z for x, z in terms.items()})
-                     for eta, w in reps.items()}
-        ws = [w for _, terms in self.cofs.values() for w in terms]
+        self.cof = atom_product(pre, atoms, self.width)
+        ws = [weyl_apply(w, x) for w in self.reps for x in self.cof[1]]
         self.lo = [min(x) for x in zip(*ws)]
         self.hi = [max(x) for x in zip(*ws)]
         self.divisors, self.monomial = split_atoms(self.atoms, rs.n)
-        self.slots = {}
 
     def product_width(self, nu: int) -> int:
         """A slot width that holds the numerator for an input whose
@@ -97,32 +96,24 @@ class Pieces:
         makes is the sum of the bands' own.  An exact quotient by
         1 - s*v^c*e^w (c >= 0) keeps its dividend's v-degrees, so while
         every band divides, each stays in its slots.  At the first divisor
-        where a band does not, its chain-end value (times (-u)^k further
-        along the batch's chain) lies in [off_i, off_i + d_i + c*(n - 1)].
-        With bands gap >= c * n apart (c = 0 needs none), the batch's value
-        is zero only when every band's is: a batch raises "non-polynomial
-        result" exactly when one of its inputs would alone."""
+        where a band does not, its chain-end value is a sum of its slots
+        times (-u)^k = (s*v^c)^k, k < n on a chain of n weights, so it lies
+        in [off_i, off_i + d_i + c*(n - 1)]; the next band starts at
+        off_i + d_i + 1 + gap.  With gap >= c*(n - 1) their slots are
+        disjoint, and the batch's value is zero only when every band's is:
+        a batch raises "non-polynomial result" exactly when one of its
+        inputs would alone."""
         beta = 2 * nu * self.norm
         need, gap = beta, 0
         lo = [a + b for a, b in zip(self.lo, lo)]
         hi = [a + b for a, b in zip(self.hi, hi)]
         for _, c, w in self.divisors:
             n = max(1, min((h - l) // abs(x) + 1 for l, h, x in zip(lo, hi, w) if x))
-            need, gap = max(need, n * beta), max(gap, c * n)
+            need, gap = max(need, n * beta), max(gap, c * (n - 1))
             beta *= max(1, n // 2)
             lo = [l - min(x, 0) for l, x in zip(lo, w)]
             hi = [h - max(x, 0) for h, x in zip(hi, w)]
         return byte_width(max(need, 2 * beta)), gap
-
-    def at(self, B: int) -> list:
-        """The cofactors with v evaluated at 2^B, as (eta, e0, [(weight, z)])."""
-        hit = self.slots.get(B)
-        if hit is None:
-            hit = self.slots[B] = [
-                (eta, e0, [(w, z if B == self.width else int_reslot(z, self.width, B))
-                           for w, z in terms.items()])
-                for eta, (e0, terms) in self.cofs.items()]
-        return hit
 
     def binomials(self, B: int) -> list:
         """The divisors as GAElems 1 + u*e^w with u = -s * 2^(c*B)."""

@@ -48,6 +48,20 @@ def test_compute_lambda_selector_and_csv():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("family", [
+    ("--family", "AIIIb", "--n", "2", "--level", "1"),
+    ("--family", "AIIIa", "--n", "2", "--m", "2", "--sigma", "1/2", "--level", "1")],
+    ids=["AIIIb", "AIIIa"])
+def test_compute_lambda_prints_the_line_of_the_full_run(family):
+    # --lambda builds only the weights below lambda, with the same output
+    full = run("compute", *family, "--bound", "4").stdout.splitlines()
+    assert len(full) == 4
+    for line in full:
+        lam = ",".join(map(str, json.loads(line)["lambda"]))
+        out = run("compute", *family, "--bound", "4", "--lambda", lam)
+        assert out.returncode == 0 and out.stdout == line + "\n"
+
+
 def test_compute_open_family_fails_cleanly():
     out = run("compute", "--family", "EIII", "--n", "2")
     assert out.returncode == 1

@@ -64,9 +64,11 @@ def test_coefficient_functions_are_bar_images():
     # the two rank-one coefficient functions swap under weight negation
     k = KLabel.from_entry(AI1, 1)
     pieces = _qdiff_pieces(k, RS1, (2,))
-    assert pieces.stab == 1 and set(pieces.cofs) == {(2,), (-2,)}
-    e_plus, plus = pieces.cofs[(2,)]
-    e_minus, minus = pieces.cofs[(-2,)]
+    cofs = _per_image_cofactors(k, RS1, (2,), pieces.width)
+    assert pieces.stab == 1 and _cofactor_images(pieces, (2,)) == cofs
+    assert set(cofs) == {(2,), (-2,)}
+    e_plus, plus = cofs[(2,)]
+    e_minus, minus = cofs[(-2,)]
     assert e_minus == e_plus and minus == {(-w[0],): z for w, z in plus.items()}
     neg = {(s, c, tuple(-x for x in w)) for (s, c, w) in pieces.atoms}
     assert neg == set(pieces.atoms)  # common denominator is bar symmetric
@@ -94,6 +96,22 @@ def _per_image_atoms(label, rs, direction):
     for _, _, dens in groups.values():
         lcm |= Counter(dens)
     return groups, lcm
+
+
+def _per_image_cofactors(label, rs, direction, width):
+    """The oracle: per Weyl image eta, the cofactor multiplied out from that
+    image's own atoms by atom_product at the given width."""
+    groups, lcm = _per_image_atoms(label, rs, direction)
+    return {eta: atom_product(pre_w, nums + list((lcm - Counter(dens)).elements()), width)
+            for eta, (pre_w, nums, dens) in groups.items()}
+
+
+def _cofactor_images(pieces, direction):
+    """The cofactor at w(direction) for each w of pieces.reps: w applied to
+    the weights of the one cofactor that Pieces keeps."""
+    e0, cof = pieces.cof
+    return {weyl_apply(w, direction): (e0, {weyl_apply(w, x): z for x, z in cof.items()})
+            for w in pieces.reps}
 
 
 def _scalar_apply_qdiff(label, direction, f, rs):
@@ -170,7 +188,7 @@ def test_a_batch_gives_each_input_its_own_image(label, n, bound):
 
 def test_operator_rejects_non_invariant_input():
     k = KLabel.from_entry(AI1, 0)
-    with pytest.raises(ValueError, match="non-polynomial result"):
+    with pytest.raises(ValueError, match="input 0 is not Weyl invariant"):
         apply_qdiff(k, (2,), [GAElem.monomial(1, (2,))], RS1)
 
 
@@ -181,12 +199,39 @@ def test_operator_rejects_non_invariant_input():
 def test_a_batch_with_one_non_invariant_input_raises(entry, n, bad):
     rs = build_root_system(n)
     k = KLabel.from_entry(entry, 1)
-    with pytest.raises(ValueError, match="non-polynomial result"):
+    with pytest.raises(ValueError, match="input 0 is not Weyl invariant"):
         apply_qdiff(k, eps(0, n), [bad], rs)
     fs = [orbit_sum(mu, n) for mu in dominant_weights_upto(n, 4)]
     for i in range(len(fs) + 1):
-        with pytest.raises(ValueError, match="non-polynomial result"):
+        with pytest.raises(ValueError, match="input %d is not Weyl invariant" % i):
             apply_qdiff(k, eps(0, n), fs[:i] + [bad] + fs[i:], rs)
+
+
+def _broken_orbits(n):
+    """Two non-invariant elements of rank n: a sum of two orbit sums with
+    one orbit element missing, and the same sum with every element present
+    but one coefficient changed; each at a dominant and at another weight."""
+    mus = dominant_weights_upto(n, 4)[-2:]
+    f = orbit_sum(mus[0], n) + orbit_sum(mus[1], n).scale(Scalar.v_pow(2))
+    for w in (mus[1], min(f.terms)):
+        missing, unequal = GAElem(n, f.terms), GAElem(n, f.terms)
+        del missing.terms[w]
+        unequal.terms[w] = unequal.terms[w] * Scalar.of(2)
+        yield missing
+        yield unequal
+
+
+@pytest.mark.parametrize("entry,l", [(AI1, 1), (AIIIB2, 1), (satake_catalog("EVII", 3), 0)],
+                         ids=["rank 1", "rank 2", "rank 3"])
+def test_invariance_is_checked_at_every_position_in_a_batch(entry, l):
+    n = entry.n
+    rs = build_root_system(n)
+    k = KLabel.from_entry(entry, l)
+    fs = [orbit_sum(mu, n) for mu in dominant_weights_upto(n, 4)]
+    for bad in _broken_orbits(n):
+        for i in range(len(fs) + 1):
+            with pytest.raises(ValueError, match="input %d is not Weyl invariant" % i):
+                apply_qdiff(k, eps(0, n), fs[:i] + [bad] + fs[i:], rs)
 
 
 @pytest.mark.parametrize("entry,l,sigma", [
@@ -197,15 +242,16 @@ def test_a_batch_with_one_non_invariant_input_raises(entry, n, bad):
     ids=["AI1 l=0", "AI1 l=2", "AIVm l=-1", "AIVm l=1", "AIIIb l=1", "CI l=0", "BI l=1",
          "DI l=2", "AIIIa l=1", "EVII l=0"])
 def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
-    # the cofactors as multiplied out one Weyl image at a time
+    # the W-images of the one cofactor kept, against the cofactors as
+    # multiplied out one Weyl image at a time
     rs = build_root_system(entry.n)
     label = KLabel.from_entry(entry, l, sigma)
-    pieces = Pieces(label, rs, eps(0, entry.n))
-    groups, lcm = _per_image_atoms(label, rs, eps(0, entry.n))
+    direction = eps(0, entry.n)
+    pieces = Pieces(label, rs, direction)
+    _, lcm = _per_image_atoms(label, rs, direction)
     assert Counter(pieces.atoms) == lcm
-    assert pieces.cofs == {
-        eta: atom_product(pre_w, nums + list((lcm - Counter(dens)).elements()), pieces.width)
-        for eta, (pre_w, nums, dens) in groups.items()}
+    assert (_cofactor_images(pieces, direction)
+            == _per_image_cofactors(label, rs, direction, pieces.width))
 
 
 @pytest.mark.parametrize("entry,n,bound", [(AI1, 1, 8), (AIV2, 1, 6), (AIIIB2, 2, 4)])
