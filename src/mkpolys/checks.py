@@ -6,6 +6,14 @@ them.  A check names its `verify` suite, the claim its rows print
 plain data, and the function that decides one case at series precision
 M.  Families and rank-one modules are built once, on first use, and
 shared for the life of the process; importing this module builds nothing.
+
+Every family a row reads comes from `family`, built with the eigen
+self-check, and the orthogonality, bar, soundness and connection rows all
+take the same arguments (tag, n, m, sigma, bound, l).  A family whose
+self-check raises is not cached, so each row that reads it fails with the
+message as its "error" and the other rows are unaffected.  Gram matrices
+come from mkengine.gram_matrix, which keeps one expansion of each weight
+and every pair it has computed.
 """
 
 from __future__ import annotations
@@ -23,11 +31,10 @@ from .mkengine import (
     connection_coeffs,
     dual_path_agree,
     eigenvalue_identity_check,
-    gram_matrix,
     verify_orthogonality,
 )
 from .qsp1 import aiiia_parameter, build_rank1, chain_res, fundamental_res, solve_spherical
-from .roots import build_root_system, dominant_weights_upto, satake_catalog
+from .roots import build_root_system, satake_catalog
 from .scalars import SC_ONE
 from .weights import KLabel, koornwinder_weight, poch_to_gaelem, shift_factor, shifted_weight
 
@@ -58,10 +65,11 @@ class Check:
 
 
 @lru_cache(maxsize=None)
-def family(tag: str, n: int, m: int, l: int, bound: int) -> dict:
+def family(tag: str, n: int, m: int, sigma, l: int, bound: int) -> dict:
     """The operator-exact level-l family through bound, built once per
-    process; callers must not modify it."""
-    return build_family(satake_catalog(tag, n, m), l, bound)
+    process with the eigen self-check (ValueError if it fails); callers
+    must not modify it."""
+    return build_family(satake_catalog(tag, n, m), l, bound, sigma, verify=True)
 
 
 def _weight_shift(M, tag, n, m, sigma, l):
@@ -71,10 +79,10 @@ def _weight_shift(M, tag, n, m, sigma, l):
     return lhs == koornwinder_weight(KLabel.from_entry(entry, l, sigma), rs)
 
 
-def _orthogonality(M, tag, n, m, bound, l):
-    fam = family(tag, n, m, l, bound)
+def _orthogonality(M, tag, n, m, sigma, bound, l):
+    fam = family(tag, n, m, sigma, l, bound)
     return len(fam) >= 4 and verify_orthogonality(
-        fam, satake_catalog(tag, n, m), l, M)["pass"]
+        fam, satake_catalog(tag, n, m), l, M, sigma)["pass"]
 
 
 def _squares_to_factor(mod, entry, l, sigma):
@@ -103,46 +111,37 @@ def _rank1_aiv(M, n, sigma, l):
             and _squares_to_factor(mod, entry, -l, sigma)[1])
 
 
-def _bar(M, tag, n, bound, l):
-    fam = family(tag, n, 0, l, bound)
+def _bar(M, tag, n, m, sigma, bound, l):
+    fam = family(tag, n, m, sigma, l, bound)
     return len(fam) >= 4 and all(check_bar_invariance(P) for P in fam.values())
 
 
 def _eigenvalue(M, tag, n, ambient_lams, bound):
-    rep = eigenvalue_identity_check(satake_catalog(tag, n), tag, ambient_lams,
-                                    bound=bound, shifts=(1, 2))
+    rep = eigenvalue_identity_check(satake_catalog(tag, n), tag, ambient_lams, bound=bound)
     return rep["pass"] and rep["N"] == 1
 
 
-def _connection(M, tag, m, bound, l):
-    fam, nxt = family(tag, 1, m, l, bound), family(tag, 1, m, l + 1, bound)
+def _connection(M, tag, n, m, sigma, bound, l):
+    fam, nxt = family(tag, n, m, sigma, l, bound), family(tag, n, m, sigma, l + 1, bound)
     for lam in ((2,), (4,), (6,)):
         d = connection_coeffs(fam, nxt, lam)
-        rebuilt = GAElem(1)
+        rebuilt = GAElem(n)
         for mu, c in d.items():
-            rebuilt = rebuilt + nxt[mu].as_gaelem(1).scale(c)
+            rebuilt = rebuilt + nxt[mu].as_gaelem(n).scale(c)
         if (set(d) != {lam, (lam[0] - 2,)} or d[lam] != SC_ONE
-                or rebuilt != fam[lam].as_gaelem(1)):
+                or rebuilt != fam[lam].as_gaelem(n)):
             return False
     return True
 
 
-def _soundness(M, tag, n, m, bound, l, selfcheck_bound):
-    """The eigen self-check (build_family with verify=True) through
-    selfcheck_bound, if any, then the operator-exact and the truncated
-    Gram constructions compared mod v^(M+1) through bound."""
+def _soundness(M, tag, n, m, sigma, bound, l):
+    """The self-checked operator-exact family and the truncated Gram
+    construction compared mod v^(M+1) through bound."""
+    fam = family(tag, n, m, sigma, l, bound)
     entry = satake_catalog(tag, n, m)
-    if selfcheck_bound is not None:
-        try:
-            fam = build_family(entry, l, selfcheck_bound, verify=True)
-        except ValueError:
-            return False
-    if selfcheck_bound != bound:
-        fam = family(tag, n, m, l, bound)
-    basis = dominant_weights_upto(entry.n, bound)
-    G = gram_matrix(entry, l, basis, M)
-    return all(dual_path_agree(fam[lam], build_polynomial_gs(entry, l, lam, M, gram=G), M)
-               for lam in basis)
+    # the widest weight first, so that gram_matrix expands W_l once
+    return all(dual_path_agree(P, build_polynomial_gs(entry, l, lam, M, sigma), M)
+               for lam, P in reversed(fam.items()))
 
 
 CHECKS = (
@@ -160,7 +159,7 @@ CHECKS = (
           _weight_shift),
     Check("orthogonality",
           "off-diagonal pair constant terms vanish mod v^{order}",
-          tuple(("orthogonality %s l=%d" % (name, l), (tag, n, m, bound, l))
+          tuple(("orthogonality %s l=%d" % (name, l), (tag, n, m, S0, bound, l))
                 for name, tag, n, m, bound in (("AI1 n=1", "AI1", 1, 0, 8),
                                                ("AIVm m=2 n=1", "AIVm", 1, 2, 6),
                                                ("AIIIb n=2", "AIIIb", 2, 0, 6))
@@ -179,7 +178,7 @@ CHECKS = (
           _rank1_aiv),
     Check("bar",
           "all coefficients fixed by v -> 1/v",
-          tuple(("bar %s l=%d" % (tag, l), (tag, n, bound, l))
+          tuple(("bar %s l=%d" % (tag, l), (tag, n, 0, S0, bound, l))
                 for tag, n, bound in (("AI1", 1, 8), ("AIIIb", 2, 6)) for l in (0, 1, 2)),
           _bar),
     Check("eigenvalue",
@@ -192,20 +191,19 @@ CHECKS = (
     Check("connection",
           "expansion in the next level has exactly two terms with unit leading "
           "coefficient",
-          tuple(("connection %s l=%d" % (name, l), (tag, m, 8, l))
+          tuple(("connection %s l=%d" % (name, l), (tag, 1, m, S0, 8, l))
                 for name, tag, m in (("AI1", "AI1", 0), ("AIV2", "AIVm", 2))
                 for l in (0, 1)),
           _connection),
     Check("soundness",
           "triangular eigen-solve and truncated Gram path agree mod v^{order}",
-          tuple(("soundness %s l=%d" % (tag, l),
-                 (tag, n, m, bound, l, selfcheck if l < 2 else None))
-                for tag, n, m, bound, selfcheck, levels in (
-                    ("AI1", 1, 0, 8, 6, (0, 1, 2)),
-                    ("AIVm", 1, 2, 6, 4, (0, 1, 2)),
-                    ("AIIIb", 2, 0, 4, 4, (0, 1, 2)),
-                    ("CI", 2, 0, 4, None, (0, 1)),
-                    ("EVII", 3, 0, 4, 4, (0,)))
+          tuple(("soundness %s l=%d" % (tag, l), (tag, n, m, S0, bound, l))
+                for tag, n, m, bound, levels in (
+                    ("AI1", 1, 0, 8, (0, 1, 2)),
+                    ("AIVm", 1, 2, 6, (0, 1, 2)),
+                    ("AIIIb", 2, 0, 4, (0, 1, 2)),
+                    ("CI", 2, 0, 4, (0, 1)),
+                    ("EVII", 3, 0, 4, (0,)))
                 for l in levels),
           _soundness),
 )

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .checks import SUITES, cases
 from .mkengine import build_family, build_polynomial
 from .roots import FAMILIES, build_root_system, catalog_json, is_dominant, satake_catalog
+from .scalars import DEFAULT_PRECISION
 from .weights import KLabel
 
 
@@ -71,7 +72,7 @@ def make_parser():
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES + ("all",))
-    v.add_argument("--precision", type=_int_at_least(0), default=40)
+    v.add_argument("--precision", type=_int_at_least(0), default=DEFAULT_PRECISION)
     v.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
     g = sub.add_parser("catalog", help="dump the family catalog")

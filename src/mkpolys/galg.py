@@ -8,7 +8,6 @@ also runs on elements whose coefficients are ints (v evaluated at 2^B).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from math import factorial, prod
 
@@ -151,13 +150,6 @@ class GAElem:
         """(weight, coeff) maximal in the (coordinate sum, lex) extension."""
         w = max(self.terms, key=lambda t: (sum(t), t))
         return w, self.terms[w]
-
-    def to_json(self) -> str:
-        rows = [
-            {"w": list(w), "c": str(c)}
-            for w, c in sorted(self.terms.items())
-        ]
-        return json.dumps({"rank": self.rank, "terms": rows})
 
     def __repr__(self):
         if not self.terms:

@@ -33,7 +33,8 @@ from .roots import (
     weyl_group,
 )
 from .qdiff import Pieces, clear_denominators
-from .scalars import SC_ONE, SC_ZERO, Scalar, TruncSeries, p_from_int, p_to_int, scalar_to_series
+from .scalars import (DEFAULT_PRECISION, SC_ONE, SC_ZERO, Scalar, TruncSeries, p_from_int, p_to_int,
+                      scalar_to_series)
 from .weights import InnerProductEngine, KLabel, int_reslot, l1_norm, shifted_weight
 
 
@@ -252,35 +253,48 @@ def build_family(entry: SatakeEntry, l: int, bound: int,
 # (oracle path)
 # ---------------------------------------------------------------------------
 
-def gram_matrix(entry: SatakeEntry, l: int, basis, M: int = 40,
+_GRAM = {}
+
+
+def gram_matrix(entry: SatakeEntry, l: int, basis, M: int = DEFAULT_PRECISION,
                 sigma=Fraction(0)) -> dict:
     """G[(mu, nu)] = ct(m_mu bar(m_nu) W_l) mod v^(M+1) for mu, nu in
-    basis: the constant-term pairing of orbit sums, symmetric, with each
-    unordered pair computed once over the window +-2 * span(basis)."""
-    rs = build_root_system(entry.n)
-    label0 = KLabel.from_entry(entry, 0, sigma)
-    span = max((sum(abs(c) for c in w) for w in basis), default=0)
-    window = ([-2 * span] * entry.n, [2 * span] * entry.n)
-    engine = InnerProductEngine(shifted_weight(label0, entry, l, rs, sigma), M, window)
+    basis: the constant-term pairing of orbit sums, symmetric, as a fresh
+    dict.
+
+    Each (entry, l, sigma, M) keeps, for the life of the process, one
+    expansion of W_l and every pair computed so far.  A pair of weights of
+    l1 norm at most s reads the expansion at weights within +-2s, where an
+    expansion over that window is exact, so the weight is expanded again
+    only for a basis wider than the held window, and held pairs stay valid.
+    """
+    key = (entry, l, sigma, M)
+    span = max((sum(map(abs, w)) for w in basis), default=0)
+    held_span, engine, pairs = _GRAM.get(key, (-1, None, {}))
+    if span > held_span:
+        rs = build_root_system(entry.n)
+        W = shifted_weight(KLabel.from_entry(entry, 0, sigma), entry, l, rs, sigma)
+        engine = InnerProductEngine(W, M, ([-2 * span] * entry.n, [2 * span] * entry.n))
+        _GRAM[key] = span, engine, pairs
     mons = [(mu, orbit_sum(mu, entry.n)) for mu in basis]
     G = {}
     for i, (mu, m_mu) in enumerate(mons):
         for nu, m_nu in mons[: i + 1]:
-            G[(mu, nu)] = G[(nu, mu)] = engine.ct_pair(m_mu, m_nu)
+            if (mu, nu) not in pairs:
+                pairs[(mu, nu)] = pairs[(nu, mu)] = engine.ct_pair(m_mu, m_nu)
+            G[(mu, nu)] = G[(nu, mu)] = pairs[(mu, nu)]
     return G
 
 
 def build_polynomial_gs(entry: SatakeEntry, l: int, lam: Weight,
-                        M: int = 40, sigma=Fraction(0), gram=None):
+                        M: int = DEFAULT_PRECISION, sigma=Fraction(0)):
     """Truncated coefficients from the orthogonality characterization:
-    solve ct(P bar(m_mu) W) = 0 mod v^(M+1) for all mu below lam.
-
-    gram is a Gram matrix from gram_matrix over a basis holding every
-    weight below lam; it is built when absent.  Returns a dict weight ->
-    TruncSeries including the unit leading coefficient.
+    solve ct(P bar(m_mu) W) = 0 mod v^(M+1) for all mu below lam, from
+    gram_matrix over those weights.  Returns a dict weight -> TruncSeries
+    including the unit leading coefficient.
     """
     below = dominant_weights_below(lam)
-    G = gram if gram is not None else gram_matrix(entry, l, below, M, sigma)
+    G = gram_matrix(entry, l, below, M, sigma)
     lower = below[:-1]
     rows = [[G[(mu, nu)] for mu in lower] for nu in lower]
     rhs = [-G[(lam, nu)] for nu in lower]
@@ -337,7 +351,7 @@ def dual_path_agree(poly: MKPolynomial, gs_coeffs: dict, M: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def verify_orthogonality(family: dict, entry: SatakeEntry, l: int,
-                         M: int = 40, sigma=Fraction(0)):
+                         M: int = DEFAULT_PRECISION, sigma=Fraction(0)):
     """Pairwise constant terms ct(P bar(P') W_l) = c^T G c', from one Gram
     matrix of orbit sums and each coefficient expanded to a series once;
     off-diagonal entries must vanish mod v^(M+1), each row reporting the
@@ -444,11 +458,10 @@ def _closed_form_eigenvalue(lam: Weight, rho, center, b: int, mult: int) -> Scal
     return acc * Scalar.v_pow(int(center))
 
 
-def eigenvalue_closed_form_check(action: OperatorAction, pinned=None) -> bool:
+def eigenvalue_closed_form_check(action: OperatorAction, pinned) -> bool:
     """Every diagonal entry equals the exponential Weyl sum at lam + rho
-    minus its value at rho, times a fixed monomial."""
-    if pinned is None:
-        pinned = pin_rho(action)
+    minus its value at rho, times a fixed monomial; pinned is the
+    (rho, center) of pin_rho."""
     rho, center = pinned
     n = len(rho)
     b = action.label.base_exp
@@ -463,13 +476,16 @@ def eigenvalue_closed_form_check(action: OperatorAction, pinned=None) -> bool:
     return True
 
 
+SHIFT_LEVELS = (1, 2)
+
+
 def eigenvalue_identity_check(entry: SatakeEntry, ambient_tag: str,
-                              ambient_lams, bound: int = 6,
-                              shifts=(1, 2)) -> dict:
+                              ambient_lams, bound: int = 6) -> dict:
     """The central-character identity: the ambient Weyl sum of
     q^((w mu, lam + rho)) equals N times the restricted Weyl sum of
     B^((w mu~, lam~ + rho')) with rho' pinned from the operator, plus the
-    level-shift law rho'(l) = rho'(0) + (|l|/2)(1,...,1).
+    level-shift law rho'(l) = rho'(0) + (|l|/2)(1,...,1) at each level of
+    SHIFT_LEVELS.
     """
     if not entry.reduced:
         raise ValueError("identity requires a reduced entry")
@@ -517,7 +533,7 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_tag: str,
             report["pass"] = False
 
     report["shift_law"] = []
-    for l in shifts:
+    for l in SHIFT_LEVELS:
         label_l = KLabel.from_entry(entry, l)
         act_l = operator_action(label_l, rs, basis)
         rho_l, center_l = pin_rho(act_l)

@@ -11,7 +11,6 @@ weight and its level-shift factor an identity of multisets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -193,20 +192,6 @@ class PochProduct:
     def symbols(self):
         """Canonical sorted list of (sign, v_exp, weight, base_exp, mult)."""
         return sorted((k + (m,)) for k, m in self.factors.items())
-
-    def to_json(self) -> str:
-        rows = [
-            {
-                "sign": s, "v_exp": c, "weight": list(w),
-                "base_exp": b, "length": "inf", "mult": m,
-            }
-            for (s, c, w, b, m) in self.symbols()
-        ]
-        return json.dumps({
-            "rank": self.rank,
-            "prefactor": json.loads(self.prefactor.to_json()),
-            "symbols": rows,
-        })
 
     def __repr__(self):
         bits = []
@@ -577,28 +562,19 @@ def poch_to_gaelem(P: PochProduct) -> GAElem:
 # ---------------------------------------------------------------------------
 
 class InnerProductEngine:
-    """Caches the expansion of a weight over a fixed window."""
+    """The expansion of a weight over a window, and the pairing it gives."""
 
-    def __init__(self, W: PochProduct, M=DEFAULT_PRECISION, window=None):
-        self.W = W
+    def __init__(self, W: PochProduct, M: int, window):
         self.M = M
-        self.rank = W.rank
-        self.window = window or ([0] * self.rank, [0] * self.rank)
-        self._exp = None
-
-    def _expansion(self):
-        if self._exp is None:
-            self._exp = expand(self.W, self.M, self.window)
-        return self._exp
+        self.exp = expand(W, M, window)
 
     def ct_pair(self, f: GAElem, g: GAElem) -> TruncSeries:
-        """ct(f bar(g) W) as a truncated series."""
+        """ct(f bar(g) W) as a truncated series; exact when every weight of
+        f bar(g), negated, lies in the window."""
         h = f * g.bar()
-        exp = self._expansion()
         acc = TruncSeries.zero(self.M)
         for w, c in h.terms.items():
-            target = wneg(w)
-            ser = exp.coeff(target)
+            ser = self.exp.coeff(wneg(w))
             if not ser.is_zero():
                 acc = acc + scalar_to_series(c, self.M) * ser
         return acc

@@ -16,3 +16,32 @@ CASES = cases()
 def test_check(check, case):
     row = check.row(case, M)
     assert row["pass"], row
+
+
+def test_a_failing_self_check_fails_exactly_the_rows_reading_its_family(monkeypatch):
+    # a wrong off-diagonal operator entry for AIIIb n=2 at level 1 makes the
+    # triangular solve wrong, which only the eigen self-check can see
+    from mkpolys import checks, mkengine
+    from mkpolys.scalars import SC_ONE
+    from mkpolys.weights import KLabel
+
+    target = KLabel.from_entry(checks.satake_catalog("AIIIb", 2), 1)
+    real = mkengine.operator_action
+
+    def faulty(label, rs, basis):
+        action = real(label, rs, basis)
+        if label == target:
+            key = ((0, 0), (2, 0))
+            action.matrix[key] = action.matrix.get(key, SC_ONE) + SC_ONE
+        return action
+
+    monkeypatch.setattr(mkengine, "operator_action", faulty)
+    # the rows must build under the fault; a family whose build raises is
+    # not cached, and every other one is built right
+    checks.family.cache_clear()
+    rows = [check.row(case, M) for check, case in CASES]
+    failed = {r["id"]: r for r in rows if not r["pass"]}
+    assert sorted(failed) == ["bar AIIIb l=1", "orthogonality AIIIb n=2 l=1",
+                              "soundness AIIIb l=1"]
+    assert all(r["error"].startswith("eigenfunction check failed") for r in failed.values())
+    assert all("error" not in r for r in rows if r["pass"])

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -184,11 +183,3 @@ def test_divexact_rank_two_non_divisible_stops_at_once(monkeypatch):
     with pytest.raises(ValueError, match="not divisible"):
         ga_divexact(h, g)
     assert divisions == []
-
-
-def test_serialization_sorted_and_stable():
-    f = mono(2, (2, 0)) + mono(2, (-2, 0), Scalar.v_pow(-1))
-    blob = json.loads(f.to_json())
-    assert blob["rank"] == 2
-    assert blob["terms"][0]["w"] == [-2, 0]
-    assert f.to_json() == f.to_json()

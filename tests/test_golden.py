@@ -9,6 +9,13 @@ engine before the operator divided its inputs as one batch.  A change to
 the arithmetic that alters any coefficient, its canonical form or its
 printed form fails here.
 
+golden_verify.json is what `mkpolys verify all --format json` printed
+before the check registry keyed every family by (tag, n, m, sigma, l,
+bound): each row's id, claim, verdict and shown text, so a change to the
+registry cannot drop, rename or reword a row unnoticed.  Regenerate it with
+
+    PYTHONPATH=src python3 -m mkpolys.cli verify all --format json > tests/golden_verify.json
+
 golden_series.json does the same for the series ring, from digests made
 before the integer series kernel replaced the Fraction one: per case, the
 SHA-256 of str() of every `build_polynomial_gs` series with its precision,
@@ -32,7 +39,6 @@ from mkpolys import (
     build_family,
     build_polynomial_gs,
     cli,
-    gram_matrix,
     satake_catalog,
     verify_orthogonality,
 )
@@ -40,6 +46,7 @@ from mkpolys import (
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_compute.json")
 GOLDEN_SERIES = os.path.join(HERE, "golden_series.json")
+GOLDEN_VERIFY = os.path.join(HERE, "golden_verify.json")
 
 CASES = (
     ["--family", "AI1", "--level", "0", "--bound", "8"],
@@ -80,11 +87,9 @@ def series(case):
     entry = satake_catalog(family, n, m)
     sigma = Fraction(sigma)
     fam = build_family(entry, level, bound, sigma)
-    basis = sorted(fam, key=lambda w: (sum(w), w))
-    G = gram_matrix(entry, level, basis, SERIES_M, sigma)
     lines = []
-    for lam in basis:
-        gs = build_polynomial_gs(entry, level, lam, SERIES_M, sigma, gram=G)
+    for lam in sorted(fam, key=lambda w: (sum(w), w)):
+        gs = build_polynomial_gs(entry, level, lam, SERIES_M, sigma)
         for mu, ser in sorted(gs.items()):
             lines.append("%s %s %d %s" % (list(lam), list(mu), ser.precision, ser))
     report = verify_orthogonality(fam, entry, level, SERIES_M, sigma)
@@ -92,12 +97,18 @@ def series(case):
             "orthogonality": sha256(json.dumps(report["pairs"]))}
 
 
-def compute(args):
-    """Exit code and SHA-256 of the stdout of `mkpolys compute ARGS --format json`."""
+def run_cli(args):
+    """Exit code and stdout of `mkpolys ARGS`."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main(["compute"] + list(args) + ["--format", "json"])
-    return {"exit": code, "sha256": sha256(buf.getvalue())}
+        code = cli.main(list(args))
+    return code, buf.getvalue()
+
+
+def compute(args):
+    """Exit code and SHA-256 of the stdout of `mkpolys compute ARGS --format json`."""
+    code, out = run_cli(["compute"] + list(args) + ["--format", "json"])
+    return {"exit": code, "sha256": sha256(out)}
 
 
 def load(path=GOLDEN):
@@ -121,6 +132,13 @@ def test_every_series_case_is_pinned():
 @pytest.mark.parametrize("case", SERIES_CASES, ids=series_case_id)
 def test_series_results_are_byte_identical(case):
     assert series(case) == load(GOLDEN_SERIES)[series_case_id(case)]
+
+
+def test_verify_rows_are_byte_identical():
+    code, out = run_cli(["verify", "all", "--format", "json"])
+    with open(GOLDEN_VERIFY) as fh:
+        assert out == fh.read()
+    assert code == 0
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mkpolys import mkengine, weights
 from mkpolys.galg import GAElem, orbit_sum
 from mkpolys.mkengine import (
     apply_qdiff,
@@ -332,7 +333,8 @@ def test_gram_path_and_dual_agreement():
     assert list(gs0) == [(0,)]
 
 
-def test_gram_path_orthogonality_postcondition():
+def test_gram_path_orthogonality_postcondition(monkeypatch):
+    monkeypatch.setattr(mkengine, "_GRAM", {})
     lam = (4,)
     M = 30
     gs = build_polynomial_gs(AIV2, 1, lam, M=M)
@@ -344,12 +346,15 @@ def test_gram_path_orthogonality_postcondition():
             term = cs * G[(nu, mu)]
             acc = term if acc is None else acc + term
         assert acc.is_zero()
-    # the same solve from a Gram matrix over a larger basis
-    G8 = gram_matrix(AIV2, 1, dominant_weights_upto(1, 8), M)
-    assert build_polynomial_gs(AIV2, 1, lam, M, gram=G8) == gs
+    # the same solve from a Gram matrix over a larger basis: on an empty
+    # memo, every pair the solve reads comes from the bound-8 window
+    monkeypatch.setattr(mkengine, "_GRAM", {})
+    gram_matrix(AIV2, 1, dominant_weights_upto(1, 8), M)
+    assert build_polynomial_gs(AIV2, 1, lam, M) == gs
 
 
-def test_gram_matrix_is_the_orbit_sum_pairing():
+def test_gram_matrix_is_the_orbit_sum_pairing(monkeypatch):
+    monkeypatch.setattr(mkengine, "_GRAM", {})
     basis = dominant_weights_upto(1, 6)
     G = gram_matrix(AI1, 1, basis, 20)
     assert set(G) == {(mu, nu) for mu in basis for nu in basis}
@@ -358,6 +363,53 @@ def test_gram_matrix_is_the_orbit_sum_pairing():
         for nu in basis:
             assert G[(mu, nu)] is G[(nu, mu)]
             assert G[(mu, nu)] == eng.ct_pair(orbit_sum(mu, 1), orbit_sum(nu, 1))
+
+
+@pytest.mark.parametrize("first,second", [(6, 4), (4, 6)], ids=["wide-first", "narrow-first"])
+def test_gram_memo_matches_a_fresh_pairing(monkeypatch, first, second):
+    # the held pairs and the held window serve both orders of request
+    monkeypatch.setattr(mkengine, "_GRAM", {})
+    for entry, n in ((AIV2, 1), (AIIIB2, 2)):
+        gram_matrix(entry, 1, dominant_weights_upto(n, first), 20)
+        basis = dominant_weights_upto(n, second)
+        G = gram_matrix(entry, 1, basis, 20)
+        eng = _engine(entry, 1, 20, second)
+        assert set(G) == {(mu, nu) for mu in basis for nu in basis}
+        for mu in basis:
+            for nu in basis:
+                assert G[(mu, nu)] == eng.ct_pair(orbit_sum(mu, n), orbit_sum(nu, n))
+
+
+def test_gram_memo_expands_each_weight_once(monkeypatch):
+    monkeypatch.setattr(mkengine, "_GRAM", {})
+    calls = []
+    real = weights.expand
+
+    def counted(P, M, window):
+        calls.append(window)
+        return real(P, M, window)
+
+    monkeypatch.setattr(weights, "expand", counted)
+    for level in (0, 1, 2):
+        fam = build_family(AI1, level, 10)
+        assert verify_orthogonality(fam, AI1, level, 40)["pass"]
+        assert all(dual_path_agree(P, build_polynomial_gs(AI1, level, lam, 40), 40)
+                   for lam, P in fam.items())
+        assert len(calls) == level + 1
+    assert calls == [([-20], [20])] * 3
+
+
+def test_a_returned_gram_is_the_callers_own(monkeypatch):
+    monkeypatch.setattr(mkengine, "_GRAM", {})
+    basis = dominant_weights_upto(1, 4)
+    G = gram_matrix(AI1, 0, basis, 12)
+    want = dict(G)
+    G[((0,), (0,))] = G[((2,), (2,))]
+    del G[((4,), (2,))]
+    G.clear()
+    assert gram_matrix(AI1, 0, basis, 12) == want
+    assert gram_matrix(AI1, 0, basis[:2], 12) == {
+        k: x for k, x in want.items() if (4,) not in k}
 
 
 def test_dual_agreement_needs_the_requested_precision():
@@ -481,7 +533,7 @@ def test_self_adjointness_mod_precision():
 def test_eigenvalue_identity_reports():
     rep = eigenvalue_identity_check(
         AI1, "AI1", [(Fraction(0),), (Fraction(2),), (Fraction(4),), (Fraction(6),)],
-        bound=6, shifts=(1, 2))
+        bound=6)
     assert rep["pass"] and rep["N"] == 1
     assert rep["rho_restricted"] == ["1/2"]
     with pytest.raises(ValueError, match="reduced"):
