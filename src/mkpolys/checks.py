@@ -10,8 +10,8 @@ shared for the life of the process; importing this module builds nothing.
 Every family a row reads comes from `family`, built with the eigen
 self-check, and the orthogonality, bar, soundness and connection rows all
 take the same arguments (tag, n, m, sigma, bound, l).  A family whose
-self-check raises is not cached, so each row that reads it fails with the
-message as its "error" and the other rows are unaffected.  Gram matrices
+self-check raises is built once too, and each row that reads it fails
+with the message as its "error"; the other rows are unaffected.  Gram matrices
 come from mkengine.gram_matrix, which keeps one expansion of each weight
 and every pair it has computed.
 """
@@ -64,12 +64,22 @@ class Check:
         return out
 
 
-@lru_cache(maxsize=None)
+_FAMILIES = {}
+
+
 def family(tag: str, n: int, m: int, sigma, l: int, bound: int) -> dict:
     """The operator-exact level-l family through bound, built once per
-    process with the eigen self-check (ValueError if it fails); callers
-    must not modify it."""
-    return build_family(satake_catalog(tag, n, m), l, bound, sigma, verify=True)
+    process with the eigen self-check; callers must not modify it.  A
+    failed build is kept as its message, raised again on every call."""
+    key = (tag, n, m, sigma, l, bound)
+    if key not in _FAMILIES:
+        try:
+            _FAMILIES[key] = build_family(satake_catalog(tag, n, m), l, bound, sigma, verify=True)
+        except ValueError as exc:
+            _FAMILIES[key] = str(exc)
+    if isinstance(_FAMILIES[key], str):
+        raise ValueError(_FAMILIES[key])
+    return _FAMILIES[key]
 
 
 def _weight_shift(M, tag, n, m, sigma, l):

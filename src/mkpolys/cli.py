@@ -13,8 +13,9 @@ import sys
 from fractions import Fraction
 
 from .checks import SUITES, cases
-from .mkengine import build_family, build_polynomial
-from .roots import FAMILIES, build_root_system, catalog_json, is_dominant, satake_catalog
+from .mkengine import build_polynomial
+from .roots import (FAMILIES, build_root_system, catalog_json, dominant_weights_upto, is_dominant,
+                    satake_catalog)
 from .scalars import DEFAULT_PRECISION
 from .weights import KLabel
 
@@ -115,16 +116,13 @@ def cmd_compute(args) -> int:
     if lam is not None and sum(lam) > args.bound:
         return _usage_error("--lambda %s has coordinate sum above --bound %d"
                             % (list(lam), args.bound))
+    lams = dominant_weights_upto(entry.n, args.bound) if lam is None else [lam]
     try:
-        if lam is None:
-            fam = build_family(entry, args.level, args.bound, args.sigma)
-        else:                   # only the weights below lam
-            fam = build_polynomial(label, [lam], build_root_system(entry.n),
-                                   level=args.level, verify=False)
+        fam = build_polynomial(label, lams, build_root_system(entry.n),
+                               level=args.level, verify=False)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    lams = sorted(fam, key=lambda w: (sum(w), w)) if lam is None else [lam]
     if args.format == "json":
         for lam in lams:
             print(fam[lam].to_json())

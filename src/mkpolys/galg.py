@@ -15,7 +15,6 @@ from .roots import (
     Weight,
     dot4,
     is_dominant,
-    weyl_apply,
     weyl_group,  # noqa: F401 -- the perfbench tests read galg.weyl_group
     weyl_orbit,
     wneg,
@@ -52,9 +51,6 @@ class GAElem:
     @staticmethod
     def monomial(rank: int, w: Weight, c=SC_ONE) -> "GAElem":
         return GAElem(rank, {tuple(w): Scalar.of(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         return (
@@ -129,11 +125,6 @@ class GAElem:
         out.terms = {wneg(w): c for w, c in self.terms.items()}
         return out
 
-    def w_apply(self, w) -> "GAElem":
-        out = GAElem(self.rank)
-        out.terms = {weyl_apply(w, wt): c for wt, c in self.terms.items()}
-        return out
-
     def translate(self, mu: Weight, scale: int) -> "GAElem":
         """Scale each e^w by v^(scale * (mu, w)); exponents must be integral."""
         out = GAElem(self.rank)
@@ -168,28 +159,21 @@ def orbit_sum(lam: Weight, n: int) -> GAElem:
 
 
 def m_basis(f: GAElem) -> dict:
-    """Coordinates of an invariant element in the orbit-sum basis."""
-    rem = f
-    out = {}
-    while not rem.is_zero():
-        dom = [w for w in rem.terms if is_dominant(w)]
-        if not dom:
-            raise ValueError("element is not Weyl invariant")
-        lam = max(dom, key=lambda t: (sum(t), t))
-        c = rem.terms[lam]
-        out[lam] = c
-        rem = rem - orbit_sum(lam, f.rank).scale(c)
-    return out
+    """Coordinates of an invariant element in the orbit-sum basis: its
+    dominant terms, once require_invariant has passed."""
+    require_invariant(f.terms, "element")
+    return {w: c for w, c in f.terms.items() if is_dominant(w)}
 
 
-def require_invariant(f: GAElem, name: str):
-    """ValueError naming f unless f is Weyl invariant, in O(terms): per
-    dominant weight d, the terms in its orbit whose coefficient is the one
-    at d must number the orbit's size, n! / prod(mult!) * 2^(nonzero entries)."""
+def require_invariant(terms: dict, name: str):
+    """ValueError naming the element {weight: nonzero coefficient} unless
+    it is Weyl invariant, in O(terms): per dominant weight d, the terms in
+    its orbit whose coefficient is the one at d must number the orbit's
+    size, n! / prod(mult!) * 2^(nonzero entries)."""
     count = Counter()
-    for w, c in f.terms.items():
+    for w, c in terms.items():
         d = tuple(sorted(map(abs, w), reverse=True))
-        count[d] += c == f.terms.get(d, 0)
+        count[d] += c == terms.get(d, 0)
     for d, k in count.items():
         size = factorial(len(d)) // prod(map(factorial, Counter(d).values())) << sum(map(bool, d))
         if k != size:
@@ -197,9 +181,25 @@ def require_invariant(f: GAElem, name: str):
 
 
 def from_m_basis(coeffs: dict, n: int) -> GAElem:
+    """sum_lam c_lam * m_lam over a map {dominant weight: coefficient};
+    distinct dominant weights have disjoint orbits, so no terms add up."""
     out = GAElem(n)
     for lam, c in coeffs.items():
-        out = out + orbit_sum(lam, n).scale(c)
+        c = Scalar.of(c)
+        if c:
+            out.terms.update(dict.fromkeys(orbit_sum(lam, n).terms, c))
+    return out
+
+
+def chains(terms: dict, w: Weight) -> dict:
+    """terms split into chains along w (nonzero): x0 -> {j: terms[x0 + j*w]},
+    with the base x0 of each chain fixed by its first nonzero coordinate
+    along w."""
+    i = next(k for k, x in enumerate(w) if x)
+    out = {}
+    for x, c in terms.items():
+        j = x[i] // w[i]
+        out.setdefault(tuple(a - j * b for a, b in zip(x, w)), {})[j] = c
     return out
 
 
@@ -219,12 +219,6 @@ def ga_divexact(f: GAElem, g: GAElem) -> GAElem:
     if len(g.terms) != 2 or g.terms.get((0,) * g.rank) != 1:
         raise ValueError("divisor is not a binomial 1 + u*e^w")
     ((w, u),) = [(x, c) for x, c in g.terms.items() if any(x)]
-    i = next(k for k, x in enumerate(w) if x)
-    wi = w[i]
-    chains = {}
-    for x, c in f.terms.items():
-        j = x[i] // wi
-        chains.setdefault(tuple(a - j * b for a, b in zip(x, w)), {})[j] = c
     zero = u - u
     times_u = u.__mul__
     if type(u) is int and not abs(u) & (abs(u) - 1):
@@ -232,7 +226,7 @@ def ga_divexact(f: GAElem, g: GAElem) -> GAElem:
         k = abs(u).bit_length() - 1
         times_u = (lambda q: q << k) if u > 0 else (lambda q: -(q << k))
     quo = {}
-    for base, cs in chains.items():
+    for base, cs in chains(f.terms, w).items():
         j0, j1 = min(cs), max(cs)
         q = zero
         for j in range(j0, j1):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
 
-from .galg import GAElem, from_m_basis, ga_divexact, m_basis, orbit_sum, require_invariant
+from .galg import GAElem, from_m_basis, ga_divexact, orbit_sum, require_invariant
 from .roots import (
     D,
     RootSystem,
@@ -27,7 +27,7 @@ from .roots import (
     dominance_leq,
     dominant_weights_below,
     dominant_weights_upto,
-    eps,
+    is_dominant,
     wdiff,
     weyl_apply,
     weyl_group,
@@ -45,19 +45,19 @@ from .weights import InnerProductEngine, KLabel, int_reslot, l1_norm, shifted_we
 _QDIFF_CACHE = {}
 
 
-def _qdiff_pieces(label: KLabel, rs: RootSystem, direction: Weight) -> Pieces:
-    key = (label, rs.n, direction)
+def _qdiff_pieces(label: KLabel, rs: RootSystem) -> Pieces:
+    key = (label, rs.n)
     hit = _QDIFF_CACHE.get(key)
     if hit is None:
-        hit = _QDIFF_CACHE[key] = Pieces(label, rs, direction)
+        hit = _QDIFF_CACHE[key] = Pieces(label, rs)
     return hit
 
 
-def apply_qdiff(label: KLabel, direction: Weight, fs, rs: RootSystem) -> list:
-    """Apply the q-difference operator in the given minuscule-type
-    direction to each f of the list fs, as one batch; exact.  Each f must
-    be Weyl invariant: galg.require_invariant checks it in O(terms), and
-    its ValueError names the first input that is not.
+def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
+    """Apply the q-difference operator in the direction eps_1 to each f of
+    the list fs, as one batch; exact.  Each f, and each image returned, is
+    a Weyl-invariant element in orbit-sum coordinates: a map {dominant
+    weight: Scalar}.  A key that is not dominant raises.
 
     The operator is the difference form sum_w w(A * (T - 1) f): only the
     second-order normalization that kills the value at e^0 preserves
@@ -69,19 +69,21 @@ def apply_qdiff(label: KLabel, direction: Weight, fs, rs: RootSystem) -> list:
     Laurent coefficients; with v evaluated at 2^B (Kronecker substitution
     in v) each is one int times a power of v shared by the numerator.  As
     f is invariant, its numerator is sum_eta w_eta(G) for the one product
-    G = cof * (T_direction f - f) (see qdiff.Pieces), shifted into a band
-    of v-slots of its own; the sum of the bands is divided by each common
-    atom once (ga_divexact), read back, split by band and divided by each
-    L.  Pieces.slot_width gives B and the gap between bands, and proves
-    that the batch raises exactly when one of its inputs would alone.
+    G = cof * (T_eps_1 f - f) (see qdiff.Pieces), shifted into a band of
+    v-slots of its own; the sum of the bands is divided by each common
+    atom once (ga_divexact) and must be Weyl invariant: the bands sit in
+    disjoint slots, so equal ints mean equal values in every band.  Its
+    dominant weights are read back, split by band and divided by each L.
+    Pieces.slot_width gives B and the gap between bands, and proves that
+    the batch raises exactly when one of its inputs would alone.
     """
-    pieces = _qdiff_pieces(label, rs, direction)
-    b = label.base_exp
-    out = [GAElem(rs.n) for _ in fs]
+    pieces = _qdiff_pieces(label, rs)
+    direction, b = pieces.direction, label.base_exp
+    out = [{} for _ in fs]
     batch = []                  # (result, L, L * f) of each nonconstant f
-    for i, (res, f) in enumerate(zip(out, fs)):
-        require_invariant(f, "input %d" % i)
-        den, g = clear_denominators(f)
+    for res, f in zip(out, fs):
+        den, f = clear_denominators(f)
+        g = from_m_basis(f, rs.n)
         if any(map(any, g.terms)):  # else f is constant and its image zero
             batch.append((res, den, g))
     if not batch:
@@ -135,20 +137,21 @@ def apply_qdiff(label: KLabel, direction: Weight, fs, rs: RootSystem) -> list:
         raise ValueError("non-polynomial result")
     sign, C, W = pieces.monomial
     k = sign * pieces.stab
-    for w, z in num.terms.items():
-        w = wdiff(w, W)
-        for res, den, E, s, m in bands:
-            # the band's balanced digits; those below sum to under half of 2^s
-            z1 = ((z + (1 << s >> 1) >> s) + (m >> 1)) % m - (m >> 1)
-            if z1:
-                x = Scalar.laurent(E - C, [k * d for d in p_from_int(z1, B)])
-                res.terms[w] = x if den is None else x / den
+    quo = {wdiff(w, W): z for w, z in num.terms.items()}
+    require_invariant(quo, "the operator's image")
+    for w, z in quo.items():
+        if is_dominant(w):
+            for res, den, E, s, m in bands:
+                # the band's balanced digits; those below sum to under half of 2^s
+                z1 = ((z + (1 << s >> 1) >> s) + (m >> 1)) % m - (m >> 1)
+                if z1:
+                    x = Scalar.laurent(E - C, [k * d for d in p_from_int(z1, B)])
+                    res[w] = x if den is None else x / den
     return out
 
 
 @dataclass
 class OperatorAction:
-    direction: Weight
     label: KLabel
     basis: list                  # ordered dominant weights, (sum, lex)
     matrix: dict                 # (nu, mu) -> Scalar with nu <= mu
@@ -163,16 +166,14 @@ def operator_action(label: KLabel, rs: RootSystem, basis) -> OperatorAction:
     """Matrix of the operator in the direction eps_1 on the orbit-sum
     basis, from one batch; asserts dominance triangularity column by
     column."""
-    direction = eps(0, rs.n)
-    images = apply_qdiff(label, direction, [orbit_sum(mu, rs.n) for mu in basis], rs)
     matrix = {}
-    for mu, g in zip(basis, images):
-        for nu, c in m_basis(g).items():
+    for mu, img in zip(basis, apply_qdiff(label, [{mu: SC_ONE} for mu in basis], rs)):
+        for nu, c in img.items():
             if not dominance_leq(nu, mu):
                 raise ValueError("operator is not dominance triangular")
             matrix[(nu, mu)] = c
         matrix.setdefault((mu, mu), SC_ZERO)
-    return OperatorAction(direction, label, list(basis), matrix)
+    return OperatorAction(label, list(basis), matrix)
 
 
 @dataclass
@@ -200,15 +201,14 @@ class MKPolynomial:
         })
 
 
-def build_polynomial(label: KLabel, lams, rs: RootSystem,
-                     action: OperatorAction = None, level: int = 0,
+def build_polynomial(label: KLabel, lams, rs: RootSystem, level: int = 0,
                      verify: bool = True) -> dict:
     """Triangular eigenfunction solves, {lam: MKPolynomial} for each lam of
-    lams: unit leading coefficient, exact coefficients in Q(v).  The
-    self-check applies the operator to all of them as one batch."""
-    if action is None:
-        below = {mu for lam in lams for mu in dominant_weights_below(lam)}
-        action = operator_action(label, rs, sorted(below, key=lambda w: (sum(w), w)))
+    lams, from the operator on the weights below them: unit leading
+    coefficient, exact coefficients in Q(v).  The self-check applies the
+    operator to all of them as one batch."""
+    below = {mu for lam in lams for mu in dominant_weights_below(lam)}
+    action = operator_action(label, rs, sorted(below, key=lambda w: (sum(w), w)))
     M = action.matrix
     out = {}
     for lam in lams:
@@ -228,11 +228,12 @@ def build_polynomial(label: KLabel, lams, rs: RootSystem,
                 coeffs[kappa] = b
         out[lam] = MKPolynomial(lam, coeffs, label, level)
     if verify:
-        # the operator is Q(v)-linear: check it on each L * P, which has
-        # integer Laurent coefficients
-        gs = [clear_denominators(P.as_gaelem(rs.n))[1] for P in out.values()]
-        for lam, g, img in zip(out, gs, apply_qdiff(label, action.direction, gs, rs)):
-            if img != g.scale(action.eigenvalue(lam)):
+        # the operator is Q(v)-linear: check it on the coordinates of each
+        # L * P, which are integer Laurent polynomials
+        gs = [clear_denominators(P.coeffs)[1] for P in out.values()]
+        for lam, g, img in zip(out, gs, apply_qdiff(label, gs, rs)):
+            E = action.eigenvalue(lam)
+            if img != ({w: c * E for w, c in g.items()} if E else {}):
                 raise ValueError("eigenfunction check failed at %s" % (lam,))
     return out
 
@@ -241,11 +242,9 @@ def build_family(entry: SatakeEntry, l: int, bound: int,
                  sigma=Fraction(0), verify: bool = False):
     """Operator-exact polynomials for every dominant weight with
     coordinate sum <= bound, as a dict."""
-    rs = build_root_system(entry.n)
-    label = KLabel.from_entry(entry, l, sigma)
-    basis = dominant_weights_upto(entry.n, bound)
-    action = operator_action(label, rs, basis)
-    return build_polynomial(label, basis, rs, action, level=l, verify=verify)
+    return build_polynomial(KLabel.from_entry(entry, l, sigma),
+                            dominant_weights_upto(entry.n, bound),
+                            build_root_system(entry.n), level=l, verify=verify)
 
 
 # ---------------------------------------------------------------------------

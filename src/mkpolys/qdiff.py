@@ -3,9 +3,9 @@
 An integer polynomial a travels as one int, its value a(2^B) (Kronecker
 substitution in v, Harvey, JSC 2009; the kernel lives in scalars), and
 an integer Laurent polynomial as such an int times a power of v.  Pieces
-holds, per direction, the operator's cofactors multiplied out in that
-form, the common binomial atoms to divide by, and the proven bounds that
-give the slot widths.
+holds the operator's cofactor in the direction eps_1 multiplied out in
+that form, the common binomial atoms to divide by, and the proven bounds
+that give the slot widths.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from collections import Counter
 from math import gcd
 
 from .galg import GAElem
-from .roots import RootSystem, Weight, weyl_apply, weyl_group
+from .roots import RootSystem, eps, weyl_apply, weyl_group
 from .scalars import P_ONE, Scalar, byte_width, p_divexact, p_gcd, p_mul
 from .weights import KLabel, atom_product, half_density, l1_norm, ratio_atoms, split_atoms
 
 
 class Pieces:
-    """Per-direction coefficient data, in integer form.
+    """The operator's coefficient data in the direction eps_1, in integer
+    form.
 
     The coefficient at the image eta = w(direction) is a ratio of binomial
     products; its cofactor against the factored least common denominator
@@ -37,7 +38,8 @@ class Pieces:
     binomial, by the divisors and monomial of split_atoms.
     """
 
-    def __init__(self, label: KLabel, rs: RootSystem, direction: Weight):
+    def __init__(self, label: KLabel, rs: RootSystem):
+        self.direction = direction = eps(0, rs.n)
         delta = half_density(label, rs)
         tdelta = delta.translate(direction, label.base_exp)
         pre, num_atoms, den_atoms = ratio_atoms(tdelta, delta)
@@ -126,19 +128,17 @@ class Pieces:
         return out
 
 
-def clear_denominators(f: GAElem):
-    """(L, L*f) for L the least common multiple in Z[v] of the
-    denominators of f's coefficients, so that L*f has integer Laurent
-    coefficients; L is None when f's coefficients already are."""
+def clear_denominators(f: dict):
+    """(L, L*f) for a map f {weight: Scalar} and L the least common
+    multiple in Z[v] of the denominators of its values, so that L*f has
+    integer Laurent values; L is None when f's values already are."""
     L = P_ONE
-    for c in f.terms.values():
+    for c in f.values():
         d = c.d
         if d != P_ONE and d != L:
             k = gcd(gcd(*L), gcd(*d))
             L = tuple(x // k for x in p_mul(L, p_gcd(L, d)[2]))  # L * (d / gcd) / k
     if L == P_ONE:
         return None, f
-    out = GAElem(f.rank)
-    out.terms = {w: Scalar.laurent(c.e, p_mul(c.n, p_divexact(L, c.d)))
-                 for w, c in f.terms.items()}
-    return Scalar.laurent(0, L), out
+    return Scalar.laurent(0, L), {w: Scalar.laurent(c.e, p_mul(c.n, p_divexact(L, c.d)))
+                                  for w, c in f.items()}

@@ -9,7 +9,6 @@ inner product of two weights is dot(doubled)/4.
 Orbit classes of the ambient BC_n system:
     R1 = +-eps_i          doubled (..., +-2, ...)
     R2 = +-eps_i +- eps_j
-    R3 = +-2 eps_i        (= 2*R1)
 The long-root class Sigma_l of the restricted system is realized as the
 R1 class (doubled entries +-2); its half Sigma_s sits at doubled +-1.
 Dominant lattice points are therefore integer partitions in doubled
@@ -46,9 +45,9 @@ def wdiff(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def eps(i: int, n: int, scale: int = 2) -> Weight:
-    """Doubled coordinates of scale/2 * epsilon_i."""
-    return tuple(scale if j == i else 0 for j in range(n))
+def eps(i: int, n: int) -> Weight:
+    """Doubled coordinates of epsilon_i."""
+    return tuple(2 if j == i else 0 for j in range(n))
 
 
 @dataclass
@@ -56,24 +55,21 @@ class RootSystem:
     n: int
     R1: list
     R2: list
-    R3: list
     R1p: list
     R2p: list
-    R3p: list
 
 
 def build_root_system(n: int) -> RootSystem:
     if n < 1:
         raise ValueError("empty rank")
     R1p = [eps(i, n) for i in range(n)]
-    R3p = [eps(i, n, 4) for i in range(n)]
     R2p = []
     for i in range(n):
         for j in range(i + 1, n):
             R2p.append(wsum(eps(i, n), eps(j, n)))
             R2p.append(wdiff(eps(i, n), eps(j, n)))
     mirror = lambda l: l + [wneg(a) for a in l]
-    return RootSystem(n, mirror(R1p), mirror(R2p), mirror(R3p), R1p, R2p, R3p)
+    return RootSystem(n, mirror(R1p), mirror(R2p), R1p, R2p)
 
 
 @lru_cache(maxsize=None)

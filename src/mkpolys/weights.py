@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
 
-from .galg import GAElem
+from .galg import GAElem, chains
 from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
 from .scalars import (DEFAULT_PRECISION, P_ONE, Scalar, TruncSeries, _bias, _canon, byte_width,
                       p_from_int, p_to_int, scalar_to_series)
@@ -516,13 +516,8 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
                     else:
                         new[wt2] = old[:c] + list(map(sub if s > 0 else add, old[c:], tail))
         else:
-            i = next(k for k, x in enumerate(w) if x)
-            chains = {}
-            for wt, row in rows.items():
-                j = wt[i] // w[i]
-                chains.setdefault(tuple(a - j * b for a, b in zip(wt, w)), {})[j] = row
             new = {}
-            for x0, ins in chains.items():
+            for x0, ins in chains(rows, w).items():
                 out, seen = None, False
                 last = max(ins)
                 for j in range(min(ins), last + reps + 1):

@@ -27,21 +27,25 @@ def test_a_failing_self_check_fails_exactly_the_rows_reading_its_family(monkeypa
 
     target = KLabel.from_entry(checks.satake_catalog("AIIIb", 2), 1)
     real = mkengine.operator_action
+    bases = []                  # the basis of each faulty operator built
 
     def faulty(label, rs, basis):
         action = real(label, rs, basis)
         if label == target:
+            bases.append(tuple(basis))
             key = ((0, 0), (2, 0))
             action.matrix[key] = action.matrix.get(key, SC_ONE) + SC_ONE
         return action
 
     monkeypatch.setattr(mkengine, "operator_action", faulty)
-    # the rows must build under the fault; a family whose build raises is
-    # not cached, and every other one is built right
-    checks.family.cache_clear()
+    # the rows must build under the fault, on an empty memo of families
+    monkeypatch.setattr(checks, "_FAMILIES", {})
     rows = [check.row(case, M) for check, case in CASES]
     failed = {r["id"]: r for r in rows if not r["pass"]}
     assert sorted(failed) == ["bar AIIIb l=1", "orthogonality AIIIb n=2 l=1",
                               "soundness AIIIb l=1"]
     assert all(r["error"].startswith("eigenfunction check failed") for r in failed.values())
     assert all("error" not in r for r in rows if r["pass"])
+    # the failed family is built once per key (bound 6 and bound 4), not
+    # once per row that reads it
+    assert len(bases) == len(set(bases)) == 2

@@ -9,12 +9,17 @@ from mkpolys.galg import (
     m_basis,
     orbit_sum,
 )
-from mkpolys.roots import weyl_group, weyl_orbit
+from mkpolys.roots import dominant_weights_upto, weyl_apply, weyl_group, weyl_orbit
 from mkpolys.scalars import SC_ONE, Scalar
 
 
 def mono(rank, w, c=1):
     return GAElem.monomial(rank, w, Scalar.of(c))
+
+
+def w_image(w, f):
+    """The Weyl group element w applied to the weights of f."""
+    return GAElem(f.rank, {weyl_apply(w, x): c for x, c in f.terms.items()})
 
 
 def rand_elem(rng, rank, nterms=4, span=2):
@@ -101,7 +106,7 @@ def test_constant_term_weyl_invariant():
         f = rand_elem(rng, 2)
         ct = f.coeff((0, 0))
         for w in weyl_group(2):
-            assert f.w_apply(w).coeff((0, 0)) == ct
+            assert w_image(w, f).coeff((0, 0)) == ct
 
 
 def test_ct_pairing_symmetry():
@@ -125,13 +130,39 @@ def test_m_basis_round_trip():
     noise = rand_elem(rng, 2)
     g = GAElem(2)
     for w in weyl_group(2):
-        g = g + noise.w_apply(w)
+        g = g + w_image(w, noise)
     assert from_m_basis(m_basis(g), 2) == g
 
 
 def test_m_basis_rejects_non_invariant():
     with pytest.raises(ValueError, match="not Weyl invariant"):
         m_basis(mono(2, (2, 0)))
+
+
+def _broken_orbits(n):
+    """Two non-invariant elements of rank n: a sum of two orbit sums with
+    one orbit element missing, and the same sum with every element present
+    but one coefficient changed; each at a dominant and at another weight."""
+    mus = dominant_weights_upto(n, 4)[-2:]
+    f = orbit_sum(mus[0], n) + orbit_sum(mus[1], n).scale(Scalar.v_pow(2))
+    for w in (mus[1], min(f.terms)):
+        missing, unequal = GAElem(n, f.terms), GAElem(n, f.terms)
+        del missing.terms[w]
+        unequal.terms[w] = unequal.terms[w] * Scalar.of(2)
+        yield missing
+        yield unequal
+
+
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["rank 1", "rank 2", "rank 3"])
+def test_m_basis_rejects_every_broken_orbit(n):
+    broken = list(_broken_orbits(n))
+    assert len(broken) == 4
+    for bad in broken:
+        with pytest.raises(ValueError, match="not Weyl invariant"):
+            m_basis(bad)
+    mus = dominant_weights_upto(n, 4)[-2:]
+    assert m_basis(orbit_sum(mus[0], n) + orbit_sum(mus[1], n).scale(Scalar.v_pow(2))) == {
+        mus[0]: SC_ONE, mus[1]: Scalar.v_pow(2)}
 
 
 def binomial(rank, w, u):

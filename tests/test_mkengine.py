@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mkpolys import mkengine, weights
-from mkpolys.galg import GAElem, orbit_sum
+from mkpolys.galg import GAElem, from_m_basis, m_basis, orbit_sum
 from mkpolys.mkengine import (
     apply_qdiff,
     build_family,
@@ -28,7 +28,9 @@ from mkpolys.roots import (
     build_root_system,
     dominant_weights_upto,
     eps,
+    is_dominant,
     satake_catalog,
+    wdiff,
     weyl_apply,
     weyl_group,
 )
@@ -58,15 +60,15 @@ def _engine(entry, l, M, span):
 
 def test_constants_are_eigenfunctions():
     k = KLabel.from_entry(AI1, 0)
-    assert apply_qdiff(k, (2,), [GAElem.unit(1)], RS1)[0].is_zero()
+    assert apply_qdiff(k, [{(0,): SC_ONE}], RS1) == [{}]
 
 
 def test_coefficient_functions_are_bar_images():
     # the two rank-one coefficient functions swap under weight negation
     k = KLabel.from_entry(AI1, 1)
-    pieces = _qdiff_pieces(k, RS1, (2,))
-    cofs = _per_image_cofactors(k, RS1, (2,), pieces.width)
-    assert pieces.stab == 1 and _cofactor_images(pieces, (2,)) == cofs
+    pieces = _qdiff_pieces(k, RS1)
+    cofs = _per_image_cofactors(k, RS1, pieces.width)
+    assert pieces.stab == 1 and _cofactor_images(pieces) == cofs
     assert set(cofs) == {(2,), (-2,)}
     e_plus, plus = cofs[(2,)]
     e_minus, minus = cofs[(-2,)]
@@ -81,16 +83,17 @@ def atom_binomial(atom, rank):
     return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-s, c))
 
 
-def _per_image_atoms(label, rs, direction):
-    """Per Weyl image eta = w(direction), for the first such w: w(pre),
+def _per_image_atoms(label, rs):
+    """Per Weyl image eta = w(eps_1), for the first such w: w(pre),
     w(numerator atoms), w(denominator atoms); and the least common
     multiple of the images' denominator atoms."""
+    direction = eps(0, rs.n)
     delta = half_density(label, rs)
     pre, num_atoms, den_atoms = ratio_atoms(delta.translate(direction, label.base_exp), delta)
     groups = {}
     for w in weyl_group(rs.n):
         eta = weyl_apply(w, direction)
-        groups.setdefault(eta, (pre.w_apply(w),
+        groups.setdefault(eta, (GAElem(rs.n, {weyl_apply(w, x): c for x, c in pre.terms.items()}),
                                 [(s, c, weyl_apply(w, a)) for s, c, a in num_atoms],
                                 [(s, c, weyl_apply(w, a)) for s, c, a in den_atoms]))
     lcm = Counter()
@@ -99,27 +102,28 @@ def _per_image_atoms(label, rs, direction):
     return groups, lcm
 
 
-def _per_image_cofactors(label, rs, direction, width):
+def _per_image_cofactors(label, rs, width):
     """The oracle: per Weyl image eta, the cofactor multiplied out from that
     image's own atoms by atom_product at the given width."""
-    groups, lcm = _per_image_atoms(label, rs, direction)
+    groups, lcm = _per_image_atoms(label, rs)
     return {eta: atom_product(pre_w, nums + list((lcm - Counter(dens)).elements()), width)
             for eta, (pre_w, nums, dens) in groups.items()}
 
 
-def _cofactor_images(pieces, direction):
-    """The cofactor at w(direction) for each w of pieces.reps: w applied to
+def _cofactor_images(pieces):
+    """The cofactor at w(eps_1) for each w of pieces.reps: w applied to
     the weights of the one cofactor that Pieces keeps."""
     e0, cof = pieces.cof
-    return {weyl_apply(w, direction): (e0, {weyl_apply(w, x): z for x, z in cof.items()})
+    return {weyl_apply(w, pieces.direction): (e0, {weyl_apply(w, x): z for x, z in cof.items()})
             for w in pieces.reps}
 
 
-def _scalar_apply_qdiff(label, direction, f, rs):
-    """The operator on Scalar coefficients, as a reference for the integer
-    kernel: cofactors multiplied out as GAElems, the numerator divided atom
-    by atom by lex-leading-term long division."""
-    groups, lcm = _per_image_atoms(label, rs, direction)
+def _scalar_apply_qdiff(label, f, rs):
+    """The operator in the direction eps_1 on a GAElem f with Scalar
+    coefficients, as a reference for the integer kernel: cofactors
+    multiplied out as GAElems, the numerator divided atom by atom by
+    lex-leading-term long division."""
+    groups, lcm = _per_image_atoms(label, rs)
     acc = GAElem(rs.n)
     for eta, (cof, nums, dens) in groups.items():
         for a in nums + list((lcm - Counter(dens)).elements()):
@@ -129,7 +133,7 @@ def _scalar_apply_qdiff(label, direction, f, rs):
         g = atom_binomial(a, rs.n)
         gw = max(g.terms)
         quo = GAElem(rs.n)
-        while not acc.is_zero():
+        while acc.terms:
             fw = max(acc.terms)
             t = GAElem.monomial(rs.n, tuple(x - y for x, y in zip(fw, gw)),
                                 acc.terms[fw] / g.terms[gw])
@@ -143,27 +147,27 @@ def _scalar_apply_qdiff(label, direction, f, rs):
     (satake_catalog("CI", 2), 2, 0, 4), (satake_catalog("DI", 2), 2, 2, 2)],
     ids=["AI1 l=0", "AI1 l=2", "AIVm l=1", "AIIIb l=1", "CI l=0", "DI l=2"])
 def test_integer_kernel_matches_the_scalar_operator(entry, n, l, bound):
+    # m_basis raises unless the reference image is Weyl invariant
     rs = build_root_system(n)
     k = KLabel.from_entry(entry, l)
-    fs = [orbit_sum(mu, n) for mu in dominant_weights_upto(n, bound)]
-    assert apply_qdiff(k, eps(0, n), fs, rs) == [_scalar_apply_qdiff(k, eps(0, n), f, rs)
-                                                 for f in fs]
+    fs = [{mu: SC_ONE} for mu in dominant_weights_upto(n, bound)]
+    assert apply_qdiff(k, fs, rs) == [m_basis(_scalar_apply_qdiff(k, from_m_basis(f, n), rs))
+                                      for f in fs]
 
 
 def test_integer_kernel_matches_the_scalar_operator_on_rational_coefficients():
     k = KLabel.from_entry(AIIIB2, 1)
     P = build_family(AIIIB2, 1, 4)[(4, 0)]
     assert any(len(c.d) > 1 for c in P.coeffs.values())
-    g = P.as_gaelem(2)
-    assert apply_qdiff(k, (2, 0), [g], RS2) == [_scalar_apply_qdiff(k, (2, 0), g, RS2)]
+    assert apply_qdiff(k, [P.coeffs], RS2) == [m_basis(_scalar_apply_qdiff(k, P.as_gaelem(2), RS2))]
 
 
 def test_operator_with_a_negative_parameter():
     # k1 < 0 puts atoms 1 - s v^c e^w with c < 0 into the cofactors
     k = KLabel.make((-3, 1, 0, 0, 0), 2)
     for mu in dominant_weights_upto(1, 6):
-        f = orbit_sum(mu, 1)
-        assert apply_qdiff(k, (2,), [f], RS1) == [_scalar_apply_qdiff(k, (2,), f, RS1)]
+        assert apply_qdiff(k, [{mu: SC_ONE}], RS1) == [
+            m_basis(_scalar_apply_qdiff(k, orbit_sum(mu, 1), RS1))]
 
 
 @pytest.mark.parametrize("label,n,bound", [
@@ -179,60 +183,46 @@ def test_a_batch_gives_each_input_its_own_image(label, n, bound):
     for mu, P in build_polynomial(label, dominant_weights_upto(n, bound), rs,
                                   verify=False).items():
         c = Scalar.of(rng.randint(-99, 99)) * Scalar.v_pow(rng.randint(-5, 5))
-        g = P.as_gaelem(n)
-        fs += [orbit_sum(mu, n).scale(c), g, clear_denominators(g)[1]]
+        fs += [{mu: c}, P.coeffs, clear_denominators(P.coeffs)[1]]
     rng.shuffle(fs)
-    assert any(len(c.d) > 1 for f in fs for c in f.terms.values())
-    assert apply_qdiff(label, eps(0, n), fs, rs) == [_scalar_apply_qdiff(label, eps(0, n), f, rs)
-                                                     for f in fs]
+    assert any(len(c.d) > 1 for f in fs for c in f.values())
+    assert apply_qdiff(label, fs, rs) == [m_basis(_scalar_apply_qdiff(label, from_m_basis(f, n), rs))
+                                          for f in fs]
 
 
-def test_operator_rejects_non_invariant_input():
-    k = KLabel.from_entry(AI1, 0)
-    with pytest.raises(ValueError, match="input 0 is not Weyl invariant"):
-        apply_qdiff(k, (2,), [GAElem.monomial(1, (2,))], RS1)
-
-
-@pytest.mark.parametrize("entry,n,bad", [
-    (AI1, 1, GAElem.monomial(1, (2,))),
-    (AIIIB2, 2, orbit_sum((2, 0), 2) + GAElem.monomial(2, (4, 2), Scalar.v_pow(3)))],
-    ids=["AI1", "AIIIb"])
-def test_a_batch_with_one_non_invariant_input_raises(entry, n, bad):
+@pytest.mark.parametrize("n,key", [(1, (-2,)), (2, (0, 2)), (2, (2, -2))])
+def test_a_coordinate_key_that_is_not_dominant_raises(n, key):
+    k = KLabel.from_entry(AI1 if n == 1 else AIIIB2, 1)
     rs = build_root_system(n)
-    k = KLabel.from_entry(entry, 1)
-    with pytest.raises(ValueError, match="input 0 is not Weyl invariant"):
-        apply_qdiff(k, eps(0, n), [bad], rs)
-    fs = [orbit_sum(mu, n) for mu in dominant_weights_upto(n, 4)]
-    for i in range(len(fs) + 1):
-        with pytest.raises(ValueError, match="input %d is not Weyl invariant" % i):
-            apply_qdiff(k, eps(0, n), fs[:i] + [bad] + fs[i:], rs)
+    fs = [{mu: SC_ONE} for mu in dominant_weights_upto(n, 4)]
+    with pytest.raises(ValueError, match="weights must be dominant"):
+        apply_qdiff(k, fs + [{key: SC_ONE}], rs)
 
 
-def _broken_orbits(n):
-    """Two non-invariant elements of rank n: a sum of two orbit sums with
-    one orbit element missing, and the same sum with every element present
-    but one coefficient changed; each at a dominant and at another weight."""
-    mus = dominant_weights_upto(n, 4)[-2:]
-    f = orbit_sum(mus[0], n) + orbit_sum(mus[1], n).scale(Scalar.v_pow(2))
-    for w in (mus[1], min(f.terms)):
-        missing, unequal = GAElem(n, f.terms), GAElem(n, f.terms)
-        del missing.terms[w]
-        unequal.terms[w] = unequal.terms[w] * Scalar.of(2)
-        yield missing
-        yield unequal
+def test_a_non_invariant_quotient_raises(monkeypatch):
+    # fault injection: the last division's quotient changes at one weight
+    # that is not dominant after the shift, which only the output check sees
+    k = KLabel.from_entry(AIIIB2, 1)
+    pieces = _qdiff_pieces(k, RS2)
+    W = pieces.monomial[2]
+    real, calls = mkengine.ga_divexact, []
 
+    def faulty(f, g):
+        q = real(f, g)
+        calls.append(g)
+        if len(calls) == len(pieces.divisors):
+            w = next(w for w in q.terms if not is_dominant(wdiff(w, W)))
+            q.terms[w] += 1
+        return q
 
-@pytest.mark.parametrize("entry,l", [(AI1, 1), (AIIIB2, 1), (satake_catalog("EVII", 3), 0)],
-                         ids=["rank 1", "rank 2", "rank 3"])
-def test_invariance_is_checked_at_every_position_in_a_batch(entry, l):
-    n = entry.n
-    rs = build_root_system(n)
-    k = KLabel.from_entry(entry, l)
-    fs = [orbit_sum(mu, n) for mu in dominant_weights_upto(n, 4)]
-    for bad in _broken_orbits(n):
-        for i in range(len(fs) + 1):
-            with pytest.raises(ValueError, match="input %d is not Weyl invariant" % i):
-                apply_qdiff(k, eps(0, n), fs[:i] + [bad] + fs[i:], rs)
+    fs = [{mu: SC_ONE} for mu in dominant_weights_upto(2, 4)]
+    want = apply_qdiff(k, fs, RS2)
+    monkeypatch.setattr(mkengine, "ga_divexact", faulty)
+    with pytest.raises(ValueError, match="image is not Weyl invariant"):
+        apply_qdiff(k, fs, RS2)
+    assert len(calls) == len(pieces.divisors)
+    monkeypatch.setattr(mkengine, "ga_divexact", real)
+    assert apply_qdiff(k, fs, RS2) == want
 
 
 @pytest.mark.parametrize("entry,l,sigma", [
@@ -247,12 +237,10 @@ def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
     # multiplied out one Weyl image at a time
     rs = build_root_system(entry.n)
     label = KLabel.from_entry(entry, l, sigma)
-    direction = eps(0, entry.n)
-    pieces = Pieces(label, rs, direction)
-    _, lcm = _per_image_atoms(label, rs, direction)
+    pieces = Pieces(label, rs)
+    _, lcm = _per_image_atoms(label, rs)
     assert Counter(pieces.atoms) == lcm
-    assert (_cofactor_images(pieces, direction)
-            == _per_image_cofactors(label, rs, direction, pieces.width))
+    assert _cofactor_images(pieces) == _per_image_cofactors(label, rs, pieces.width)
 
 
 @pytest.mark.parametrize("entry,n,bound", [(AI1, 1, 8), (AIV2, 1, 6), (AIIIB2, 2, 4)])
@@ -260,12 +248,13 @@ def test_triangularity_and_invariance(entry, n, bound):
     rs = build_root_system(n)
     k = KLabel.from_entry(entry, 1)
     basis = dominant_weights_upto(n, bound)
-    act = operator_action(k, rs, basis)   # asserts triangularity
+    operator_action(k, rs, basis)   # asserts triangularity
     for mu in basis[:3]:
-        img, = apply_qdiff(k, act.direction, [orbit_sum(mu, n)], rs)
-        # Weyl invariant: every image of a term's weight carries its coefficient
-        for w, c in img.terms.items():
-            assert all(img.terms.get(weyl_apply(g, w)) == c for g in weyl_group(n))
+        img, = apply_qdiff(k, [{mu: SC_ONE}], rs)
+        # Weyl invariant: the reference image, term by term, is the
+        # expansion of the coordinates returned
+        assert all(map(is_dominant, img))
+        assert from_m_basis(img, n) == _scalar_apply_qdiff(k, orbit_sum(mu, n), rs)
 
 
 def test_eigenvalue_examples():
@@ -309,10 +298,9 @@ def test_build_polynomial_base_cases():
 def test_eigenfunction_property_reverified():
     k = KLabel.from_entry(AIV2, 1)
     basis = dominant_weights_upto(1, 6)
-    act = operator_action(k, RS1, basis)
-    P = build_polynomial(k, [(4,)], RS1, act, verify=True)[(4,)]  # raises on failure
-    g = P.as_gaelem(1)
-    assert apply_qdiff(k, (2,), [g], RS1) == [g.scale(act.eigenvalue((4,)))]
+    E = operator_action(k, RS1, basis).eigenvalue((4,))
+    P = build_polynomial(k, [(4,)], RS1, verify=True)[(4,)]  # raises on failure
+    assert apply_qdiff(k, [P.coeffs], RS1) == [{w: c * E for w, c in P.coeffs.items()}]
 
 
 def test_polynomial_json():
@@ -518,12 +506,12 @@ def test_self_adjointness_mod_precision():
     basis = dominant_weights_upto(1, 4)
     eng = _engine(AI1, 1, M, 8)
     for _ in range(3):
-        f = GAElem(1)
-        g = GAElem(1)
+        fc, gc = {}, {}
         for mu in basis:
-            f = f + orbit_sum(mu, 1).scale(Scalar.of(rng.randint(-2, 2)))
-            g = g + orbit_sum(mu, 1).scale(Scalar.v_pow(rng.randint(-1, 1)))
-        Df, Dg = apply_qdiff(k, (2,), [f, g], RS1)
+            fc[mu] = Scalar.of(rng.randint(-2, 2))
+            gc[mu] = Scalar.v_pow(rng.randint(-1, 1))
+        f, g = from_m_basis(fc, 1), from_m_basis(gc, 1)
+        Df, Dg = (from_m_basis(h, 1) for h in apply_qdiff(k, [fc, gc], RS1))
         shift = Scalar.v_pow(max(_pole_order(Df), _pole_order(Dg)))
         lhs = eng.ct_pair(Df.scale(shift), g)
         rhs = eng.ct_pair(f.scale(shift), Dg)

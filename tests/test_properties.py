@@ -240,7 +240,7 @@ def atom_products(draw):
     weight = st.tuples(*[st.integers(-2, 2)] * rank)
     atoms = draw(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(-4, 4), weight),
                           max_size=6))
-    pre = draw(gaelems(rank).filter(lambda g: not g.is_zero()))
+    pre = draw(gaelems(rank).filter(lambda g: g.terms))
     return pre, atoms, draw(st.integers(1, 4))
 
 

@@ -23,7 +23,6 @@ def test_rank_one_system():
     rs = build_root_system(1)
     assert sorted(rs.R1) == [(-2,), (2,)]
     assert rs.R2 == []
-    assert sorted(rs.R3) == [(-4,), (4,)]
 
 
 def test_rank_two_medium_orbit():
@@ -48,7 +47,7 @@ def test_rank_three_counts_by_enumeration():
                         w[i], w[j] = 2 * si, 2 * sj
                         medium.add(tuple(w))
     assert set(rs.R2) == medium
-    assert len(rs.R1) + len(rs.R2) + len(rs.R3) == 6 + 12 + 6
+    assert len(rs.R1) + len(rs.R2) == 6 + 12
 
 
 def test_zero_rank_rejected():
@@ -58,7 +57,7 @@ def test_zero_rank_rejected():
 
 def test_every_root_has_its_negative():
     rs = build_root_system(3)
-    for orbit in (rs.R1, rs.R2, rs.R3):
+    for orbit in (rs.R1, rs.R2):
         for a in orbit:
             assert tuple(-c for c in a) in orbit
 
