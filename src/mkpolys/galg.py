@@ -27,22 +27,13 @@ class GAElem:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
+        """terms: a dict {weight: coefficient}; zero coefficients are dropped."""
         self.rank = rank
-        t = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                c = Scalar.of(c)
-                if c:
-                    acc = t.get(w)
-                    if acc is None:
-                        t[w] = c
-                    else:
-                        s = acc + c
-                        if s:
-                            t[w] = s
-                        else:
-                            del t[w]
-        self.terms = t
+        self.terms = {}
+        for w, c in (terms or {}).items():
+            c = Scalar.of(c)
+            if c:
+                self.terms[w] = c
 
     @staticmethod
     def unit(rank: int) -> "GAElem":

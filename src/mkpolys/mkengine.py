@@ -33,8 +33,8 @@ from .roots import (
     weyl_group,
 )
 from .qdiff import Pieces, clear_denominators
-from .scalars import (DEFAULT_PRECISION, SC_ONE, SC_ZERO, Scalar, TruncSeries, p_from_int, p_to_int,
-                      scalar_to_series)
+from .scalars import (DEFAULT_PRECISION, P_ONE, SC_ONE, SC_ZERO, Scalar, TruncSeries, p_from_int,
+                      p_to_int, scalar_to_series)
 from .weights import InnerProductEngine, KLabel, int_reslot, l1_norm, shifted_weight
 
 
@@ -57,7 +57,10 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     """Apply the q-difference operator in the direction eps_1 to each f of
     the list fs, as one batch; exact.  Each f, and each image returned, is
     a Weyl-invariant element in orbit-sum coordinates: a map {dominant
-    weight: Scalar}.  A key that is not dominant raises.
+    weight: Scalar}.  The coordinates of each f must be integer Laurent
+    polynomials, as build_polynomial makes them with clear_denominators
+    (the operator is Q(v)-linear); a key that is not dominant, or a
+    coefficient with a nontrivial denominator, raises.
 
     The operator is the difference form sum_w w(A * (T - 1) f): only the
     second-order normalization that kills the value at e^0 preserves
@@ -65,38 +68,38 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     an eigenfunction with eigenvalue zero and diagonal entries carry the
     exponential Weyl sums shifted by their value at the zero weight.
 
-    L * f, for L the common denominator of f's coefficients, has integer
-    Laurent coefficients; with v evaluated at 2^B (Kronecker substitution
-    in v) each is one int times a power of v shared by the numerator.  As
-    f is invariant, its numerator is sum_eta w_eta(G) for the one product
+    With v evaluated at 2^B (Kronecker substitution in v) each coefficient
+    is one int times a power of v shared by the numerator.  As f is
+    invariant, its numerator is sum_eta w_eta(G) for the one product
     G = cof * (T_eps_1 f - f) (see qdiff.Pieces), shifted into a band of
     v-slots of its own; the sum of the bands is divided by each common
     atom once (ga_divexact) and must be Weyl invariant: the bands sit in
     disjoint slots, so equal ints mean equal values in every band.  Its
-    dominant weights are read back, split by band and divided by each L.
-    Pieces.slot_width gives B and the gap between bands, and proves that
-    the batch raises exactly when one of its inputs would alone.
+    dominant weights are read back and split by band.  Pieces.slot_width
+    gives B and the gap between bands, and proves that the batch raises
+    exactly when one of its inputs would alone.
     """
     pieces = _qdiff_pieces(label, rs)
     direction, b = pieces.direction, label.base_exp
     out = [{} for _ in fs]
-    batch = []                  # (result, L, L * f) of each nonconstant f
-    for res, f in zip(out, fs):
-        den, f = clear_denominators(f)
+    batch = []                  # (result, f as a GAElem) of each nonconstant f
+    for i, (res, f) in enumerate(zip(out, fs)):
         g = from_m_basis(f, rs.n)
+        if any(c.d != P_ONE for c in g.terms.values()):
+            raise ValueError("input %d is not an integer Laurent polynomial" % i)
         if any(map(any, g.terms)):  # else f is constant and its image zero
-            batch.append((res, den, g))
+            batch.append((res, g))
     if not batch:
         return out
-    ws = [w for _, _, g in batch for w in g.terms]
-    nu = max(l1_norm(c) for _, _, g in batch for c in g.terms.values())
+    ws = [w for _, g in batch for w in g.terms]
+    nu = max(l1_norm(c) for _, g in batch for c in g.terms.values())
     B1 = pieces.product_width(nu)
     B, gap = pieces.slot_width(nu, [min(x) for x in zip(*ws)], [max(x) for x in zip(*ws)])
     e0, cof = pieces.cof
     if B1 != pieces.width:
         cof = {w: int_reslot(z, pieces.width, B1) for w, z in cof.items()}
     acc, bands, off = {}, [], 0
-    for res, den, g in batch:
+    for res, g in batch:
         moved = []              # the terms T_direction moves: (weight, e, v-shift, z)
         for w, c in g.terms.items():
             t = dot4(direction, w) * b
@@ -124,7 +127,7 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
         top = max((abs(z).bit_length() for z in part.values()), default=0) // B1
         for w, z in part.items():
             acc[w] = acc.get(w, 0) + (z << (off * B1))
-        bands.append((res, den, base + e0, off * B, 1 << ((top + 1) * B)))
+        bands.append((res, base + e0, off * B, 1 << ((top + 1) * B)))
         off += top + 1 + gap
     # the division needs the wider slots of slot_width
     num = GAElem(rs.n)
@@ -141,12 +144,11 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     require_invariant(quo, "the operator's image")
     for w, z in quo.items():
         if is_dominant(w):
-            for res, den, E, s, m in bands:
+            for res, E, s, m in bands:
                 # the band's balanced digits; those below sum to under half of 2^s
                 z1 = ((z + (1 << s >> 1) >> s) + (m >> 1)) % m - (m >> 1)
                 if z1:
-                    x = Scalar.laurent(E - C, [k * d for d in p_from_int(z1, B)])
-                    res[w] = x if den is None else x / den
+                    res[w] = Scalar.laurent(E - C, [k * d for d in p_from_int(z1, B)])
     return out
 
 

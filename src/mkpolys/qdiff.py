@@ -16,7 +16,7 @@ from math import gcd
 from .galg import GAElem
 from .roots import RootSystem, eps, weyl_apply, weyl_group
 from .scalars import P_ONE, Scalar, byte_width, p_divexact, p_gcd, p_mul
-from .weights import KLabel, atom_product, half_density, l1_norm, ratio_atoms, split_atoms
+from .weights import KLabel, atom_product, half_density, ratio_atoms, split_atoms
 
 
 class Pieces:
@@ -42,7 +42,7 @@ class Pieces:
         self.direction = direction = eps(0, rs.n)
         delta = half_density(label, rs)
         tdelta = delta.translate(direction, label.base_exp)
-        pre, num_atoms, den_atoms = ratio_atoms(tdelta, delta)
+        num_atoms, den_atoms = ratio_atoms(tdelta, delta)
         reps = {}                  # eta -> the first w with w(direction) = eta
         lcm = Counter()
         for w in weyl_group(rs.n):
@@ -51,13 +51,13 @@ class Pieces:
         self.reps = list(reps.values())
         self.stab = len(weyl_group(rs.n)) // len(reps)
         self.atoms = list(lcm.elements())
-        # the cofactor at direction: pre times the numerator atoms and the
+        # the cofactor at direction: the numerator atoms times the
         # denominator atoms missing there; binomials have l1 norm 2, and
         # the l1 norm is submultiplicative and W-invariant
         atoms = num_atoms + list((lcm - Counter(den_atoms)).elements())
-        self.norm = len(reps) * (sum(map(l1_norm, pre.terms.values())) << len(atoms))
+        self.norm = len(reps) << len(atoms)
         self.width = self.product_width(1)
-        self.cof = atom_product(pre, atoms, self.width)
+        self.cof = atom_product(GAElem.unit(rs.n), atoms, self.width)
         ws = [weyl_apply(w, x) for w in self.reps for x in self.cof[1]]
         self.lo = [min(x) for x in zip(*ws)]
         self.hi = [max(x) for x in zip(*ws)]

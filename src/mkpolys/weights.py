@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import add, le, sub
 
 from .galg import GAElem, chains
@@ -80,12 +79,11 @@ class KLabel:
 
 
 class PochProduct:
-    __slots__ = ("rank", "factors", "prefactor")
+    __slots__ = ("rank", "factors")
 
-    def __init__(self, rank: int, symbols=None, prefactor=None):
+    def __init__(self, rank: int, symbols=None):
         self.rank = rank
         self.factors = {}
-        self.prefactor = prefactor if prefactor is not None else GAElem.unit(rank)
         if symbols:
             for sym, mult in symbols:
                 self._add(sym, mult)
@@ -110,15 +108,14 @@ class PochProduct:
             self._add(shifted, -mult)
 
     def copy(self) -> "PochProduct":
-        out = PochProduct(self.rank, prefactor=self.prefactor)
+        out = PochProduct(self.rank)
         out.factors = dict(self.factors)
         return out
 
     def __mul__(self, other: "PochProduct") -> "PochProduct":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = PochProduct(self.rank, prefactor=self.prefactor * other.prefactor)
-        out.factors = dict(self.factors)
+        out = self.copy()
         for k, m in other.factors.items():
             mm = out.factors.get(k, 0) + m
             if mm:
@@ -128,13 +125,7 @@ class PochProduct:
         return out
 
     def reciprocal(self) -> "PochProduct":
-        if len(self.prefactor.terms) != 1:
-            raise ValueError("cannot invert a non-monomial prefactor")
-        ((w, c),) = self.prefactor.terms.items()
-        out = PochProduct(
-            self.rank,
-            prefactor=GAElem.monomial(self.rank, wneg(w), c.inverse()),
-        )
+        out = PochProduct(self.rank)
         out.factors = {k: -m for k, m in self.factors.items()}
         return out
 
@@ -143,11 +134,10 @@ class PochProduct:
             isinstance(other, PochProduct)
             and self.rank == other.rank
             and self.factors == other.factors
-            and self.prefactor == other.prefactor
         )
 
     def bar(self) -> "PochProduct":
-        out = PochProduct(self.rank, prefactor=self.prefactor.bar())
+        out = PochProduct(self.rank)
         out.factors = {
             (s, c, wneg(w), b): m for (s, c, w, b), m in self.factors.items()
         }
@@ -155,7 +145,7 @@ class PochProduct:
 
     def translate(self, mu: Weight, scale: int) -> "PochProduct":
         """Image under e^w -> v^(scale*(mu,w)) e^w, applied symbol-wise."""
-        out = PochProduct(self.rank, prefactor=self.prefactor.translate(mu, scale))
+        out = PochProduct(self.rank)
         for (s, c, wt, b), m in self.factors.items():
             e = scale * dot4(mu, wt)
             if e.denominator != 1:
@@ -198,8 +188,7 @@ class PochProduct:
         for (s, c, w, b, m) in self.symbols():
             arg = "%sv^%d e%s" % ("-" if s < 0 else "", c, list(w))
             bits.append("(%s; v^%d)_inf^%d" % (arg, b, m))
-        pre = "" if self.prefactor == GAElem.unit(self.rank) else "%r * " % self.prefactor
-        return pre + (" ".join(bits) if bits else "1")
+        return " ".join(bits) if bits else "1"
 
 
 def poch_one(rank: int) -> PochProduct:
@@ -362,13 +351,12 @@ def _finite_atoms(finite):
 
 
 def ratio_atoms(numer: PochProduct, denom: PochProduct):
-    """Collapse numer/denom into (prefactor, numerator atoms, denominator
-    atoms); raises 'ratio not rational' if an infinite tail survives."""
-    q = numer * denom.reciprocal()
-    finite, infinite = q.collapsed()
+    """Collapse numer/denom into (numerator atoms, denominator atoms);
+    raises 'ratio not rational' if an infinite tail survives."""
+    finite, infinite = (numer * denom.reciprocal()).collapsed()
     if infinite:
         raise ValueError("ratio not rational")
-    return (q.prefactor,) + _finite_atoms(finite)
+    return _finite_atoms(finite)
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +365,20 @@ def ratio_atoms(numer: PochProduct, denom: PochProduct):
 
 class SeriesElem:
     """A finitely supported map weight -> list of M + 1 integer
-    numerators over the one denominator den > 0, mod v^(M+1)."""
+    coefficients, mod v^(M+1)."""
 
-    __slots__ = ("rank", "M", "terms", "den")
+    __slots__ = ("rank", "M", "terms")
 
-    def __init__(self, rank, M, terms=None, den=1):
+    def __init__(self, rank, M, terms=None):
         self.rank = rank
         self.M = M
         self.terms = terms if terms is not None else {}
-        self.den = den
 
     def coeff(self, w) -> TruncSeries:
         cs = self.terms.get(tuple(w))
         if cs is None:
             return TruncSeries.zero(self.M)
-        return _canon(cs, self.den, self.M)
-
-
-def _needs_split(P: PochProduct):
-    """Weights carrying a surviving infinite tail of negative multiplicity."""
-    _, infinite = P.collapsed()
-    return {sym.weight for sym, m in infinite if m < 0}
+        return _canon(cs, 1, self.M)
 
 
 def _split_rescue(P: PochProduct) -> PochProduct:
@@ -405,42 +386,33 @@ def _split_rescue(P: PochProduct) -> PochProduct:
     negative tail sits at the half weight: (x^2 e^{2w};B)_inf equals the
     product of (+-x e^w;B)_inf (+-x B^(1/2) e^w;B)_inf.  This is what
     turns an integer-parameter weight into a finite Laurent element and
-    removes zero-valuation denominators before expansion."""
+    removes zero-valuation denominators before expansion.
+
+    One pass over P's own symbols suffices, and the result is P exactly.
+    A split symbol sits at a half weight, so it could split again only
+    over a negative tail at a quarter weight, which no catalog weight has;
+    a symbol left unsplit is expanded exactly, or raises."""
+    needs = {sym.weight for sym, m in P.collapsed()[1] if m < 0}
     out = P.copy()
-    for _ in range(4):
-        needs = _needs_split(out)
-        if not needs:
-            break
-        changed = False
-        for key, m in list(out.factors.items()):
-            s, c, w, b = key
-            if m <= 0 or s != 1 or c % 2 or b % 2:
-                continue
-            if any(x % 2 for x in w):
-                continue
-            half = tuple(x // 2 for x in w)
-            if half not in needs:
-                continue
-            del out.factors[key]
+    for (s, c, w, b), m in P.factors.items():
+        if m <= 0 or s != 1 or c % 2 or b % 2 or any(x % 2 for x in w):
+            continue
+        half = tuple(x // 2 for x in w)
+        if half in needs:
+            out._add(PochSymbol(s, c, w, b), -m)
             for sgn in (1, -1):
                 for cc in (c // 2, c // 2 + b // 2):
-                    k2 = (sgn, cc, half, b)
-                    mm = out.factors.get(k2, 0) + m
-                    if mm:
-                        out.factors[k2] = mm
-                    elif k2 in out.factors:
-                        del out.factors[k2]
-            changed = True
-        if not changed:
-            break
+                    out._add(PochSymbol(sgn, cc, half, b), m)
     return out
 
 
 def _atoms_of(P: PochProduct, M: int):
-    """Flatten a collapsed product into (factor, atoms): mod v^(M+1) it is
-    the monomial GAElem factor times the atoms (s, c, w, reps), each
-    standing for 1 - s*v^c*e^w (reps = 0, a binomial, 0 <= c <= M) or its
-    inverse (reps = M // c, a geometric atom, 0 < c <= M), w nonzero."""
+    """Flatten a collapsed product into atoms (s, c, w, reps) whose product
+    it is mod v^(M+1), each standing for 1 - s*v^c*e^w (reps = 0, a
+    binomial, 0 <= c <= M) or its inverse (reps = M // c, a geometric
+    atom, 0 < c <= M), w nonzero."""
+    if any(not any(w) for _, _, w, _ in P.factors):
+        raise ValueError("cannot expand: a symbol of weight zero")
     finite, infinite = P.collapsed()
     num, den = _finite_atoms(finite)
     for sym, m in infinite:
@@ -448,18 +420,13 @@ def _atoms_of(P: PochProduct, M: int):
         (num if m > 0 else den).extend(tail * abs(m))
     if any(c <= 0 for _, c, _ in den):
         raise ValueError("cannot expand: nonpositive valuation in denominator")
-    bins, (sign, C, W) = split_atoms(num, P.rank)
-    scalar, atoms = Scalar.monomial(sign, C), []
-    for s, c, w, reps in [a + (0,) for a in bins] + [a + (M // a[1],) for a in den]:
-        if not any(w):          # 1 - s*v^c is a scalar
-            x = Scalar.monomial(-s, c) + 1
-            scalar = scalar / x if reps else scalar * x
-        elif c <= M:
-            atoms.append((s, c, w, reps))
+    if any(c < 0 for _, c, _ in num):
+        raise ValueError("pole at origin")
+    atoms = [a + (0,) for a in num if a[1] <= M] + [a + (M // a[1],) for a in den if a[1] <= M]
     # high valuations first: an atom moves only the orders below M + 1 - c,
     # so the weights spread by the low ones meet the tightest reach boxes
     atoms.sort(key=lambda a: -a[1])
-    return GAElem.monomial(P.rank, W, scalar), atoms
+    return atoms
 
 
 def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesElem:
@@ -467,10 +434,10 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
     to order M.  window is (lo, hi) per-coordinate bounds on doubled
     coordinates; None restricts to the zero weight only.
 
-    Each weight holds one dense row of M + 1 integer numerators over the
-    one denominator of the prefactor's coefficients.  A binomial atom
-    subtracts a shifted copy of each row at weight + w; a geometric atom
-    runs the recurrence out[j] = in[j] + s*v^c*out[j - 1] along each chain
+    Each weight holds one dense row of M + 1 integer coefficients,
+    starting from the row 1 at weight 0.  A binomial atom subtracts a
+    shifted copy of each row at weight + w; a geometric atom runs the
+    recurrence out[j] = in[j] + s*v^c*out[j - 1] along each chain
     x0 + j*w, for M // c steps past the chain's last input.  A weight is
     dropped once the remaining atoms cannot move it back into the window.
     """
@@ -478,8 +445,7 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
         raise ValueError("nonpositive precision")
     rank = P.rank
     lo, hi = window or ([0] * rank, [0] * rank)
-    Q = _split_rescue(P)
-    factor, atoms = _atoms_of(Q, M)
+    atoms = _atoms_of(_split_rescue(P), M)
 
     # boxes[k]: the weights from which atoms k, k+1, ... can still reach
     # the window
@@ -494,14 +460,8 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
     def inside(wt, box):
         return all(map(le, box[0], wt)) and all(map(le, wt, box[1]))
 
-    # the atoms have integer coefficients: one denominator, the lcm of
-    # the prefactor's, serves every term
-    pre = [(w, scalar_to_series(coef, M)) for w, coef in (Q.prefactor * factor).terms.items()]
-    den = 1
-    for _, ser in pre:
-        den = den * ser.den // gcd(den, ser.den)
-    rows = {w: [x * (den // ser.den) for x in ser.num]
-            for w, ser in pre if inside(w, boxes[0])}
+    zero = (0,) * rank
+    rows = {zero: [1] + [0] * M} if inside(zero, boxes[0]) else {}
 
     for (s, c, w, reps), box in zip(atoms, boxes[1:]):
         if not reps:
@@ -538,18 +498,17 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
                     elif seen:
                         break       # a chain meets the box in one segment
         rows = new
-    return SeriesElem(rank, M, {wt: row for wt, row in rows.items() if any(row)}, den)
+    return SeriesElem(rank, M, {wt: row for wt, row in rows.items() if any(row)})
 
 
 def poch_to_gaelem(P: PochProduct) -> GAElem:
     """Exact group-algebra form of a product that is secretly a finite
     Laurent element (integer-parameter weights, shift factors)."""
-    Q = _split_rescue(P)
-    finite, infinite = Q.collapsed()
+    finite, infinite = _split_rescue(P).collapsed()
     num, den = _finite_atoms(finite)
     if infinite or den:
         raise ValueError("product is not a finite Laurent element")
-    return binomial_product(Q.prefactor, num)
+    return binomial_product(GAElem.unit(P.rank), num)
 
 
 # ---------------------------------------------------------------------------

@@ -84,20 +84,19 @@ def atom_binomial(atom, rank):
 
 
 def _per_image_atoms(label, rs):
-    """Per Weyl image eta = w(eps_1), for the first such w: w(pre),
-    w(numerator atoms), w(denominator atoms); and the least common
-    multiple of the images' denominator atoms."""
+    """Per Weyl image eta = w(eps_1), for the first such w: w(numerator
+    atoms), w(denominator atoms); and the least common multiple of the
+    images' denominator atoms."""
     direction = eps(0, rs.n)
     delta = half_density(label, rs)
-    pre, num_atoms, den_atoms = ratio_atoms(delta.translate(direction, label.base_exp), delta)
+    num_atoms, den_atoms = ratio_atoms(delta.translate(direction, label.base_exp), delta)
     groups = {}
     for w in weyl_group(rs.n):
         eta = weyl_apply(w, direction)
-        groups.setdefault(eta, (GAElem(rs.n, {weyl_apply(w, x): c for x, c in pre.terms.items()}),
-                                [(s, c, weyl_apply(w, a)) for s, c, a in num_atoms],
+        groups.setdefault(eta, ([(s, c, weyl_apply(w, a)) for s, c, a in num_atoms],
                                 [(s, c, weyl_apply(w, a)) for s, c, a in den_atoms]))
     lcm = Counter()
-    for _, _, dens in groups.values():
+    for _, dens in groups.values():
         lcm |= Counter(dens)
     return groups, lcm
 
@@ -106,8 +105,9 @@ def _per_image_cofactors(label, rs, width):
     """The oracle: per Weyl image eta, the cofactor multiplied out from that
     image's own atoms by atom_product at the given width."""
     groups, lcm = _per_image_atoms(label, rs)
-    return {eta: atom_product(pre_w, nums + list((lcm - Counter(dens)).elements()), width)
-            for eta, (pre_w, nums, dens) in groups.items()}
+    return {eta: atom_product(GAElem.unit(rs.n), nums + list((lcm - Counter(dens)).elements()),
+                              width)
+            for eta, (nums, dens) in groups.items()}
 
 
 def _cofactor_images(pieces):
@@ -125,7 +125,8 @@ def _scalar_apply_qdiff(label, f, rs):
     lex-leading-term long division."""
     groups, lcm = _per_image_atoms(label, rs)
     acc = GAElem(rs.n)
-    for eta, (cof, nums, dens) in groups.items():
+    for eta, (nums, dens) in groups.items():
+        cof = GAElem.unit(rs.n)
         for a in nums + list((lcm - Counter(dens)).elements()):
             cof = cof * atom_binomial(a, rs.n)
         acc = acc + cof * (f.translate(eta, label.base_exp) - f)
@@ -156,10 +157,20 @@ def test_integer_kernel_matches_the_scalar_operator(entry, n, l, bound):
 
 
 def test_integer_kernel_matches_the_scalar_operator_on_rational_coefficients():
+    # P has rational coefficients; the operator takes L * P, L their
+    # common denominator
     k = KLabel.from_entry(AIIIB2, 1)
     P = build_family(AIIIB2, 1, 4)[(4, 0)]
-    assert any(len(c.d) > 1 for c in P.coeffs.values())
-    assert apply_qdiff(k, [P.coeffs], RS2) == [m_basis(_scalar_apply_qdiff(k, P.as_gaelem(2), RS2))]
+    L, g = clear_denominators(P.coeffs)
+    assert L is not None
+    assert apply_qdiff(k, [g], RS2) == [m_basis(_scalar_apply_qdiff(k, from_m_basis(g, 2), RS2))]
+
+
+def test_a_coefficient_that_is_not_integer_laurent_raises():
+    k = KLabel.from_entry(AIIIB2, 1)
+    P = build_family(AIIIB2, 1, 4)[(4, 0)]
+    with pytest.raises(ValueError, match="input 1 is not an integer Laurent polynomial"):
+        apply_qdiff(k, [{(2, 0): SC_ONE}, P.coeffs], RS2)
 
 
 def test_operator_with_a_negative_parameter():
@@ -175,17 +186,19 @@ def test_operator_with_a_negative_parameter():
     (KLabel.make((-1, 1, 0, 0, 0), 2), 1, 6), (KLabel.from_entry(AIIIB2, 1), 2, 4)],
     ids=["AI1 l=1", "AIVm l=-1", "negative k1", "AIIIb l=1"])
 def test_a_batch_gives_each_input_its_own_image(label, n, bound):
-    # orbit sums with varied coefficients, each P (rational coefficients)
-    # and each L * P, in a scrambled order
+    # orbit sums with varied coefficients and each L * P, L the common
+    # denominator of P's rational coefficients, in a scrambled order
     rs = build_root_system(n)
     rng = random.Random(n * 100 + bound)
-    fs = []
+    fs, dens = [], []
     for mu, P in build_polynomial(label, dominant_weights_upto(n, bound), rs,
                                   verify=False).items():
         c = Scalar.of(rng.randint(-99, 99)) * Scalar.v_pow(rng.randint(-5, 5))
-        fs += [{mu: c}, P.coeffs, clear_denominators(P.coeffs)[1]]
+        L, g = clear_denominators(P.coeffs)
+        fs += [{mu: c}, g]
+        dens.append(L)
     rng.shuffle(fs)
-    assert any(len(c.d) > 1 for f in fs for c in f.values())
+    assert any(L is not None for L in dens)
     assert apply_qdiff(label, fs, rs) == [m_basis(_scalar_apply_qdiff(label, from_m_basis(f, n), rs))
                                           for f in fs]
 
@@ -300,7 +313,8 @@ def test_eigenfunction_property_reverified():
     basis = dominant_weights_upto(1, 6)
     E = operator_action(k, RS1, basis).eigenvalue((4,))
     P = build_polynomial(k, [(4,)], RS1, verify=True)[(4,)]  # raises on failure
-    assert apply_qdiff(k, [P.coeffs], RS1) == [{w: c * E for w, c in P.coeffs.items()}]
+    g = clear_denominators(P.coeffs)[1]
+    assert apply_qdiff(k, [g], RS1) == [{w: c * E for w, c in g.items()}]
 
 
 def test_polynomial_json():
@@ -498,24 +512,32 @@ def _pole_order(h):
 
 
 def test_self_adjointness_mod_precision():
-    # operator images carry Laurent coefficients, so both pairings are
-    # compared after one common monomial shift clears the poles
-    rng = random.Random(17)
+    # operator images and g carry Laurent coefficients, so both pairings
+    # are compared after one common monomial shift that clears the poles
+    # of both products; the coefficients are drawn interleaved, and again
+    # with every f coefficient before every g coefficient
     M = 24
     k = KLabel.from_entry(AI1, 1)
     basis = dominant_weights_upto(1, 4)
     eng = _engine(AI1, 1, M, 8)
-    for _ in range(3):
-        fc, gc = {}, {}
-        for mu in basis:
-            fc[mu] = Scalar.of(rng.randint(-2, 2))
-            gc[mu] = Scalar.v_pow(rng.randint(-1, 1))
-        f, g = from_m_basis(fc, 1), from_m_basis(gc, 1)
-        Df, Dg = (from_m_basis(h, 1) for h in apply_qdiff(k, [fc, gc], RS1))
-        shift = Scalar.v_pow(max(_pole_order(Df), _pole_order(Dg)))
-        lhs = eng.ct_pair(Df.scale(shift), g)
-        rhs = eng.ct_pair(f.scale(shift), Dg)
-        assert lhs == rhs
+    for f_first in (False, True):
+        rng = random.Random(17)
+        for _ in range(3):
+            if f_first:
+                fc = {mu: Scalar.of(rng.randint(-2, 2)) for mu in basis}
+                gc = {mu: Scalar.v_pow(rng.randint(-1, 1)) for mu in basis}
+            else:
+                fc, gc = {}, {}
+                for mu in basis:
+                    fc[mu] = Scalar.of(rng.randint(-2, 2))
+                    gc[mu] = Scalar.v_pow(rng.randint(-1, 1))
+            f, g = from_m_basis(fc, 1), from_m_basis(gc, 1)
+            Df, Dg = (from_m_basis(h, 1) for h in apply_qdiff(k, [fc, gc], RS1))
+            shift = Scalar.v_pow(max(_pole_order(Df) + _pole_order(g),
+                                     _pole_order(f) + _pole_order(Dg)))
+            lhs = eng.ct_pair(Df.scale(shift), g)
+            rhs = eng.ct_pair(f.scale(shift), Dg)
+            assert lhs == rhs
 
 
 def test_eigenvalue_identity_reports():

@@ -33,13 +33,17 @@ from mkpolys.scalars import (
     scalar_to_series,
 )
 from mkpolys.weights import (
+    KLabel,
     PochProduct,
     PochSymbol,
     _finite_atoms,
     _split_rescue,
+    binomial_product,
+    half_density,
     int_reslot,
     poch_to_gaelem,
     shift_factor,
+    shifted_weight,
     split_atoms,
 )
 
@@ -215,9 +219,9 @@ def binomial_oracle(pre, atoms):
     return pre
 
 
-def finite_product(pre, atoms, b):
-    """pre times the atoms as a PochProduct of length-one symbols (x; v^b)_1."""
-    return PochProduct(pre.rank, [(PochSymbol(s, c, w, b, 1), 1) for s, c, w in atoms], pre)
+def finite_product(rank, atoms, b):
+    """The atoms as a PochProduct of length-one symbols (x; v^b)_1."""
+    return PochProduct(rank, [(PochSymbol(s, c, w, b, 1), 1) for s, c, w in atoms])
 
 
 @SETTINGS
@@ -248,34 +252,44 @@ def atom_products(draw):
 @given(atom_products())
 def test_poch_to_gaelem_multiplies_atoms_like_the_oracle(case):
     pre, atoms, b = case
-    assert poch_to_gaelem(finite_product(pre, atoms, b)) == binomial_oracle(pre, atoms)
+    unit = GAElem.unit(pre.rank)
+    assert poch_to_gaelem(finite_product(pre.rank, atoms, b)) == binomial_oracle(unit, atoms)
+    assert binomial_product(pre, atoms) == binomial_oracle(pre, atoms)
 
 
 def test_poch_to_gaelem_slot_width_holds_large_binomial_coefficients():
     # (1 - v e^2)^20 has the coefficient -C(20, 10) = -184756, beyond 16 bits
-    pre, atoms = GAElem.unit(1), [(1, 1, (2,))] * 20
-    got = poch_to_gaelem(finite_product(pre, atoms, 1))
+    atoms = [(1, 1, (2,))] * 20
+    got = poch_to_gaelem(finite_product(1, atoms, 1))
     assert got.terms[(20,)] == Scalar.monomial(184756, 10)
-    assert got == binomial_oracle(pre, atoms)
+    assert got == binomial_oracle(GAElem.unit(1), atoms)
 
 
-def test_poch_to_gaelem_rejects_a_non_laurent_prefactor():
+def test_binomial_product_rejects_a_non_laurent_prefactor():
     pre = GAElem.monomial(1, (0,), SC_ONE / (SC_ONE + Scalar.v_pow(1)))
     with pytest.raises(ValueError, match="not a Laurent polynomial"):
-        poch_to_gaelem(finite_product(pre, [(1, 1, (2,))], 1))
+        binomial_product(pre, [(1, 1, (2,))])
 
 
 @pytest.mark.parametrize("tag,n,m,sigma", [
     ("AI1", 1, 0, 0), ("AIVm", 1, 2, Fraction(1, 2)), ("AIVm", 1, 3, 0),
-    ("AIIIb", 2, 0, 0), ("CI", 2, 0, 0)])
+    ("AIIIb", 2, 0, 0), ("CI", 2, 0, 0), ("AIIIa", 2, 2, Fraction(1, 2)),
+    ("BI", 2, 3, 0), ("DI", 2, 4, 0), ("EVII", 3, 0, 0)])
 def test_shift_factors_multiply_like_the_oracle(tag, n, m, sigma):
+    # each shift factor multiplies like the oracle, and one split pass is
+    # final: splitting its own output again changes nothing, on the shift
+    # factor, the shifted weight and the half density
     entry, rs = satake_catalog(tag, n, m), build_root_system(n)
+    k0 = KLabel.from_entry(entry, 0, sigma)
     for l in range(-3, 4):
         S = shift_factor(entry, l, rs, sigma)
         P = _split_rescue(S)
         num, den = _finite_atoms(P.collapsed()[0])
         assert not den and len(num) == abs(l) * len(rs.R1)
-        assert poch_to_gaelem(S) == binomial_oracle(P.prefactor, num)
+        assert poch_to_gaelem(S) == binomial_oracle(GAElem.unit(n), num)
+        for X in (S, shifted_weight(k0, entry, l, rs, sigma), half_density(k0, rs)):
+            once = _split_rescue(X)
+            assert _split_rescue(once) == once
 
 
 # -- the canonical integer form ---------------------------------------------
