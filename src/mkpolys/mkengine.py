@@ -306,14 +306,22 @@ def build_polynomial_gs(entry: SatakeEntry, l: int, lam: Weight,
 
 
 def _series_solve(rows, rhs):
-    """Gaussian elimination over truncated series with valuation-aware
-    pivoting; raises 'precision exhausted' when the pivots run out."""
+    """Solve rows * x = rhs over truncated series: forward elimination
+    with valuation-aware pivoting, then back substitution; raises
+    'precision exhausted' when the pivots run out.
+
+    The pivot of column col is the entry of lowest valuation among rows
+    col..k-1, the first on ties.  Only the rows below it are eliminated,
+    about k^3/3 series products and k(k-1)/2 + k divisions against
+    Gauss-Jordan's k^3 and k^2.  The rows not yet pivoted change exactly
+    as under Gauss-Jordan, so the pivots and the columns that run out of
+    precision are the same; unlike Gauss-Jordan, no entry above a pivot
+    is divided by it.  A zero entry is skipped when its row already has
+    no more precision than the update would leave it (always, at a pivot
+    of valuation 0 with one precision throughout); otherwise the update
+    runs, so every row keeps the precision Gauss-Jordan gives it."""
     k = len(rows)
-    if k == 0:
-        return []
-    rows = [list(r) for r in rows]
-    rhs = list(rhs)
-    perm = list(range(k))
+    rows = [list(r) + [b] for r, b in zip(rows, rhs)]
     for col in range(k):
         piv, pval = None, None
         for i in range(col, k):
@@ -323,13 +331,25 @@ def _series_solve(rows, rhs):
         if piv is None:
             raise ValueError("precision exhausted")
         rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        for i in range(k):
-            if i != col:
-                f = rows[i][col].divide(rows[col][col])
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-                rhs[i] = rhs[i] - f * rhs[col]
-    return [rhs[i].divide(rows[i][i]) for i in range(k)]
+        prow = rows[col]
+        p, rest = prow[col], prow[col + 1:]
+        for i in range(col + 1, k):
+            row = rows[i]
+            a = row[col]
+            if a.is_zero():
+                cap = min(a.precision, p.precision) - pval
+                if all(x.precision <= min(cap, y.precision) for x, y in zip(row[col + 1:], rest)):
+                    continue
+            f = a.divide(p)
+            row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], rest)]
+    x = [None] * k
+    for i in reversed(range(k)):
+        row = rows[i]
+        acc = row[k]
+        for j in range(i + 1, k):
+            acc = acc - row[j] * x[j]
+        x[i] = acc.divide(row[i])
+    return x
 
 
 def dual_path_agree(poly: MKPolynomial, gs_coeffs: dict, M: int) -> bool:

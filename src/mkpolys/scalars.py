@@ -24,7 +24,9 @@ Integer polynomials also travel as one int, their value at v = 2^B
 (Kronecker substitution, Harvey, JSC 2009), the kernel that weights and
 qdiff share.  On it, p_gcd is the heuristic gcd GCDHEU: one integer gcd,
 the gcd and both cofactors read back from digits and certified by exact
-products; reductions take the cofactors and divide nothing.
+products; reductions take the cofactors and divide nothing.  Digits of
+1, 2, 4 or 8 bytes are read back through the slots of a signed array,
+all of an int's digits in one C-level pass.
 
 TruncSeries is the oracle ring Q[[v]] / (v^(M+1)) used by the
 constant-term machinery, in the same kind of integer form: a list num of
@@ -39,6 +41,8 @@ The read-only coeffs property gives the coefficients as Fractions.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -112,6 +116,10 @@ def p_to_int(a, B: int) -> int:
     return z
 
 
+# the signed array typecode of each item size in bytes
+_SIGNED_CODES = {array(code).itemsize: code for code in "bhilq"}
+
+
 def _bias(m: int, k: int, n: int) -> int:
     """2^(8m-1) in each of n slots of k bytes: added to an int whose
     balanced base-2^(8k) digits lie below 2^(8m-1) in absolute value, it
@@ -122,14 +130,26 @@ def _bias(m: int, k: int, n: int) -> int:
 def p_from_int(z: int, B: int) -> list:
     """The integer polynomial a with a(2^B) = z whose coefficients c satisfy
     -2^(B-1) <= c < 2^(B-1): the balanced base-2^B digits of z, for B a
-    multiple of 8, possibly with trailing zeros."""
+    multiple of 8, possibly with trailing zeros.
+
+    Adding 2^(B-1) in every slot makes each digit nonnegative, so no slot
+    borrows from the next; flipping each slot's top bit back (the same
+    bias, by xor) leaves every slot holding its digit in two's complement.
+    Slots of 1, 2, 4 or 8 bytes are then read by one signed array, the
+    others one slice at a time."""
     if not z:
         return []
     k = B // 8
     n = z.bit_length() // B + 2
-    raw = (z + _bias(k, k, n)).to_bytes(n * k, "little")
-    half = 1 << (B - 1)
-    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
+    bias = _bias(k, k, n)
+    raw = ((z + bias) ^ bias).to_bytes(n * k, "little")
+    code = _SIGNED_CODES.get(k)
+    if code is None:
+        return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, n * k, k)]
+    slots = array(code, raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _content(a):

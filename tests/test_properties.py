@@ -6,7 +6,9 @@ evaluation against one GAElem product at a time, with sympy as an
 independent oracle for Scalar arithmetic and the polynomial gcd, and the
 uniqueness of the canonical form that equality and hashing rely on; and
 the truncated series ring: its integer form, its ring laws, exact
-division against a Fraction reference, and expansion against sympy."""
+division against a Fraction reference, and expansion against sympy; and,
+against test-local copies of the loops they replaced, the array read of
+Kronecker digits and the forward-elimination solve of the Gram oracle."""
 
 import random
 from fractions import Fraction
@@ -17,8 +19,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkpolys import mkengine
 from mkpolys.galg import GAElem, ga_divexact
-from mkpolys.roots import build_root_system, satake_catalog
+from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
 from mkpolys.scalars import (
     SC_ONE,
     SC_ZERO,
@@ -204,6 +207,53 @@ def test_evaluation_round_trips_at_the_proven_bound(bound, data):
     assert int_reslot(z, B, wider) == p_to_int(x.n, wider)
     assert int_reslot(int_reslot(z, B, wider), wider, B) == z
 
+
+
+def slice_digits(z: int, B: int) -> list:
+    """The balanced base-2^B digits of z read one bytes slice at a time:
+    the loop the array read of p_from_int replaced."""
+    if not z:
+        return []
+    k = B // 8
+    n = z.bit_length() // B + 2
+    bias = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+    raw = (z + bias).to_bytes(n * k, "little")
+    half = 1 << (B - 1)
+    return [int.from_bytes(raw[i:i + k], "little") - half for i in range(0, n * k, k)]
+
+
+# slots of 1, 2, 4 and 8 bytes are read by an array, the others by slices
+DIGIT_WIDTHS = range(8, 73, 8)
+
+
+@pytest.mark.parametrize("B", DIGIT_WIDTHS)
+@SETTINGS
+@given(st.data())
+def test_digit_reader_agrees_with_the_slice_loop(B, data):
+    """The same digits, the same length and the same trailing zeros, for
+    any int and for digits at both ends of the balanced range."""
+    half = 1 << (B - 1)
+    z = data.draw(st.integers(-(1 << (4 * B)), 1 << (4 * B)))
+    assert p_from_int(z, B) == slice_digits(z, B)
+    digit = st.integers(-half, half - 1) | st.sampled_from((-half, half - 1, 0))
+    cs = data.draw(st.lists(digit, max_size=8))
+    z = p_to_int(cs, B)
+    assert p_from_int(z, B) == slice_digits(z, B)
+    assert p_make(p_from_int(z, B)) == p_make(cs)
+
+
+@pytest.mark.parametrize("B", DIGIT_WIDTHS)
+def test_digit_reader_at_the_ends_of_the_range(B):
+    half = 1 << (B - 1)
+    cases = ([-half], [half - 1], [-half] * 5, [half - 1] * 5, [-half, half - 1] * 3,
+             [0, 0, 0, -half], [0, 0, 0, half - 1], [half - 1, 0, 0, 0], [-half, 0, 0, 0, 0],
+             [1, 0, 0, 0, -1], [0] * 6 + [1])
+    for cs in cases:
+        z = p_to_int(cs, B)
+        digits = p_from_int(z, B)
+        assert digits == slice_digits(z, B)
+        assert digits[len(cs):] == [0] * (len(digits) - len(cs))
+        assert p_make(digits) == p_make(cs)
 
 # -- binomial atoms, and their products on the integer kernel ---------------
 
@@ -494,3 +544,127 @@ def test_scalar_to_series_agrees_with_sympy(x):
     want = [expr.coeff(V, k) for k in range(M + 1)]
     assert got.precision == M
     assert got.coeffs == [Fraction(int(c.p), int(c.q)) for c in want]
+
+
+# -- the Gram oracle's series solve -----------------------------------------
+
+def gauss_jordan(rows, rhs):
+    """Gauss-Jordan elimination over truncated series, eliminating above
+    and below each pivot: the solve the forward elimination of
+    _series_solve replaced, with the same pivot rule."""
+    k = len(rows)
+    rows = [list(r) for r in rows]
+    rhs = list(rhs)
+    for col in range(k):
+        piv, pval = None, None
+        for i in range(col, k):
+            val = rows[i][col].valuation()
+            if val is not None and (pval is None or val < pval):
+                piv, pval = i, val
+        if piv is None:
+            raise ValueError("precision exhausted")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        for i in range(k):
+            if i != col:
+                f = rows[i][col].divide(rows[col][col])
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+                rhs[i] = rhs[i] - f * rhs[col]
+    return [rhs[i].divide(rows[i][i]) for i in range(k)]
+
+
+def solved(solve, rows, rhs):
+    """solve(rows, rhs), or None when its precision runs out."""
+    try:
+        return solve(rows, rhs)
+    except ValueError as err:
+        assert "precision exhausted" in str(err)
+        return None
+
+
+def residual_vanishes(rows, rhs, xs) -> bool:
+    """rows * xs - rhs is zero to the precision its arithmetic certifies."""
+    return all(sum((a * x for a, x in zip(r, xs)), -b).is_zero() for r, b in zip(rows, rhs))
+
+
+@pytest.mark.parametrize("tag,n,l,bound", [
+    ("AI1", 1, 0, 8), ("AI1", 1, 1, 8), ("AI1", 1, 2, 8), ("AIIIb", 2, 1, 4)])
+def test_series_solve_matches_gauss_jordan_on_gram_systems(tag, n, l, bound, monkeypatch):
+    """Every Gram system of the family, as build_polynomial_gs forms it,
+    has the same solution series as under Gauss-Jordan, field for field."""
+    solve, systems = mkengine._series_solve, []
+
+    def record(rows, rhs):
+        systems.append((rows, rhs))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(mkengine, "_series_solve", record)
+    entry = satake_catalog(tag, n)
+    for lam in dominant_weights_upto(n, bound):
+        mkengine.build_polynomial_gs(entry, l, lam)
+    assert len(systems) == len(dominant_weights_upto(n, bound))
+    for rows, rhs in systems:
+        got, want = solve(rows, rhs), gauss_jordan(rows, rhs)
+        assert [(x.num, x.den, x.precision) for x in got] == \
+            [(x.num, x.den, x.precision) for x in want]
+
+
+@st.composite
+def series_systems(draw):
+    """At most 4 equations, each entry zero or v^s times a unit for s in
+    0..2; the right side is either drawn or the product with a drawn
+    series solution."""
+    k = draw(st.integers(1, 4))
+    entry = st.just(TruncSeries.zero(SM)) | st.builds(
+        lambda t, cs, s: TruncSeries([0] * s + [t] + cs, SM),
+        leads, st.lists(coeffs, max_size=SM), st.integers(0, 2))
+    rows = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        xs = [draw(series) for _ in range(k)]
+        rhs = [sum((a * x for a, x in zip(r, xs)), TruncSeries.zero(SM)) for r in rows]
+    else:
+        rhs = [draw(series) for _ in range(k)]
+    return rows, rhs
+
+
+@SETTINGS
+@given(series_systems())
+def test_series_solve_agrees_with_gauss_jordan(system):
+    """Where Gauss-Jordan solves, the forward solve gives the same series
+    mod v^(p+1), p the lower of the two precisions; where the forward solve
+    runs out of precision, so does Gauss-Jordan.  Gauss-Jordan alone also
+    runs out when an entry above a pivot has lower valuation than the
+    pivot; there the forward solution is checked by substitution."""
+    rows, rhs = system
+    got, want = solved(mkengine._series_solve, rows, rhs), solved(gauss_jordan, rows, rhs)
+    if got is None:
+        assert want is None
+        return
+    assert residual_vanishes(rows, rhs, got)
+    if want is not None:
+        for x, y in zip(got, want):
+            p = max(min(x.precision, y.precision) + 1, 0)
+            assert x.coeffs[:p] == y.coeffs[:p]
+
+
+def test_series_solve_divides_no_entry_above_a_pivot():
+    # the column-1 pivot is v, and Gauss-Jordan would divide the 1 above it
+    one, zero, v = TruncSeries.one(SM), TruncSeries.zero(SM), TruncSeries([0, 1], SM)
+    rows = [[one, one, zero], [zero, zero, one], [v, zero, zero]]
+    rhs = [one + one, one, v]
+    assert solved(gauss_jordan, rows, rhs) is None
+    xs = mkengine._series_solve(rows, rhs)
+    assert residual_vanishes(rows, rhs, xs)
+    assert [x.coeffs[:x.precision + 1] for x in xs] == [[1] + [0] * x.precision for x in xs]
+
+
+def test_series_solve_keeps_the_precision_of_a_zero_entry():
+    # the zero below the pivot is known only mod v^(SM-2): its update must
+    # run, and lower its row's precision as under Gauss-Jordan
+    one, v = TruncSeries.one(SM), TruncSeries([0, 1], SM)
+    rows = [[v, one], [TruncSeries.zero(SM - 3), one]]
+    rhs = [v, TruncSeries.zero(SM)]
+    got, want = mkengine._series_solve(rows, rhs), gauss_jordan(rows, rhs)
+    assert [(x.num, x.den, x.precision) for x in got] == \
+        [(x.num, x.den, x.precision) for x in want]
+    assert [x.precision for x in got] == [SM - 5, SM - 4]
