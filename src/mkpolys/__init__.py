@@ -29,7 +29,6 @@ from .weights import (
 )
 from .mkengine import (
     MKPolynomial,
-    OperatorAction,
     apply_qdiff,
     build_family,
     build_polynomial,

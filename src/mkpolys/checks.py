@@ -8,12 +8,13 @@ M.  Families and rank-one modules are built once, on first use, and
 shared for the life of the process; importing this module builds nothing.
 
 Every family a row reads comes from `family`, built with the eigen
-self-check, and the orthogonality, bar, soundness and connection rows all
-take the same arguments (tag, n, m, sigma, bound, l).  A family whose
-self-check raises is built once too, and each row that reads it fails
-with the message as its "error"; the other rows are unaffected.  Gram matrices
-come from mkengine.gram_matrix, which keeps one expansion of each weight
-and every pair it has computed.
+self-check: the orthogonality, bar, soundness and connection rows all
+take the same arguments (tag, n, m, sigma, bound, l), and the eigenvalue
+rows read the spectral vector off the eigenvalues of the families at
+levels 0, 1 and 2.  A family whose self-check raises is built once too,
+and each row that reads it fails with the message as its "error"; the
+other rows are unaffected.  Gram matrices come from mkengine.gram_matrix,
+which keeps one expansion of each weight and every pair it has computed.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def _bar(M, tag, n, m, sigma, bound, l):
 
 
 def _eigenvalue(M, tag, n, ambient_lams, bound):
-    rep = eigenvalue_identity_check(satake_catalog(tag, n), tag, ambient_lams, bound=bound)
+    rep = eigenvalue_identity_check(satake_catalog(tag, n), ambient_lams,
+                                    {l: family(tag, n, 0, S0, l, bound) for l in (0, 1, 2)})
     return rep["pass"] and rep["N"] == 1
 
 
@@ -194,7 +196,7 @@ CHECKS = (
     Check("eigenvalue",
           "ambient Weyl sum equals N times the restricted sum; the level shift "
           "moves the spectral vector by l/2 per entry",
-          (("eigenvalue identity AI1", ("AI1", 1, ((0,), (2,), (4,), (6,)), 6)),
+          (("eigenvalue identity AI1", ("AI1", 1, ((0,), (2,), (4,), (6,)), 8)),
            ("eigenvalue identity CI n=2",
             ("CI", 2, ((0, 0), (2, 0), (2, 2), (4, 2)), 6))),
           _eigenvalue),

@@ -33,9 +33,9 @@ from .roots import (
     weyl_group,
 )
 from .qdiff import Pieces, clear_denominators
-from .scalars import (DEFAULT_PRECISION, P_ONE, SC_ONE, SC_ZERO, Scalar, TruncSeries, p_from_int,
-                      p_to_int, scalar_to_series)
-from .weights import InnerProductEngine, KLabel, int_reslot, l1_norm, shifted_weight
+from .scalars import (DEFAULT_PRECISION, P_ONE, SC_ONE, SC_ZERO, Scalar, TruncSeries, int_reslot,
+                      p_from_int, p_to_int, scalar_to_series)
+from .weights import InnerProductEngine, KLabel, l1_norm, shifted_weight
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +152,10 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     return out
 
 
-@dataclass
-class OperatorAction:
-    label: KLabel
-    basis: list                  # ordered dominant weights, (sum, lex)
-    matrix: dict                 # (nu, mu) -> Scalar with nu <= mu
-
-    def eigenvalue(self, lam: Weight) -> Scalar:
-        if (lam, lam) not in self.matrix:
-            raise ValueError("weight out of range of the action")
-        return self.matrix[(lam, lam)]
-
-
-def operator_action(label: KLabel, rs: RootSystem, basis) -> OperatorAction:
-    """Matrix of the operator in the direction eps_1 on the orbit-sum
-    basis, from one batch; asserts dominance triangularity column by
-    column."""
+def operator_action(label: KLabel, rs: RootSystem, basis) -> dict:
+    """Matrix {(nu, mu): Scalar} of the operator in the direction eps_1 on
+    the orbit-sum basis, every diagonal entry present, from one batch;
+    asserts dominance triangularity column by column."""
     matrix = {}
     for mu, img in zip(basis, apply_qdiff(label, [{mu: SC_ONE} for mu in basis], rs)):
         for nu, c in img.items():
@@ -175,7 +163,7 @@ def operator_action(label: KLabel, rs: RootSystem, basis) -> OperatorAction:
                 raise ValueError("operator is not dominance triangular")
             matrix[(nu, mu)] = c
         matrix.setdefault((mu, mu), SC_ZERO)
-    return OperatorAction(label, list(basis), matrix)
+    return matrix
 
 
 @dataclass
@@ -184,6 +172,7 @@ class MKPolynomial:
     coeffs: dict                 # dominant weight -> Scalar (orbit-sum basis)
     label: KLabel
     level: int = 0
+    eigenvalue: Scalar = None    # the operator's diagonal entry at lam
 
     def as_gaelem(self, n: int) -> GAElem:
         return from_m_basis(self.coeffs, n)
@@ -210,31 +199,30 @@ def build_polynomial(label: KLabel, lams, rs: RootSystem, level: int = 0,
     coefficient, exact coefficients in Q(v).  The self-check applies the
     operator to all of them as one batch."""
     below = {mu for lam in lams for mu in dominant_weights_below(lam)}
-    action = operator_action(label, rs, sorted(below, key=lambda w: (sum(w), w)))
-    M = action.matrix
+    M = operator_action(label, rs, sorted(below, key=lambda w: (sum(w), w)))
     out = {}
     for lam in lams:
-        E_lam = action.eigenvalue(lam)
+        E_lam = M[(lam, lam)]
         coeffs = {lam: SC_ONE}
         for kappa in reversed(dominant_weights_below(lam)[:-1]):
             rhs = SC_ZERO
             for nu, c in coeffs.items():
                 if nu != kappa and (kappa, nu) in M:
                     rhs = rhs + M[(kappa, nu)] * c
-            gap = E_lam - action.eigenvalue(kappa)
+            gap = E_lam - M[(kappa, kappa)]
             if not gap:
                 raise ValueError("non-generic parameters: eigenvalue collision at %s / %s"
                                  % (lam, kappa))
             b = rhs / gap
             if b:
                 coeffs[kappa] = b
-        out[lam] = MKPolynomial(lam, coeffs, label, level)
+        out[lam] = MKPolynomial(lam, coeffs, label, level, E_lam)
     if verify:
         # the operator is Q(v)-linear: check it on the coordinates of each
         # L * P, which are integer Laurent polynomials
         gs = [clear_denominators(P.coeffs)[1] for P in out.values()]
-        for lam, g, img in zip(out, gs, apply_qdiff(label, gs, rs)):
-            E = action.eigenvalue(lam)
+        for (lam, P), g, img in zip(out.items(), gs, apply_qdiff(label, gs, rs)):
+            E = P.eigenvalue
             if img != ({w: c * E for w, c in g.items()} if E else {}):
                 raise ValueError("eigenfunction check failed at %s" % (lam,))
     return out
@@ -424,24 +412,29 @@ def _staircase(n: int, k: int) -> Weight:
     return tuple([2] * k + [0] * (n - k))
 
 
-def pin_rho(action: OperatorAction):
-    """Extract the spectral data (rho, center) from staircase diagonal
-    entries.
+def _eigenvalue_at(family: dict, lam: Weight) -> Scalar:
+    if lam not in family:
+        raise ValueError("weight %s out of range of the family" % (lam,))
+    return family[lam].eigenvalue
 
-    The diagonal entry at lam is v^center * mult * (S(lam + rho) - S(rho))
+
+def pin_rho(family: dict):
+    """Extract the spectral data (rho, center) from the eigenvalues of a
+    family at the staircase weights.
+
+    The eigenvalue at lam is v^center * mult * (S(lam + rho) - S(rho))
     with S the symmetric exponential sum; consecutive staircase weights
     differ in one coordinate, so each difference is a four-term Laurent
     polynomial exposing center +- b*(rho_k + 1) and center +- b*rho_k.
     """
-    n = len(action.basis[0])
-    b = action.label.base_exp
+    n = len(next(iter(family)))
+    b = next(iter(family.values())).label.base_exp
     mult = Fraction(len(weyl_group(n)), 2 * n)
     rho = []
     center = None
     for k in range(1, n + 1):
-        hikey = _staircase(n, k)
-        lokey = _staircase(n, k - 1)
-        delta = action.eigenvalue(hikey) - action.eigenvalue(lokey)
+        delta = (_eigenvalue_at(family, _staircase(n, k))
+                 - _eigenvalue_at(family, _staircase(n, k - 1)))
         terms = _scalar_laurent(delta)
         bag = {}
         for e, c in terms.items():
@@ -479,45 +472,38 @@ def _closed_form_eigenvalue(lam: Weight, rho, center, b: int, mult: int) -> Scal
     return acc * Scalar.v_pow(int(center))
 
 
-def eigenvalue_closed_form_check(action: OperatorAction, pinned) -> bool:
-    """Every diagonal entry equals the exponential Weyl sum at lam + rho
-    minus its value at rho, times a fixed monomial; pinned is the
-    (rho, center) of pin_rho."""
+def eigenvalue_closed_form_check(family: dict, pinned) -> bool:
+    """Every eigenvalue of the family equals the exponential Weyl sum at
+    lam + rho minus its value at rho, times a fixed monomial; pinned is
+    the (rho, center) of pin_rho."""
     rho, center = pinned
     n = len(rho)
-    b = action.label.base_exp
     mult = len(weyl_group(n)) // (2 * n)
-    for lam in action.basis:
+    for lam, P in family.items():
         try:
-            want = _closed_form_eigenvalue(lam, rho, center, b, mult)
+            want = _closed_form_eigenvalue(lam, rho, center, P.label.base_exp, mult)
         except ValueError:
             return False
-        if want != action.eigenvalue(lam):
+        if want != P.eigenvalue:
             return False
     return True
 
 
-SHIFT_LEVELS = (1, 2)
-
-
-def eigenvalue_identity_check(entry: SatakeEntry, ambient_tag: str,
-                              ambient_lams, bound: int = 6) -> dict:
+def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams, families: dict) -> dict:
     """The central-character identity: the ambient Weyl sum of
     q^((w mu, lam + rho)) equals N times the restricted Weyl sum of
-    B^((w mu~, lam~ + rho')) with rho' pinned from the operator, plus the
-    level-shift law rho'(l) = rho'(0) + (|l|/2)(1,...,1) at each level of
-    SHIFT_LEVELS.
+    B^((w mu~, lam~ + rho')) with rho' pinned from the eigenvalues of the
+    level-0 family.  At every level l of families, {level: family}, the
+    eigenvalues follow the closed form from the rho' pinned there, and
+    rho'(l) = rho'(0) + (l/2)(1,...,1).
     """
     if not entry.reduced:
         raise ValueError("identity requires a reduced entry")
-    data = ambient_data(ambient_tag, entry.n)
+    data = ambient_data(entry.family, entry.n)
     n = entry.n
-    rs = build_root_system(n)
-    basis = dominant_weights_upto(n, bound)
-    label0 = KLabel.from_entry(entry, 0)
-    act0 = operator_action(label0, rs, basis)
-    rho_res, _center = pin_rho(act0)
-    b = label0.base_exp
+    pinned = {l: pin_rho(fam) for l, fam in families.items()}
+    rho_res = pinned[0][0]
+    b = KLabel.from_entry(entry, 0).base_exp
     N = len(data.weyl) // len(weyl_group(n))
     mu_res = data.restrict(data.mu)
 
@@ -554,13 +540,9 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_tag: str,
             report["pass"] = False
 
     report["shift_law"] = []
-    for l in SHIFT_LEVELS:
-        label_l = KLabel.from_entry(entry, l)
-        act_l = operator_action(label_l, rs, basis)
-        rho_l, center_l = pin_rho(act_l)
-        want = tuple(r + Fraction(l, 2) for r in rho_res)
-        ok = (rho_l == want
-              and eigenvalue_closed_form_check(act_l, (rho_l, center_l)))
+    for l, (rho_l, center_l) in pinned.items():
+        ok = (rho_l == tuple(r + Fraction(l, 2) for r in rho_res)
+              and eigenvalue_closed_form_check(families[l], (rho_l, center_l)))
         report["shift_law"].append({"level": l, "match": bool(ok)})
         if not ok:
             report["pass"] = False

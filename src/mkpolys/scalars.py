@@ -26,7 +26,8 @@ qdiff share.  On it, p_gcd is the heuristic gcd GCDHEU: one integer gcd,
 the gcd and both cofactors read back from digits and certified by exact
 products; reductions take the cofactors and divide nothing.  Digits of
 1, 2, 4 or 8 bytes are read back through the slots of a signed array,
-all of an int's digits in one C-level pass.
+all of an int's digits in one C-level pass, and int_reslot moves an
+int's digits to slots of another width.
 
 TruncSeries is the oracle ring Q[[v]] / (v^(M+1)) used by the
 constant-term machinery, in the same kind of integer form: a list num of
@@ -150,6 +151,19 @@ def p_from_int(z: int, B: int) -> list:
     if sys.byteorder == "big":
         slots.byteswap()
     return slots.tolist()
+
+
+def int_reslot(z: int, B0: int, B: int) -> int:
+    """a(2^B) from z = a(2^B0), for B0 and B multiples of 8 and an integer
+    polynomial a with coefficients below 2^(min(B0, B) - 1) in absolute
+    value: the biased digits are moved bytewise to the new slots."""
+    k0, k, m = B0 // 8, B // 8, min(B0, B) // 8
+    n = z.bit_length() // B0 + 2
+    raw = (z + _bias(m, k0, n)).to_bytes(n * k0, "little")
+    out = bytearray(n * k)
+    for j in range(m):
+        out[j::k] = raw[j::k0]
+    return int.from_bytes(out, "little") - _bias(m, k, n)
 
 
 def _content(a):
@@ -335,7 +349,12 @@ class Scalar:
 
     def __init__(self, num, den=P_ONE):
         """num / den for coefficient sequences (ascending degree) of exact
-        rationals, in any form: unreduced, with powers of v, non-integral."""
+        rationals, in any form: unreduced, with powers of v, non-integral;
+        a float is refused, as by Scalar.of."""
+        num, den = list(num), list(den)
+        for c in num + den:
+            if isinstance(c, float):
+                raise TypeError("Scalar needs exact numbers, got float %r" % c)
         num = [Fraction(c) for c in num]
         den = [Fraction(c) for c in den]
         lcm = 1

@@ -17,7 +17,7 @@ from operator import add, le, sub
 
 from .galg import GAElem, chains
 from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
-from .scalars import (DEFAULT_PRECISION, P_ONE, Scalar, TruncSeries, _bias, _canon, byte_width,
+from .scalars import (DEFAULT_PRECISION, P_ONE, Scalar, TruncSeries, _canon, byte_width,
                       p_from_int, p_to_int, scalar_to_series)
 
 
@@ -284,19 +284,6 @@ def split_atoms(atoms, rank: int):
             c, w = -c, wneg(w)
         divisors.append((s, c, w))
     return divisors, (sign, C, W)
-
-
-def int_reslot(z: int, B0: int, B: int) -> int:
-    """a(2^B) from z = a(2^B0), for B0 and B multiples of 8 and an integer
-    polynomial a with coefficients below 2^(min(B0, B) - 1) in absolute
-    value: the biased digits are moved bytewise to the new slots."""
-    k0, k, m = B0 // 8, B // 8, min(B0, B) // 8
-    n = z.bit_length() // B0 + 2
-    raw = (z + _bias(m, k0, n)).to_bytes(n * k0, "little")
-    out = bytearray(n * k)
-    for j in range(m):
-        out[j::k] = raw[j::k0]
-    return int.from_bytes(out, "little") - _bias(m, k, n)
 
 
 def atom_product(pre: GAElem, atoms, B: int):

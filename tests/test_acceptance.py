@@ -18,32 +18,36 @@ def test_check(check, case):
     assert row["pass"], row
 
 
-def test_a_failing_self_check_fails_exactly_the_rows_reading_its_family(monkeypatch):
-    # a wrong off-diagonal operator entry for AIIIb n=2 at level 1 makes the
-    # triangular solve wrong, which only the eigen self-check can see
+@pytest.mark.parametrize("tag,n,level,failing", [
+    ("AIIIb", 2, 1, ["bar AIIIb l=1", "orthogonality AIIIb n=2 l=1", "soundness AIIIb l=1"]),
+    ("CI", 2, 1, ["eigenvalue identity CI n=2", "soundness CI l=1"]),
+], ids=["AIIIb", "CI"])
+def test_a_failing_self_check_fails_exactly_the_rows_reading_its_family(
+        monkeypatch, tag, n, level, failing):
+    # a wrong off-diagonal operator entry at one level makes the triangular
+    # solve wrong, which only the eigen self-check can see
     from mkpolys import checks, mkengine
     from mkpolys.scalars import SC_ONE
     from mkpolys.weights import KLabel
 
-    target = KLabel.from_entry(checks.satake_catalog("AIIIb", 2), 1)
+    target = KLabel.from_entry(checks.satake_catalog(tag, n), level)
     real = mkengine.operator_action
     bases = []                  # the basis of each faulty operator built
 
     def faulty(label, rs, basis):
-        action = real(label, rs, basis)
+        matrix = real(label, rs, basis)
         if label == target:
             bases.append(tuple(basis))
             key = ((0, 0), (2, 0))
-            action.matrix[key] = action.matrix.get(key, SC_ONE) + SC_ONE
-        return action
+            matrix[key] = matrix.get(key, SC_ONE) + SC_ONE
+        return matrix
 
     monkeypatch.setattr(mkengine, "operator_action", faulty)
     # the rows must build under the fault, on an empty memo of families
     monkeypatch.setattr(checks, "_FAMILIES", {})
     rows = [check.row(case, M) for check, case in CASES]
     failed = {r["id"]: r for r in rows if not r["pass"]}
-    assert sorted(failed) == ["bar AIIIb l=1", "orthogonality AIIIb n=2 l=1",
-                              "soundness AIIIb l=1"]
+    assert sorted(failed) == failing
     assert all(r["error"].startswith("eigenfunction check failed") for r in failed.values())
     assert all("error" not in r for r in rows if r["pass"])
     # the failed family is built once per key (bound 6 and bound 4), not

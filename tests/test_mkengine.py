@@ -273,30 +273,40 @@ def test_triangularity_and_invariance(entry, n, bound):
 def test_eigenvalue_examples():
     k = KLabel.from_entry(AI1, 0)
     basis = dominant_weights_upto(1, 6)
-    act = operator_action(k, RS1, basis)
-    assert act.eigenvalue((0,)) == Scalar.of(0)
+    M = operator_action(k, RS1, basis)
+    assert M[((0,), (0,))] == Scalar.of(0)
     # B^{-1} + B^2 - (1 + B) in base B = v^4
     e2 = Scalar.v_pow(-4) + Scalar.v_pow(8) - Scalar.of(1) - Scalar.v_pow(4)
-    assert act.eigenvalue((2,)) == e2
+    assert M[((2,), (2,))] == e2
     # distinct across the basis
-    eigs = [act.eigenvalue(w) for w in basis]
+    eigs = [M[(w, w)] for w in basis]
     for i, a in enumerate(eigs):
         for b in eigs[i + 1:]:
             assert a != b
-    with pytest.raises(ValueError, match="out of range"):
-        act.eigenvalue((40,))
+
+
+@pytest.mark.parametrize("entry,n,bound", [(AIV2, 1, 6), (AIIIB2, 2, 4)])
+def test_family_eigenvalues_are_the_operator_diagonal(entry, n, bound):
+    fam = build_family(entry, 1, bound)
+    M = operator_action(KLabel.from_entry(entry, 1), build_root_system(n), list(fam))
+    assert all(P.eigenvalue == M[(lam, lam)] for lam, P in fam.items())
 
 
 def test_spectral_pinning_and_closed_form():
     for entry, n, want in ((AI1, 1, (Fraction(1, 2),)),
                            (AIIIB2, 2, (Fraction(3, 2), Fraction(1, 2))),
                            (satake_catalog("CI", 2), 2, (Fraction(1), Fraction(1, 2)))):
-        rs = build_root_system(n)
-        k = KLabel.from_entry(entry, 0)
-        act = operator_action(k, rs, dominant_weights_upto(n, 4))
-        rho, center = pin_rho(act)
+        fam = build_family(entry, 0, 4)
+        rho, center = pin_rho(fam)
         assert rho == want
-        assert eigenvalue_closed_form_check(act, (rho, center))
+        assert eigenvalue_closed_form_check(fam, (rho, center))
+
+
+def test_pin_rho_names_a_staircase_weight_missing_from_the_family():
+    # (2, 2) has coordinate sum 4, beyond the bound
+    fam = build_family(satake_catalog("CI", 2), 0, 2)
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        pin_rho(fam)
 
 
 def test_build_polynomial_base_cases():
@@ -311,8 +321,9 @@ def test_build_polynomial_base_cases():
 def test_eigenfunction_property_reverified():
     k = KLabel.from_entry(AIV2, 1)
     basis = dominant_weights_upto(1, 6)
-    E = operator_action(k, RS1, basis).eigenvalue((4,))
+    E = operator_action(k, RS1, basis)[((4,), (4,))]
     P = build_polynomial(k, [(4,)], RS1, verify=True)[(4,)]  # raises on failure
+    assert P.eigenvalue == E
     g = clear_denominators(P.coeffs)[1]
     assert apply_qdiff(k, [g], RS1) == [{w: c * E for w, c in g.items()}]
 
@@ -542,12 +553,13 @@ def test_self_adjointness_mod_precision():
 
 def test_eigenvalue_identity_reports():
     rep = eigenvalue_identity_check(
-        AI1, "AI1", [(Fraction(0),), (Fraction(2),), (Fraction(4),), (Fraction(6),)],
-        bound=6)
+        AI1, [(Fraction(0),), (Fraction(2),), (Fraction(4),), (Fraction(6),)],
+        {l: build_family(AI1, l, 6) for l in (0, 1, 2)})
     assert rep["pass"] and rep["N"] == 1
     assert rep["rho_restricted"] == ["1/2"]
+    assert rep["shift_law"] == [{"level": l, "match": True} for l in (0, 1, 2)]
     with pytest.raises(ValueError, match="reduced"):
-        eigenvalue_identity_check(AIV2, "AI1", [(Fraction(0),)])
+        eigenvalue_identity_check(AIV2, [(Fraction(0),)], {})
 
 
 def test_connection_coefficients():

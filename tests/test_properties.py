@@ -28,6 +28,7 @@ from mkpolys.scalars import (
     Scalar,
     TruncSeries,
     byte_width,
+    int_reslot,
     p_from_int,
     p_gcd,
     p_make,
@@ -43,7 +44,6 @@ from mkpolys.weights import (
     _split_rescue,
     binomial_product,
     half_density,
-    int_reslot,
     poch_to_gaelem,
     shift_factor,
     shifted_weight,

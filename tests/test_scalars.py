@@ -87,6 +87,14 @@ def test_of_refuses_float():
     assert Scalar.of(Fraction(1, 10)) * C(10) == C(1)
 
 
+def test_scalar_refuses_float():
+    with pytest.raises(TypeError, match="float"):
+        Scalar([0.1])
+    with pytest.raises(TypeError, match="float"):
+        Scalar([1], [1, 0.5])
+    assert Scalar([Fraction(1, 10)], [1, 2]) * Scalar([10]) == Scalar([1], [1, 2])
+
+
 def test_series_refuses_float():
     with pytest.raises(TypeError, match="float"):
         TruncSeries([0.1], 3)
