@@ -11,10 +11,13 @@ Every family a row reads comes from `family`, built with the eigen
 self-check: the orthogonality, bar, soundness and connection rows all
 take the same arguments (tag, n, m, sigma, bound, l), and the eigenvalue
 rows read the spectral vector off the eigenvalues of the families at
-levels 0, 1 and 2.  A family whose self-check raises is built once too,
-and each row that reads it fails with the message as its "error"; the
-other rows are unaffected.  Gram matrices come from mkengine.gram_matrix,
-which keeps one expansion of each weight and every pair it has computed.
+levels 0, 1 and 2.  Each check declares the families its rows read, so
+each (tag, n, m, sigma, l) is built once, at the widest bound a row
+reads, and a narrower read is its restriction.  A family whose
+self-check raises is built once too, and each row that reads it fails
+with the message as its "error"; the other rows are unaffected.  Gram
+matrices come from mkengine.gram_matrix, which keeps one expansion of
+each weight and every pair it has computed.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ class Check:
     cases: tuple
     holds: Callable             # (M, *arguments) -> bool
     show: Callable = None       # (*arguments) -> str, shown beside the row
+    reads: Callable = None      # (*arguments) -> the (tag, n, m, sigma, l, bound) it reads
 
     def row(self, case, M: int) -> dict:
         """The verify row of one case.  A case that raises ValueError fails,
@@ -65,22 +69,48 @@ class Check:
         return out
 
 
-_FAMILIES = {}
+_FAMILIES = {}                  # (tag, n, m, sigma, l) -> (bound, family or message)
 
 
 def family(tag: str, n: int, m: int, sigma, l: int, bound: int) -> dict:
-    """The operator-exact level-l family through bound, built once per
-    process with the eigen self-check; callers must not modify it.  A
-    failed build is kept as its message, raised again on every call."""
-    key = (tag, n, m, sigma, l, bound)
-    if key not in _FAMILIES:
+    """The operator-exact level-l family through bound, with the eigen
+    self-check; callers must not modify it.  Each (tag, n, m, sigma, l) is
+    built once per process, at the widest bound any registered row reads
+    (or at bound, when that is wider), and a narrower read is the
+    restriction to coordinate sum <= bound: the polynomial at lam is
+    solved from the weights below lam alone.  A failed build is kept as
+    its message, raised again on every call."""
+    key = (tag, n, m, sigma, l)
+    built, fam = _FAMILIES.get(key, (-1, None))
+    if built < bound:
+        built = max(bound, _widest().get(key, bound))
         try:
-            _FAMILIES[key] = build_family(satake_catalog(tag, n, m), l, bound, sigma, verify=True)
+            fam = build_family(satake_catalog(tag, n, m), l, built, sigma, verify=True)
         except ValueError as exc:
-            _FAMILIES[key] = str(exc)
-    if isinstance(_FAMILIES[key], str):
-        raise ValueError(_FAMILIES[key])
-    return _FAMILIES[key]
+            fam = str(exc)
+        _FAMILIES[key] = built, fam
+    if isinstance(fam, str):
+        raise ValueError(fam)
+    if built == bound:
+        return fam
+    return {lam: P for lam, P in fam.items() if sum(lam) <= bound}
+
+
+@lru_cache(maxsize=None)
+def _widest() -> dict:
+    """(tag, n, m, sigma, l) -> the widest bound any registered row reads."""
+    out = {}
+    for check in CHECKS:
+        for _, args in check.cases if check.reads else ():
+            for *key, bound in check.reads(*args):
+                out[tuple(key)] = max(out.get(tuple(key), bound), bound)
+    return out
+
+
+def _reads(tag, n, m, sigma, bound, l, levels=(0,)):
+    """The families a row of arguments (tag, n, m, sigma, bound, l) reads:
+    level l + i for i in levels."""
+    return [(tag, n, m, sigma, l + i, bound) for i in levels]
 
 
 def _weight_shift(M, tag, n, m, sigma, l):
@@ -176,7 +206,7 @@ CHECKS = (
                                                ("AIVm m=2 n=1", "AIVm", 1, 2, 6),
                                                ("AIIIb n=2", "AIIIb", 2, 0, 6))
                 for l in (0, 1, 2)),
-          _orthogonality),
+          _orthogonality, reads=_reads),
     Check("rank1",
           "solved chain equals the closed product and squares to the level factor",
           tuple(("rank1 AI1 l=%d" % l, (l,)) for l in (1, 2, 3, 4)),
@@ -192,21 +222,23 @@ CHECKS = (
           "all coefficients fixed by v -> 1/v",
           tuple(("bar %s l=%d" % (tag, l), (tag, n, 0, S0, bound, l))
                 for tag, n, bound in (("AI1", 1, 8), ("AIIIb", 2, 6)) for l in (0, 1, 2)),
-          _bar),
+          _bar, reads=_reads),
     Check("eigenvalue",
           "ambient Weyl sum equals N times the restricted sum; the level shift "
           "moves the spectral vector by l/2 per entry",
           (("eigenvalue identity AI1", ("AI1", 1, ((0,), (2,), (4,), (6,)), 8)),
            ("eigenvalue identity CI n=2",
             ("CI", 2, ((0, 0), (2, 0), (2, 2), (4, 2)), 6))),
-          _eigenvalue),
+          _eigenvalue,
+          reads=lambda tag, n, _, bound: _reads(tag, n, 0, S0, bound, 0, (0, 1, 2))),
     Check("connection",
           "expansion in the next level has exactly two terms with unit leading "
           "coefficient",
           tuple(("connection %s l=%d" % (name, l), (tag, 1, m, S0, 8, l))
                 for name, tag, m in (("AI1", "AI1", 0), ("AIV2", "AIVm", 2))
                 for l in (0, 1)),
-          _connection),
+          _connection,
+          reads=lambda *args: _reads(*args, levels=(0, 1))),
     Check("soundness",
           "triangular eigen-solve and truncated Gram path agree mod v^{order}",
           tuple(("soundness %s l=%d" % (tag, l), (tag, n, m, S0, bound, l))
@@ -217,7 +249,7 @@ CHECKS = (
                     ("CI", 2, 0, 4, (0, 1)),
                     ("EVII", 3, 0, 4, (0,)))
                 for l in levels),
-          _soundness),
+          _soundness, reads=_reads),
 )
 
 SUITES = tuple(dict.fromkeys(c.suite for c in CHECKS))

@@ -1,9 +1,11 @@
 """Sparse elements of the group algebra of the doubled weight lattice.
 
 A GAElem is a finite map weight -> Scalar; its involution bar negates
-weights.  Exact division by a binomial 1 + u*e^w, the backbone of the
-q-difference operator, is a chain recurrence that divides nothing, so it
-also runs on elements whose coefficients are ints (v evaluated at 2^B).
+weights.  Exact division by the binomials 1 + u*e^(+-w) of one line +-w,
+the backbone of the q-difference operator, is a chain recurrence that
+divides nothing, run on each chain of the line for every binomial in
+turn, so it also runs on elements whose coefficients are ints (v
+evaluated at 2^B).
 """
 
 from __future__ import annotations
@@ -194,38 +196,69 @@ def chains(terms: dict, w: Weight) -> dict:
     return out
 
 
-def ga_divexact(f: GAElem, g: GAElem) -> GAElem:
-    """f / g for a binomial g = 1 + u * e^w (w nonzero); raises
-    'not divisible' unless the quotient is a Laurent polynomial.
+def ga_divexact(f: GAElem, line) -> GAElem:
+    """f divided by each binomial g = 1 + u * e^(+-w) of the list line in
+    turn, all on one line +-w (w nonzero); raises 'not divisible' at the
+    first g that leaves a quotient that is no Laurent polynomial.
 
-    Each chain x0 + j*w of f's support is divided on its own by the
-    recurrence q[j] = f[j] - u * q[j - 1], j ascending from the chain's
-    first term of f.  A quotient q has q[j] = 0 past the chain's last
-    term j1 of f, so the value the recurrence leaves at j1 is zero
-    exactly when g divides f: a nonzero value there is the proof of
-    non-divisibility.  Nothing is divided, so the coefficients (those of
-    f and u alike) may be Scalars or ints.
+    One chain x0 + j*w of f's support is divided on its own, as a dense
+    list from its first term j0 to its last j1, by the recurrence
+    q[j] = f[j] - u * q[j - 1], j ascending from j0, for g = 1 + u*e^w,
+    and q[j] = f[j] - u * q[j + 1], j descending from j1, for
+    g = 1 + u*e^-w; the quotient is again a chain of the line, divided
+    by the next g.  A quotient by 1 + u*e^w has q[j] = 0 past the last
+    term j1 of its dividend (before the first, for e^-w), so the value
+    the recurrence leaves at that end is zero exactly when g divides: a
+    nonzero value there is the proof of non-divisibility.  Each value is
+    the one that dividing the whole of f by each g in turn makes on that
+    chain, so the line raises exactly when that sequence would.  Nothing
+    is divided, so the coefficients (those of f and u alike) may be
+    Scalars or ints.
     """
-    f._check(g)
-    if len(g.terms) != 2 or g.terms.get((0,) * g.rank) != 1:
-        raise ValueError("divisor is not a binomial 1 + u*e^w")
-    ((w, u),) = [(x, c) for x, c in g.terms.items() if any(x)]
-    zero = u - u
-    times_u = u.__mul__
-    if type(u) is int and not abs(u) & (abs(u) - 1):
-        # u = +-2^k, as for v^k evaluated at v = 2^B: shift, do not multiply
-        k = abs(u).bit_length() - 1
-        times_u = (lambda q: q << k) if u > 0 else (lambda q: -(q << k))
+    unit = (0,) * f.rank
+    w, steps = None, []             # (along +w?, multiplication by u, zero)
+    for g in line:
+        f._check(g)
+        if len(g.terms) != 2 or g.terms.get(unit) != 1:
+            raise ValueError("divisor is not a binomial 1 + u*e^w")
+        ((x, u),) = [(x, c) for x, c in g.terms.items() if any(x)]
+        w = w or x
+        if x != w and x != wneg(w):
+            raise ValueError("divisors are not on one line")
+        times_u = u.__mul__
+        if type(u) is int and not abs(u) & (abs(u) - 1):
+            # u = +-2^k, as for v^k evaluated at v = 2^B: shift, do not multiply
+            k = abs(u).bit_length() - 1
+            times_u = (lambda q, k=k: q << k) if u > 0 else (lambda q, k=k: -(q << k))
+        steps.append((x == w, times_u, u - u))
     quo = {}
     for base, cs in chains(f.terms, w).items():
-        j0, j1 = min(cs), max(cs)
-        q = zero
-        for j in range(j0, j1):
-            q = cs.get(j, zero) - times_u(q)
-            if q:
-                quo[tuple(a + j * b for a, b in zip(base, w))] = q
-        if cs[j1] - times_u(q):
-            raise ValueError("not divisible")
+        j0 = min(cs)
+        row = [cs.get(j, steps[0][2]) for j in range(j0, max(cs) + 1)]
+        for forward, times_u, zero in steps:
+            # along -w the chain runs backward: reverse it and back
+            src = row if forward else row[::-1]
+            q, out = zero, []
+            for c in src[:-1]:
+                q = c - times_u(q)
+                out.append(q)
+            if src[-1] - times_u(q):
+                raise ValueError("not divisible")
+            if not forward:
+                out.reverse()
+                j0 += 1
+            # the quotient's chain runs from its first to its last term
+            while out and not out[-1]:
+                out.pop()
+            k = 0
+            while k < len(out) and not out[k]:
+                k += 1
+            row, j0 = out[k:], j0 + k
+            if not row:
+                break
+        for j, c in enumerate(row, j0):
+            if c:
+                quo[tuple(a + j * b for a, b in zip(base, w))] = c
     out = GAElem(f.rank)
     out.terms = quo
     return out

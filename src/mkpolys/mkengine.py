@@ -4,7 +4,9 @@ positive-root half density, and as a truncated Gram-style oracle from the
 constant-term inner product.  Also: orthogonality verification, the
 v -> 1/v coefficient symmetry, the central-character eigenvalue identity,
 and connection coefficients between neighbouring levels.  The operator
-runs on ints, with v evaluated at 2^B (apply_qdiff, mkpolys.qdiff).
+runs on ints, with v evaluated at 2^B (apply_qdiff, mkpolys.qdiff): a
+batch's numerator is reslotted once and divided one line of binomials
+at a time.
 """
 
 from __future__ import annotations
@@ -72,12 +74,13 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     is one int times a power of v shared by the numerator.  As f is
     invariant, its numerator is sum_eta w_eta(G) for the one product
     G = cof * (T_eps_1 f - f) (see qdiff.Pieces), shifted into a band of
-    v-slots of its own; the sum of the bands is divided by each common
-    atom once (ga_divexact) and must be Weyl invariant: the bands sit in
-    disjoint slots, so equal ints mean equal values in every band.  Its
-    dominant weights are read back and split by band.  Pieces.slot_width
-    gives B and the gap between bands, and proves that the batch raises
-    exactly when one of its inputs would alone.
+    v-slots of its own; the sum of the bands, moved once from the product
+    width to B (int_reslot on the whole batch), is divided by the common
+    atoms one line +-w at a time (ga_divexact) and must be Weyl invariant:
+    the bands sit in disjoint slots, so equal ints mean equal values in
+    every band.  Its dominant weights are read back and split by band.
+    Pieces.slot_width gives B and the gap between bands, and proves that
+    the batch raises exactly when one of its inputs would alone.
     """
     pieces = _qdiff_pieces(label, rs)
     direction, b = pieces.direction, label.base_exp
@@ -97,7 +100,7 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     B, gap = pieces.slot_width(nu, [min(x) for x in zip(*ws)], [max(x) for x in zip(*ws)])
     e0, cof = pieces.cof
     if B1 != pieces.width:
-        cof = {w: int_reslot(z, pieces.width, B1) for w, z in cof.items()}
+        cof = dict(zip(cof, int_reslot(list(cof.values()), pieces.width, B1)))
     acc, bands, off = {}, [], 0
     for res, g in batch:
         moved = []              # the terms T_direction moves: (weight, e, v-shift, z)
@@ -131,11 +134,13 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
         off += top + 1 + gap
     # the division needs the wider slots of slot_width
     num = GAElem(rs.n)
-    num.terms = {w: z if B == B1 else int_reslot(z, B1, B) for w, z in acc.items() if z}
+    num.terms = {w: z for w, z in acc.items() if z}
     del acc                     # frees the ints at B1 before the division
+    if B != B1:
+        num.terms = dict(zip(num.terms, int_reslot(list(num.terms.values()), B1, B)))
     try:
-        for d in pieces.binomials(B):
-            num = ga_divexact(num, d)
+        for line in pieces.binomials(B):
+            num = ga_divexact(num, line)
     except ValueError:
         raise ValueError("non-polynomial result")
     sign, C, W = pieces.monomial
@@ -335,7 +340,9 @@ def _series_solve(rows, rhs):
         row = rows[i]
         acc = row[k]
         for j in range(i + 1, k):
-            acc = acc - row[j] * x[j]
+            # a zero entry known mod v^(p+1) times a power series is zero
+            # mod v^(p+1), whatever the precision of x[j]
+            acc = acc - (row[j] if row[j].is_zero() else row[j] * x[j])
         x[i] = acc.divide(row[i])
     return x
 

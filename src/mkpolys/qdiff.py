@@ -4,17 +4,18 @@ An integer polynomial a travels as one int, its value a(2^B) (Kronecker
 substitution in v, Harvey, JSC 2009; the kernel lives in scalars), and
 an integer Laurent polynomial as such an int times a power of v.  Pieces
 holds the operator's cofactor in the direction eps_1 multiplied out in
-that form, the common binomial atoms to divide by, and the proven bounds
-that give the slot widths.
+that form, the common binomial atoms to divide by, grouped by line +-w
+for galg.ga_divexact, and the proven bounds that give the slot widths.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from math import gcd
 
 from .galg import GAElem
-from .roots import RootSystem, eps, weyl_apply, weyl_group
+from .roots import RootSystem, eps, weyl_apply, weyl_group, wneg
 from .scalars import P_ONE, Scalar, byte_width, p_divexact, p_gcd, p_mul
 from .weights import KLabel, atom_product, half_density, ratio_atoms, split_atoms
 
@@ -34,8 +35,9 @@ class Pieces:
     w(T_direction f) = T_eta(w f) = T_eta f, so the numerator
     sum_eta cof_eta * (T_eta f - f) is sum_eta w_eta(cof * (T_direction f - f)).
     norm bounds the summed l1 norm of the images' cofactors and [lo, hi]
-    is the box of their weights.  The final division happens binomial by
-    binomial, by the divisors and monomial of split_atoms.
+    is the box of their weights: w maps the cofactor's own box coordinate
+    by coordinate.  The final division is by the divisors and monomial of
+    split_atoms, the divisors ordered line by line, one line +-w at a time.
     """
 
     def __init__(self, label: KLabel, rs: RootSystem):
@@ -58,10 +60,18 @@ class Pieces:
         self.norm = len(reps) << len(atoms)
         self.width = self.product_width(1)
         self.cof = atom_product(GAElem.unit(rs.n), atoms, self.width)
-        ws = [weyl_apply(w, x) for w in self.reps for x in self.cof[1]]
-        self.lo = [min(x) for x in zip(*ws)]
-        self.hi = [max(x) for x in zip(*ws)]
-        self.divisors, self.monomial = split_atoms(self.atoms, rs.n)
+        # each w maps the cofactor's box coordinate by coordinate
+        lo = [min(x) for x in zip(*self.cof[1])]
+        hi = [max(x) for x in zip(*self.cof[1])]
+        images = [[(lo[p], hi[p]) if s > 0 else (-hi[p], -lo[p]) for p, s in zip(perm, signs)]
+                  for perm, signs in self.reps]
+        self.lo = [min(a for a, _ in col) for col in zip(*images)]
+        self.hi = [max(b for _, b in col) for col in zip(*images)]
+        divisors, self.monomial = split_atoms(self.atoms, rs.n)
+        lines = {}              # the divisors grouped by line +-w, in order
+        for d in divisors:
+            lines.setdefault(_line(d[2]), []).append(d)
+        self.divisors = [d for line in lines.values() for d in line]
 
     def product_width(self, nu: int) -> int:
         """A slot width that holds the numerator for an input whose
@@ -93,18 +103,28 @@ class Pieces:
         and balanced digits read back those below 2^(B-1); B covers both,
         rounded up to whole bytes.
 
+        The divisors are taken in their order, line by line; none of
+        these bounds depends on the order.  A line divides each of its
+        chains by all its binomials before the next chain, and a chain's
+        values are those that dividing the whole dividend binomial by
+        binomial makes on it, so each bound holds on each chain as stated.
+
         A batch divides sum_i v^off_i * F_i, F_i in the band of slots
         [off_i, off_i + d_i]; the recurrence is linear, so each value it
         makes is the sum of the bands' own.  An exact quotient by
-        1 - s*v^c*e^w (c >= 0) keeps its dividend's v-degrees, so while
-        every band divides, each stays in its slots.  At the first divisor
-        where a band does not, its chain-end value is a sum of its slots
-        times (-u)^k = (s*v^c)^k, k < n on a chain of n weights, so it lies
-        in [off_i, off_i + d_i + c*(n - 1)]; the next band starts at
-        off_i + d_i + 1 + gap.  With gap >= c*(n - 1) their slots are
-        disjoint, and the batch's value is zero only when every band's is:
-        a batch raises "non-polynomial result" exactly when one of its
-        inputs would alone."""
+        1 - s*v^c*e^w (c >= 0) keeps its dividend's v-degrees.  Take the
+        first divisor, in the order, at which some band does not divide,
+        and a chain where it does not.  On that chain every earlier
+        binomial divided exactly, for every band: those of earlier lines
+        everywhere, those of its own line on this chain.  So each band
+        is still in its slots, and the failing band's chain-end value is
+        a sum of its slots times (-u)^k = (s*v^c)^k, k < n on a chain of n
+        weights, in [off_i, off_i + d_i + c*(n - 1)]; the next band starts
+        at off_i + d_i + 1 + gap.  With gap >= c*(n - 1) their slots are
+        disjoint, and the batch's value there is zero only when every
+        band's is.  So a batch raises "non-polynomial result" exactly when
+        one of its inputs would alone: at that chain at the latest, and
+        never when every input divides, the recurrence being linear."""
         beta = 2 * nu * self.norm
         need, gap = beta, 0
         lo = [a + b for a, b in zip(self.lo, lo)]
@@ -118,14 +138,22 @@ class Pieces:
         return byte_width(max(need, 2 * beta)), gap
 
     def binomials(self, B: int) -> list:
-        """The divisors as GAElems 1 + u*e^w with u = -s * 2^(c*B)."""
+        """The divisors as GAElems 1 + u*e^w with u = -s * 2^(c*B), one
+        list per line +-w, for galg.ga_divexact."""
         unit = (0,) * len(self.lo)
         out = []
-        for s, c, w in self.divisors:
-            g = GAElem(len(unit))
-            g.terms = {unit: 1, w: -s << (c * B)}
-            out.append(g)
+        for _, line in groupby(self.divisors, lambda d: _line(d[2])):
+            out.append([])
+            for s, c, w in line:
+                g = GAElem(len(unit))
+                g.terms = {unit: 1, w: -s << (c * B)}
+                out[-1].append(g)
         return out
+
+
+def _line(w):
+    """The line +-w as one of its two weights."""
+    return max(w, wneg(w))
 
 
 def clear_denominators(f: dict):

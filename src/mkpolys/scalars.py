@@ -26,8 +26,8 @@ qdiff share.  On it, p_gcd is the heuristic gcd GCDHEU: one integer gcd,
 the gcd and both cofactors read back from digits and certified by exact
 products; reductions take the cofactors and divide nothing.  Digits of
 1, 2, 4 or 8 bytes are read back through the slots of a signed array,
-all of an int's digits in one C-level pass, and int_reslot moves an
-int's digits to slots of another width.
+all of an int's digits in one C-level pass, and int_reslot moves the
+digits of a list of ints to slots of another width.
 
 TruncSeries is the oracle ring Q[[v]] / (v^(M+1)) used by the
 constant-term machinery, in the same kind of integer form: a list num of
@@ -153,17 +153,23 @@ def p_from_int(z: int, B: int) -> list:
     return slots.tolist()
 
 
-def int_reslot(z: int, B0: int, B: int) -> int:
-    """a(2^B) from z = a(2^B0), for B0 and B multiples of 8 and an integer
-    polynomial a with coefficients below 2^(min(B0, B) - 1) in absolute
-    value: the biased digits are moved bytewise to the new slots."""
+def int_reslot(zs, B0: int, B: int) -> list:
+    """[a(2^B) for each z = a(2^B0) of the list zs], for B0 and B multiples
+    of 8 and integer polynomials a with coefficients below
+    2^(min(B0, B) - 1) in absolute value: the biased digits are moved
+    bytewise to the new slots.  Every z takes the slot count of the
+    longest, so the two biases are built once for the whole list."""
     k0, k, m = B0 // 8, B // 8, min(B0, B) // 8
-    n = z.bit_length() // B0 + 2
-    raw = (z + _bias(m, k0, n)).to_bytes(n * k0, "little")
-    out = bytearray(n * k)
-    for j in range(m):
-        out[j::k] = raw[j::k0]
-    return int.from_bytes(out, "little") - _bias(m, k, n)
+    n = max((z.bit_length() for z in zs), default=0) // B0 + 2
+    bias0, bias = _bias(m, k0, n), _bias(m, k, n)
+    out = []
+    for z in zs:
+        raw = (z + bias0).to_bytes(n * k0, "little")
+        moved = bytearray(n * k)
+        for j in range(m):
+            moved[j::k] = raw[j::k0]
+        out.append(int.from_bytes(moved, "little") - bias)
+    return out
 
 
 def _content(a):
@@ -617,7 +623,7 @@ class TruncSeries:
         the i with k - i <= deg B; for |t| = 1 the powers of t are signs."""
         M = min(self.precision, other.precision)
         s = other.valuation()
-        if s is None:
+        if s is None or s > M:
             raise ValueError("precision exhausted")
         if s > 0:
             v = self.valuation()

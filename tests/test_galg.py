@@ -176,12 +176,17 @@ def test_divexact():
     g = binomial(1, (-2,), Scalar.v_pow(2))
     h = binomial(1, (4,), Scalar.of(-1) * Scalar.v_pow(-3))
     prod = f * g * h
-    assert ga_divexact(ga_divexact(prod, g), h) == f
-    assert ga_divexact(ga_divexact(prod, h), g) == f
+    assert ga_divexact(ga_divexact(prod, [g]), [h]) == f
+    assert ga_divexact(ga_divexact(prod, [h]), [g]) == f
     with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(mono(1, (0,)) + mono(1, (2,), 2), binomial(1, (2,), SC_ONE))
+        ga_divexact(mono(1, (0,)) + mono(1, (2,), 2), [binomial(1, (2,), SC_ONE)])
     with pytest.raises(ValueError, match="binomial"):
-        ga_divexact(prod, f)
+        ga_divexact(prod, [f])
+    # a line holds the binomials of e^w and e^-w only
+    with pytest.raises(ValueError, match="one line"):
+        ga_divexact(prod, [g, h])
+    k = binomial(1, (2,), Scalar.of(-1) * Scalar.v_pow(1))
+    assert ga_divexact(prod * k, [g, k]) == f * h
 
 
 def test_divexact_rank_two_round_trip():
@@ -195,7 +200,7 @@ def test_divexact_rank_two_round_trip():
         for g in atoms:
             prod = prod * g
         for g in atoms:
-            prod = ga_divexact(prod, g)
+            prod = ga_divexact(prod, [g])
         assert prod == f
 
 
@@ -208,9 +213,9 @@ def test_divexact_rank_two_non_divisible_stops_at_once(monkeypatch):
                         lambda a, b: divisions.append(1) or divide(a, b))
     g = GAElem.unit(2) - mono(2, (0, 2), Scalar.v_pow(1))
     with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(GAElem.unit(2), g)
+        ga_divexact(GAElem.unit(2), [g])
     # a remainder that only shows up at the end of a longer chain
     h = (GAElem.unit(2) + mono(2, (2, 2), 3)) * g + mono(2, (0, 0), 1)
     with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(h, g)
+        ga_divexact(h, [g])
     assert divisions == []

@@ -213,17 +213,18 @@ def test_a_coordinate_key_that_is_not_dominant_raises(n, key):
 
 
 def test_a_non_invariant_quotient_raises(monkeypatch):
-    # fault injection: the last division's quotient changes at one weight
-    # that is not dominant after the shift, which only the output check sees
+    # fault injection: the last line's quotient changes at one weight that
+    # is not dominant after the shift, which only the output check sees
     k = KLabel.from_entry(AIIIB2, 1)
     pieces = _qdiff_pieces(k, RS2)
     W = pieces.monomial[2]
+    lines = len(pieces.binomials(8))
     real, calls = mkengine.ga_divexact, []
 
-    def faulty(f, g):
-        q = real(f, g)
-        calls.append(g)
-        if len(calls) == len(pieces.divisors):
+    def faulty(f, line):
+        q = real(f, line)
+        calls.append(line)
+        if len(calls) == lines:
             w = next(w for w in q.terms if not is_dominant(wdiff(w, W)))
             q.terms[w] += 1
         return q
@@ -233,7 +234,7 @@ def test_a_non_invariant_quotient_raises(monkeypatch):
     monkeypatch.setattr(mkengine, "ga_divexact", faulty)
     with pytest.raises(ValueError, match="image is not Weyl invariant"):
         apply_qdiff(k, fs, RS2)
-    assert len(calls) == len(pieces.divisors)
+    assert len(calls) == lines
     monkeypatch.setattr(mkengine, "ga_divexact", real)
     assert apply_qdiff(k, fs, RS2) == want
 
@@ -254,6 +255,10 @@ def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
     _, lcm = _per_image_atoms(label, rs)
     assert Counter(pieces.atoms) == lcm
     assert _cofactor_images(pieces) == _per_image_cofactors(label, rs, pieces.width)
+    # the column box is the box of every term's image
+    ws = [weyl_apply(w, x) for w in pieces.reps for x in pieces.cof[1]]
+    assert pieces.lo == [min(x) for x in zip(*ws)]
+    assert pieces.hi == [max(x) for x in zip(*ws)]
 
 
 @pytest.mark.parametrize("entry,n,bound", [(AI1, 1, 8), (AIV2, 1, 6), (AIIIB2, 2, 4)])

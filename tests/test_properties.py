@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolys import mkengine
-from mkpolys.galg import GAElem, ga_divexact
+from mkpolys.galg import GAElem, chains, ga_divexact
 from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
 from mkpolys.scalars import (
     SC_ONE,
@@ -160,7 +160,7 @@ def binomial_cases(draw, ints=False):
 @given(st.one_of(binomial_cases(), binomial_cases(ints=True)))
 def test_divexact_inverts_multiplication(case):
     f, g = case
-    assert ga_divexact(f * g, g) == f
+    assert ga_divexact(f * g, [g]) == f
 
 
 @SETTINGS
@@ -173,7 +173,7 @@ def test_divexact_rejects_a_non_multiple(case, data):
     extra = GAElem(f.rank)
     extra.terms = {w: g.terms[(0,) * f.rank]}
     with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(f * g + extra, g)
+        ga_divexact(f * g + extra, [g])
 
 
 @SETTINGS
@@ -186,26 +186,96 @@ def test_divexact_of_a_binomial_product_one_atom_at_a_time(data):
         _, h = data.draw(binomial_cases().filter(lambda c: c[0].rank == f.rank))
         prod, atoms = prod * h, atoms + [h]
     for h in data.draw(st.permutations(atoms)):
-        prod = ga_divexact(prod, h)
+        prod = ga_divexact(prod, [h])
     assert prod == f
+
+
+def divide_by_binomial(f, g):
+    """f / g for one binomial g = 1 + u*e^w, the reference for the line
+    division of galg.ga_divexact: one chains pass along w per binomial,
+    the recurrence q[j] = f[j] - u * q[j - 1] ascending, and 'not
+    divisible' when the value at the chain's last term is nonzero."""
+    ((w, u),) = [(x, c) for x, c in g.terms.items() if any(x)]
+    zero, quo = u - u, {}
+    for base, cs in chains(f.terms, w).items():
+        j0, j1 = min(cs), max(cs)
+        q = zero
+        for j in range(j0, j1):
+            q = cs.get(j, zero) - u * q
+            if q:
+                quo[tuple(a + j * b for a, b in zip(base, w))] = q
+        if cs[j1] - u * q:
+            raise ValueError("not divisible")
+    out = GAElem(f.rank)
+    out.terms = quo
+    return out
+
+
+@st.composite
+def line_cases(draw):
+    """(f, line) at rank 1-3: binomials 1 + u*e^(+-w) of one line, both
+    signs of w mixed, u = +-v^c with c > 0 (or, on int coefficients, a
+    signed power of two or any int of at least two bits); f a multiple
+    of some of them, by chance of none or all, plus an optional monomial,
+    so that the quotients run out at any binomial or at none."""
+    rank = draw(ranks)
+    weight = st.tuples(*[st.integers(-2, 2)] * rank)
+    w = draw(weight.filter(any))
+    ints = draw(st.booleans())
+    if ints:
+        coeff = st.integers(-2 ** 40, 2 ** 40)
+        us = st.one_of(st.builds(lambda s, k: s << k, st.sampled_from((-1, 1)), st.integers(1, 90)),
+                       coeff.filter(lambda u: abs(u) > 1))
+        elem = st.dictionaries(weight, coeff, max_size=4).map(lambda t: int_elem(rank, t))
+    else:
+        us = st.builds(lambda s, c: Scalar.of(s) * Scalar.v_pow(c),
+                       st.sampled_from((-1, 1)), st.integers(1, 3))
+        elem = st.dictionaries(weight, laurent, max_size=4).map(lambda t: GAElem(rank, t))
+    unit = (0,) * rank
+    line = [int_elem(rank, {unit: 1, x: u}) if ints else GAElem(rank, {unit: SC_ONE, x: u})
+            for x, u in draw(st.lists(st.tuples(st.sampled_from((w, tuple(-a for a in w))), us),
+                                      min_size=1, max_size=4))]
+    f = draw(elem)
+    for g in draw(st.lists(st.sampled_from(line), max_size=len(line))):
+        f = f * g
+    return f + draw(elem.filter(lambda e: len(e.terms) <= 1)), line
+
+
+@SETTINGS
+@given(line_cases())
+def test_line_division_is_division_binomial_by_binomial(case):
+    """Each prefix of the line gives the oracle's quotient, binomial by
+    binomial, until the oracle raises at a binomial; the prefix ending
+    there raises 'not divisible'."""
+    f, line = case
+    want = f
+    for t in range(1, len(line) + 1):
+        try:
+            want = divide_by_binomial(want, line[t - 1])
+        except ValueError:
+            with pytest.raises(ValueError, match="not divisible"):
+                ga_divexact(f, line[:t])
+            break
+        assert ga_divexact(f, line[:t]) == want
 
 
 @SETTINGS
 @given(st.integers(1, 2 ** 70), st.data())
 def test_evaluation_round_trips_at_the_proven_bound(bound, data):
-    """A Laurent polynomial whose coefficients reach the bound reads back
-    from v = 2^B for the width that bound gives, and moves to any wider
-    width exactly."""
+    """Laurent polynomials whose coefficients reach the bound read back
+    from v = 2^B for the width that bound gives, and a list of them, of
+    mixed lengths, moves to any wider width and back exactly."""
     B = byte_width(2 * bound)
-    cs = data.draw(st.lists(st.sampled_from((bound, -bound, 0, 1, -1))
-                            | st.integers(-bound, bound), min_size=1, max_size=8))
-    e = data.draw(st.integers(-5, 5))
-    x = Scalar.laurent(e, cs)
-    z = p_to_int(x.n, B)
-    assert Scalar.laurent(x.e, p_from_int(z, B)) == x
+    cs = st.lists(st.sampled_from((bound, -bound, 0, 1, -1)) | st.integers(-bound, bound),
+                  min_size=1, max_size=8)
+    xs = [Scalar.laurent(data.draw(st.integers(-5, 5)), c)
+          for c in data.draw(st.lists(cs, min_size=1, max_size=5))]
+    zs = [p_to_int(x.n, B) for x in xs]
+    for x, z in zip(xs, zs):
+        assert Scalar.laurent(x.e, p_from_int(z, B)) == x
     wider = B + 8 * data.draw(st.integers(0, 3))
-    assert int_reslot(z, B, wider) == p_to_int(x.n, wider)
-    assert int_reslot(int_reslot(z, B, wider), wider, B) == z
+    assert int_reslot(zs, B, wider) == [p_to_int(x.n, wider) for x in xs]
+    assert int_reslot(int_reslot(zs, B, wider), wider, B) == zs
 
 
 
@@ -668,3 +738,23 @@ def test_series_solve_keeps_the_precision_of_a_zero_entry():
     assert [(x.num, x.den, x.precision) for x in got] == \
         [(x.num, x.den, x.precision) for x in want]
     assert [x.precision for x in got] == [SM - 5, SM - 4]
+
+
+def test_back_substitution_keeps_the_precision_of_zero_entries():
+    """A zero entry known mod v^(p+1) times any power series is zero mod
+    v^(p+1), whatever that series' precision.  A back substitution that
+    multiplies such zeros into the right side loses two orders per row on
+    this system and ends dividing past its precision, where Gauss-Jordan
+    solves."""
+    def v(k):
+        return TruncSeries([0] * k + [1], SM)
+
+    zero = TruncSeries.zero(SM)
+    rows = [[v(0), zero, zero, zero], [zero, zero, zero, v(1)],
+            [zero, zero, v(2), zero], [zero, v(2), zero, zero]]
+    got, want = mkengine._series_solve(rows, [zero] * 4), gauss_jordan(rows, [zero] * 4)
+    assert all(x.is_zero() for x in got + want)
+    assert all(x.precision >= y.precision for x, y in zip(got, want))
+    # a zero divided past its precision is no series at all
+    with pytest.raises(ValueError, match="precision exhausted"):
+        TruncSeries.zero(1).divide(v(2))
