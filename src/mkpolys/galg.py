@@ -1,17 +1,18 @@
 """Sparse elements of the group algebra of the doubled weight lattice.
 
 A GAElem is a finite map weight -> Scalar; its involution bar negates
-weights.  Exact division by the binomials 1 + u*e^(+-w) of one line +-w,
-the backbone of the q-difference operator, is a chain recurrence that
-divides nothing, run on each chain of the line for every binomial in
-turn, so it also runs on elements whose coefficients are ints (v
-evaluated at 2^B).
+weights.  Exact division by the binomial atoms 1 - s*v^c*e^(+-w) of one
+line +-w, the backbone of the q-difference operator, runs on elements
+whose coefficients are ints (v evaluated at 2^B): a chain recurrence of
+shifts and additions that divides nothing, run on each chain of the line
+for every atom in turn.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import factorial, prod
+from operator import add, sub
 
 from .roots import (
     Weight,
@@ -196,55 +197,44 @@ def chains(terms: dict, w: Weight) -> dict:
     return out
 
 
-def ga_divexact(f: GAElem, line) -> GAElem:
-    """f divided by each binomial g = 1 + u * e^(+-w) of the list line in
-    turn, all on one line +-w (w nonzero); raises 'not divisible' at the
-    first g that leaves a quotient that is no Laurent polynomial.
+def ga_divexact(f: GAElem, line, B: int) -> GAElem:
+    """f, with int coefficients, divided by each binomial 1 - s*v^c*e^(+-w)
+    of the atoms (s, c, +-w) of line in turn, with v evaluated at 2^B, all
+    on one line +-w (w nonzero, c >= 0); raises 'not divisible' at the
+    first atom that leaves a quotient that is no Laurent polynomial.
 
     One chain x0 + j*w of f's support is divided on its own, as a dense
     list from its first term j0 to its last j1, by the recurrence
-    q[j] = f[j] - u * q[j - 1], j ascending from j0, for g = 1 + u*e^w,
-    and q[j] = f[j] - u * q[j + 1], j descending from j1, for
-    g = 1 + u*e^-w; the quotient is again a chain of the line, divided
-    by the next g.  A quotient by 1 + u*e^w has q[j] = 0 past the last
-    term j1 of its dividend (before the first, for e^-w), so the value
-    the recurrence leaves at that end is zero exactly when g divides: a
-    nonzero value there is the proof of non-divisibility.  Each value is
-    the one that dividing the whole of f by each g in turn makes on that
-    chain, so the line raises exactly when that sequence would.  Nothing
-    is divided, so the coefficients (those of f and u alike) may be
-    Scalars or ints.
+    q[j] = f[j] + s * (q[j - 1] << c*B), j ascending from j0, for an atom
+    along +w, and q[j] = f[j] + s * (q[j + 1] << c*B), j descending from
+    j1, along -w; the quotient is again a chain of the line, divided by
+    the next atom.  A quotient by an atom along +w has q[j] = 0 past the
+    last term j1 of its dividend (before the first, along -w), so the
+    value the recurrence leaves at that end is zero exactly when the atom
+    divides: a nonzero value there is the proof of non-divisibility.  Each
+    value is the one that dividing the whole of f by each atom in turn
+    makes on that chain, so the line raises exactly when that sequence
+    would.
     """
-    unit = (0,) * f.rank
-    w, steps = None, []             # (along +w?, multiplication by u, zero)
-    for g in line:
-        f._check(g)
-        if len(g.terms) != 2 or g.terms.get(unit) != 1:
-            raise ValueError("divisor is not a binomial 1 + u*e^w")
-        ((x, u),) = [(x, c) for x, c in g.terms.items() if any(x)]
-        w = w or x
-        if x != w and x != wneg(w):
-            raise ValueError("divisors are not on one line")
-        times_u = u.__mul__
-        if type(u) is int and not abs(u) & (abs(u) - 1):
-            # u = +-2^k, as for v^k evaluated at v = 2^B: shift, do not multiply
-            k = abs(u).bit_length() - 1
-            times_u = (lambda q, k=k: q << k) if u > 0 else (lambda q, k=k: -(q << k))
-        steps.append((x == w, times_u, u - u))
+    w = line[0][2]
+    if any(x != w and x != wneg(w) for _, _, x in line):
+        raise ValueError("divisors are not on one line")
     quo = {}
     for base, cs in chains(f.terms, w).items():
         j0 = min(cs)
-        row = [cs.get(j, steps[0][2]) for j in range(j0, max(cs) + 1)]
-        for forward, times_u, zero in steps:
+        row = [cs.get(j, 0) for j in range(j0, max(cs) + 1)]
+        for s, c, x in line:
             # along -w the chain runs backward: reverse it and back
-            src = row if forward else row[::-1]
-            q, out = zero, []
-            for c in src[:-1]:
-                q = c - times_u(q)
+            src = row if x == w else row[::-1]
+            # s = +-1 adds or subtracts: a product by s would cost a pass
+            bits, op = c * B, add if s > 0 else sub
+            q, out = 0, []
+            for z in src[:-1]:
+                q = op(z, q << bits)
                 out.append(q)
-            if src[-1] - times_u(q):
+            if op(src[-1], q << bits):
                 raise ValueError("not divisible")
-            if not forward:
+            if x != w:
                 out.reverse()
                 j0 += 1
             # the quotient's chain runs from its first to its last term
@@ -256,9 +246,9 @@ def ga_divexact(f: GAElem, line) -> GAElem:
             row, j0 = out[k:], j0 + k
             if not row:
                 break
-        for j, c in enumerate(row, j0):
-            if c:
-                quo[tuple(a + j * b for a, b in zip(base, w))] = c
+        for j, z in enumerate(row, j0):
+            if z:
+                quo[tuple(a + j * b for a, b in zip(base, w))] = z
     out = GAElem(f.rank)
     out.terms = quo
     return out

@@ -5,8 +5,8 @@ constant-term inner product.  Also: orthogonality verification, the
 v -> 1/v coefficient symmetry, the central-character eigenvalue identity,
 and connection coefficients between neighbouring levels.  The operator
 runs on ints, with v evaluated at 2^B (apply_qdiff, mkpolys.qdiff): a
-batch's numerator is reslotted once and divided one line of binomials
-at a time.
+batch's numerator is reslotted once and divided by one line of
+binomial atoms (s, c, w) at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .roots import (
     SatakeEntry,
     Weight,
     ambient_data,
-    ambient_pair,
-    _mat_apply,
     dot4,
     build_root_system,
     dominance_leq,
@@ -76,7 +74,8 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     G = cof * (T_eps_1 f - f) (see qdiff.Pieces), shifted into a band of
     v-slots of its own; the sum of the bands, moved once from the product
     width to B (int_reslot on the whole batch), is divided by the common
-    atoms one line +-w at a time (ga_divexact) and must be Weyl invariant:
+    atoms (s, c, w) one line +-w at a time (ga_divexact on Pieces.lines,
+    each atom 1 - s*v^c*e^w a shift by c*B) and must be Weyl invariant:
     the bands sit in disjoint slots, so equal ints mean equal values in
     every band.  Its dominant weights are read back and split by band.
     Pieces.slot_width gives B and the gap between bands, and proves that
@@ -139,8 +138,8 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     if B != B1:
         num.terms = dict(zip(num.terms, int_reslot(list(num.terms.values()), B1, B)))
     try:
-        for line in pieces.binomials(B):
-            num = ga_divexact(num, line)
+        for line in pieces.lines:
+            num = ga_divexact(num, line, B)
     except ValueError:
         raise ValueError("non-polynomial result")
     sign, C, W = pieces.monomial
@@ -225,7 +224,7 @@ def build_polynomial(label: KLabel, lams, rs: RootSystem, level: int = 0,
     if verify:
         # the operator is Q(v)-linear: check it on the coordinates of each
         # L * P, which are integer Laurent polynomials
-        gs = [clear_denominators(P.coeffs)[1] for P in out.values()]
+        gs = [clear_denominators(P.coeffs) for P in out.values()]
         for (lam, P), g, img in zip(out.items(), gs, apply_qdiff(label, gs, rs)):
             E = P.eigenvalue
             if img != ({w: c * E for w, c in g.items()} if E else {}):
@@ -511,7 +510,7 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams, families: dict) 
     pinned = {l: pin_rho(fam) for l, fam in families.items()}
     rho_res = pinned[0][0]
     b = KLabel.from_entry(entry, 0).base_exp
-    N = len(data.weyl) // len(weyl_group(n))
+    N = len(weyl_group(len(data.rho))) // len(weyl_group(n))
     mu_res = data.restrict(data.mu)
 
     report = {
@@ -523,9 +522,9 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams, families: dict) 
     }
     for lam_amb in ambient_lams:
         lhs = {}
-        target = tuple(Fraction(x) + Fraction(r) for x, r in zip(lam_amb, data.rho))
-        for w in data.weyl:
-            e = ambient_pair(data, _mat_apply(w, data.mu), target)
+        target = tuple(Fraction(x) + r for x, r in zip(lam_amb, data.rho))
+        for w in weyl_group(len(data.rho)):
+            e = data.pair(weyl_apply(w, data.mu), target)
             ve = e * D
             if ve.denominator != 1:
                 raise ValueError("non-integral ambient exponent")

@@ -4,17 +4,16 @@ An integer polynomial a travels as one int, its value a(2^B) (Kronecker
 substitution in v, Harvey, JSC 2009; the kernel lives in scalars), and
 an integer Laurent polynomial as such an int times a power of v.  Pieces
 holds the operator's cofactor in the direction eps_1 multiplied out in
-that form, the common binomial atoms to divide by, grouped by line +-w
-for galg.ga_divexact, and the proven bounds that give the slot widths.
+that form, the common binomial atoms (s, c, w) to divide by, one list
+per line +-w for galg.ga_divexact, and the proven bounds that give the
+slot widths.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import groupby
 from math import gcd
 
-from .galg import GAElem
 from .roots import RootSystem, eps, weyl_apply, weyl_group, wneg
 from .scalars import P_ONE, Scalar, byte_width, p_divexact, p_gcd, p_mul
 from .weights import KLabel, atom_product, half_density, ratio_atoms, split_atoms
@@ -37,7 +36,8 @@ class Pieces:
     norm bounds the summed l1 norm of the images' cofactors and [lo, hi]
     is the box of their weights: w maps the cofactor's own box coordinate
     by coordinate.  The final division is by the divisors and monomial of
-    split_atoms, the divisors ordered line by line, one line +-w at a time.
+    split_atoms; lines holds the divisors as one list of atoms per line
+    +-w, divided one line at a time.
     """
 
     def __init__(self, label: KLabel, rs: RootSystem):
@@ -59,7 +59,7 @@ class Pieces:
         atoms = num_atoms + list((lcm - Counter(den_atoms)).elements())
         self.norm = len(reps) << len(atoms)
         self.width = self.product_width(1)
-        self.cof = atom_product(GAElem.unit(rs.n), atoms, self.width)
+        self.cof = atom_product((0,) * rs.n, atoms, self.width)
         # each w maps the cofactor's box coordinate by coordinate
         lo = [min(x) for x in zip(*self.cof[1])]
         hi = [max(x) for x in zip(*self.cof[1])]
@@ -69,9 +69,9 @@ class Pieces:
         self.hi = [max(b for _, b in col) for col in zip(*images)]
         divisors, self.monomial = split_atoms(self.atoms, rs.n)
         lines = {}              # the divisors grouped by line +-w, in order
-        for d in divisors:
-            lines.setdefault(_line(d[2]), []).append(d)
-        self.divisors = [d for line in lines.values() for d in line]
+        for s, c, w in divisors:
+            lines.setdefault(max(w, wneg(w)), []).append((s, c, w))
+        self.lines = list(lines.values())
 
     def product_width(self, nu: int) -> int:
         """A slot width that holds the numerator for an input whose
@@ -129,7 +129,7 @@ class Pieces:
         need, gap = beta, 0
         lo = [a + b for a, b in zip(self.lo, lo)]
         hi = [a + b for a, b in zip(self.hi, hi)]
-        for _, c, w in self.divisors:
+        for _, c, w in (atom for line in self.lines for atom in line):
             n = max(1, min((h - l) // abs(x) + 1 for l, h, x in zip(lo, hi, w) if x))
             need, gap = max(need, n * beta), max(gap, c * (n - 1))
             beta *= max(1, n // 2)
@@ -137,29 +137,11 @@ class Pieces:
             hi = [h - max(x, 0) for h, x in zip(hi, w)]
         return byte_width(max(need, 2 * beta)), gap
 
-    def binomials(self, B: int) -> list:
-        """The divisors as GAElems 1 + u*e^w with u = -s * 2^(c*B), one
-        list per line +-w, for galg.ga_divexact."""
-        unit = (0,) * len(self.lo)
-        out = []
-        for _, line in groupby(self.divisors, lambda d: _line(d[2])):
-            out.append([])
-            for s, c, w in line:
-                g = GAElem(len(unit))
-                g.terms = {unit: 1, w: -s << (c * B)}
-                out[-1].append(g)
-        return out
 
-
-def _line(w):
-    """The line +-w as one of its two weights."""
-    return max(w, wneg(w))
-
-
-def clear_denominators(f: dict):
-    """(L, L*f) for a map f {weight: Scalar} and L the least common
-    multiple in Z[v] of the denominators of its values, so that L*f has
-    integer Laurent values; L is None when f's values already are."""
+def clear_denominators(f: dict) -> dict:
+    """L*f for a map f {weight: Scalar} and L the least common multiple
+    in Z[v] of the denominators of its values: a map with integer Laurent
+    values, f itself when its values already are."""
     L = P_ONE
     for c in f.values():
         d = c.d
@@ -167,6 +149,5 @@ def clear_denominators(f: dict):
             k = gcd(gcd(*L), gcd(*d))
             L = tuple(x // k for x in p_mul(L, p_gcd(L, d)[2]))  # L * (d / gcd) / k
     if L == P_ONE:
-        return None, f
-    return Scalar.laurent(0, L), {w: Scalar.laurent(c.e, p_mul(c.n, p_divexact(L, c.d)))
-                                  for w, c in f.items()}
+        return f
+    return {w: Scalar.laurent(c.e, p_mul(c.n, p_divexact(L, c.d))) for w, c in f.items()}

@@ -331,4 +331,4 @@ def fundamental_res(family: str, n: int, l: int, sigma=Fraction(0)) -> GAElem:
     else:
         raise ValueError("no rank-one family %r with n = %d" % (family, n))
     atoms = [(-1, q_pow(x + 2 * j + 1).e, (-2,)) for j in range(L)]
-    return binomial_product(GAElem.monomial(1, (L,)), atoms)
+    return binomial_product((L,), atoms)

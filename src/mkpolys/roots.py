@@ -303,69 +303,34 @@ def catalog_json(reduced=None) -> str:
 # Ambient Weyl data for the central-character eigenvalue identity
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AmbientData:
-    """Ambient weight-space data for one catalog entry: the full Weyl
-    group as matrices on row vectors of Fractions, a Gram matrix, the
-    half-sum rho, the chosen direction mu, and the linear map sending an
-    ambient weight to doubled restricted coordinates."""
+    """Ambient weight-space data for one catalog entry whose ambient Weyl
+    group is the signed permutations of its coordinates (weyl_group of
+    len(rho)): the scalar Gram (x, x) of each coordinate vector, the
+    half-sum rho and the chosen direction mu."""
 
-    dim: int
-    weyl: list
-    gram: list
+    gram: Fraction
     rho: tuple
     mu: tuple
-    restrict: callable
 
+    def pair(self, a, b) -> Fraction:
+        return self.gram * sum(x * y for x, y in zip(a, b))
 
-def _mat_apply(mat, vec):
-    return tuple(
-        sum(mat[i][j] * vec[j] for j in range(len(vec)))
-        for i in range(len(mat))
-    )
-
-
-def ambient_pair(data: AmbientData, a, b) -> Fraction:
-    acc = Fraction(0)
-    for i in range(data.dim):
-        for j in range(data.dim):
-            acc += Fraction(a[i]) * data.gram[i][j] * Fraction(b[j])
-    return acc
+    @staticmethod
+    def restrict(v) -> tuple:
+        """An ambient weight in doubled restricted coordinates: in both
+        cataloged systems the same coordinates, which must be integers."""
+        if any(Fraction(x).denominator != 1 for x in v):
+            raise ValueError("non-integral restricted coordinate")
+        return tuple(int(x) for x in v)
 
 
 def ambient_data(tag: str, n: int = 1) -> AmbientData:
     if tag == "AI1":
         # coordinates in units of omega = alpha/2; (omega, omega) = 1/2
-        return AmbientData(
-            dim=1,
-            weyl=[((Fraction(1),),), ((Fraction(-1),),)],
-            gram=[[Fraction(1, 2)]],
-            rho=(Fraction(1),),
-            mu=(Fraction(1),),
-            restrict=lambda v: (_as_int(v[0]),),
-        )
+        return AmbientData(Fraction(1, 2), (1,), (1,))
     if tag == "CI" and n == 2:
         # sp4 in the orthonormal epsilon-basis; short roots have length^2 2
-        mats = []
-        for perm in itertools.permutations(range(2)):
-            for signs in itertools.product((1, -1), repeat=2):
-                mat = [[Fraction(0)] * 2 for _ in range(2)]
-                for i in range(2):
-                    mat[i][perm[i]] = Fraction(signs[i])
-                mats.append(tuple(tuple(r) for r in mat))
-        return AmbientData(
-            dim=2,
-            weyl=mats,
-            gram=[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
-            rho=(Fraction(2), Fraction(1)),
-            mu=(Fraction(1), Fraction(0)),
-            restrict=lambda v: (_as_int(v[0]), _as_int(v[1])),
-        )
+        return AmbientData(Fraction(1), (2, 1), (1, 0))
     raise ValueError("ambient data not cataloged for %r n=%d" % (tag, n))
-
-
-def _as_int(x):
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ValueError("non-integral restricted coordinate")
-    return int(x)

@@ -17,8 +17,8 @@ from operator import add, le, sub
 
 from .galg import GAElem, chains
 from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
-from .scalars import (DEFAULT_PRECISION, P_ONE, Scalar, TruncSeries, _canon, byte_width,
-                      p_from_int, p_to_int, scalar_to_series)
+from .scalars import (DEFAULT_PRECISION, Scalar, TruncSeries, _canon, byte_width, p_from_int,
+                      scalar_to_series)
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,11 @@ def split_atoms(atoms, rank: int):
     return divisors, (sign, C, W)
 
 
-def atom_product(pre: GAElem, atoms, B: int):
-    """pre times the binomials 1 - s*v^c*e^w of atoms, multiplied out with
+def atom_product(W: Weight, atoms, B: int):
+    """e^W times the binomials 1 - s*v^c*e^w of atoms, multiplied out with
     v evaluated at 2^B, as (e0, {weight: z}) for the Laurent polynomial
-    v^e0 * sum z(v) e^weight; pre must have integer Laurent coefficients."""
-    if any(c.d != P_ONE for c in pre.terms.values()):
-        raise ValueError("prefactor is not a Laurent polynomial")
-    e = min(c.e for c in pre.terms.values())
-    terms = {w: p_to_int(c.n, B) << ((c.e - e) * B) for w, c in pre.terms.items()}
+    v^e0 * sum z(v) e^weight."""
+    e, terms = 0, {W: 1}
     for s, c, w in atoms:
         # 1 - s v^c e^w, as v^c (v^-c - s e^w) when c < 0
         one, mono = (-c * B, 0) if c < 0 else (0, c * B)
@@ -316,14 +313,13 @@ def l1_norm(x: Scalar) -> int:
     return sum(map(abs, x.n))
 
 
-def binomial_product(pre: GAElem, atoms) -> GAElem:
-    """pre times the binomials 1 - s*v^c*e^w of atoms, exactly, for pre with
-    integer Laurent coefficients (ValueError otherwise).  The l1 norm is
-    submultiplicative and binomials have norm 2, so the slot width holds
-    every coefficient of every partial product: |pre|_1 * 2^len(atoms)."""
-    B = byte_width(2 * sum(map(l1_norm, pre.terms.values())) << len(atoms))
-    e, terms = atom_product(pre, atoms, B)
-    return GAElem(pre.rank, {w: Scalar.laurent(e, p_from_int(z, B)) for w, z in terms.items()})
+def binomial_product(W: Weight, atoms) -> GAElem:
+    """e^W times the binomials 1 - s*v^c*e^w of atoms, exactly.  The l1
+    norm is submultiplicative and binomials have norm 2, so the slot width
+    holds every coefficient of every partial product: 2^len(atoms)."""
+    B = byte_width(2 << len(atoms))
+    e, terms = atom_product(W, atoms, B)
+    return GAElem(len(W), {w: Scalar.laurent(e, p_from_int(z, B)) for w, z in terms.items()})
 
 
 def _finite_atoms(finite):
@@ -495,7 +491,7 @@ def poch_to_gaelem(P: PochProduct) -> GAElem:
     num, den = _finite_atoms(finite)
     if infinite or den:
         raise ValueError("product is not a finite Laurent element")
-    return binomial_product(GAElem.unit(P.rank), num)
+    return binomial_product((0,) * P.rank, num)
 
 
 # ---------------------------------------------------------------------------

@@ -165,57 +165,61 @@ def test_m_basis_rejects_every_broken_orbit(n):
         mus[0]: SC_ONE, mus[1]: Scalar.v_pow(2)}
 
 
-def binomial(rank, w, u):
-    """1 + u * e^w."""
-    return GAElem.unit(rank) + GAElem.monomial(rank, w, u)
+def int_elem(rank, terms):
+    """A group-algebra element with int coefficients (v evaluated)."""
+    out = GAElem(rank)
+    out.terms = {w: c for w, c in terms.items() if c}
+    return out
+
+
+def atom_elem(rank, atom, B):
+    """The binomial 1 - s*v^c*e^w of atom (s, c, w), with v = 2^B."""
+    s, c, w = atom
+    return int_elem(rank, {(0,) * rank: 1, w: -s << (c * B)})
 
 
 def test_divexact():
-    # a product of binomials, divided one atom at a time in either order
-    f = mono(1, (2,)) + mono(1, (0,), 3)
-    g = binomial(1, (-2,), Scalar.v_pow(2))
-    h = binomial(1, (4,), Scalar.of(-1) * Scalar.v_pow(-3))
-    prod = f * g * h
-    assert ga_divexact(ga_divexact(prod, [g]), [h]) == f
-    assert ga_divexact(ga_divexact(prod, [h]), [g]) == f
-    with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(mono(1, (0,)) + mono(1, (2,), 2), [binomial(1, (2,), SC_ONE)])
-    with pytest.raises(ValueError, match="binomial"):
-        ga_divexact(prod, [f])
-    # a line holds the binomials of e^w and e^-w only
-    with pytest.raises(ValueError, match="one line"):
-        ga_divexact(prod, [g, h])
-    k = binomial(1, (2,), Scalar.of(-1) * Scalar.v_pow(1))
-    assert ga_divexact(prod * k, [g, k]) == f * h
+    # a product of atoms, divided one atom at a time in either order
+    f = int_elem(1, {(2,): 1, (0,): 3})
+    g, h = (1, 2, (-2,)), (-1, 0, (4,))
+    for B in (8, 16, 40):
+        prod = f * atom_elem(1, g, B) * atom_elem(1, h, B)
+        assert ga_divexact(ga_divexact(prod, [g], B), [h], B) == f
+        assert ga_divexact(ga_divexact(prod, [h], B), [g], B) == f
+        # 1 + 2e^2 is no multiple of 1 + e^2
+        with pytest.raises(ValueError, match="not divisible"):
+            ga_divexact(int_elem(1, {(0,): 1, (2,): 2}), [(-1, 0, (2,))], B)
+        # a line holds the atoms of e^w and e^-w only
+        with pytest.raises(ValueError, match="one line"):
+            ga_divexact(prod, [g, h], B)
+        k = (1, 1, (2,))
+        assert ga_divexact(prod * atom_elem(1, k, B), [g, k], B) == f * atom_elem(1, h, B)
 
 
 def test_divexact_rank_two_round_trip():
     rng = random.Random(12)
-    for _ in range(5):
-        f = rand_elem(rng, 2)
-        atoms = [binomial(2, (rng.choice((-2, 0, 2)), rng.choice((-2, 2))),
-                          Scalar.of(rng.choice((-1, 1))) * Scalar.v_pow(rng.randint(-2, 2)))
-                 for _ in range(3)]
-        prod = f
-        for g in atoms:
-            prod = prod * g
-        for g in atoms:
-            prod = ga_divexact(prod, [g])
-        assert prod == f
+    for B in (8, 24):
+        for _ in range(5):
+            f = int_elem(2, {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-99, 99)
+                             for _ in range(4)})
+            atoms = [(rng.choice((-1, 1)), rng.randint(0, 2),
+                      (rng.choice((-2, 0, 2)), rng.choice((-2, 2)))) for _ in range(3)]
+            prod = f
+            for a in atoms:
+                prod = prod * atom_elem(2, a, B)
+            for a in atoms:
+                prod = ga_divexact(prod, [a], B)
+            assert prod == f
 
 
-def test_divexact_rank_two_non_divisible_stops_at_once(monkeypatch):
+def test_divexact_rank_two_non_divisible_stops_at_once():
     # 1 / (1 - v e^(0,2)) is an infinite series: the one chain ends with a
-    # nonzero value, and the recurrence divides nothing
-    divisions = []
-    divide = Scalar.__truediv__
-    monkeypatch.setattr(Scalar, "__truediv__",
-                        lambda a, b: divisions.append(1) or divide(a, b))
-    g = GAElem.unit(2) - mono(2, (0, 2), Scalar.v_pow(1))
-    with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(GAElem.unit(2), [g])
-    # a remainder that only shows up at the end of a longer chain
-    h = (GAElem.unit(2) + mono(2, (2, 2), 3)) * g + mono(2, (0, 0), 1)
-    with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(h, [g])
-    assert divisions == []
+    # nonzero value
+    g = (1, 1, (0, 2))
+    for B in (8, 16):
+        with pytest.raises(ValueError, match="not divisible"):
+            ga_divexact(int_elem(2, {(0, 0): 1}), [g], B)
+        # a remainder that only shows up at the end of a longer chain
+        h = int_elem(2, {(0, 0): 1, (2, 2): 3}) * atom_elem(2, g, B) + int_elem(2, {(0, 0): 1})
+        with pytest.raises(ValueError, match="not divisible"):
+            ga_divexact(h, [g], B)
