@@ -11,6 +11,7 @@ for every atom in turn.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import factorial, prod
 from operator import add, sub
 
@@ -76,7 +77,7 @@ class GAElem:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
         self._check(other)
         a, b = self.terms, other.terms

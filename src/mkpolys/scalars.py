@@ -19,6 +19,10 @@ Laurent polynomial with integer coefficients has D = (1,); on those,
 +, - and * are integer-polynomial operations with an exponent shift and
 need no gcd.  The bar involution v -> 1/v reverses N and D.  Only an
 operation on a true rational function (D not constant) reaches p_gcd.
+The parameters of a catalog family are powers of v^base_exp, so its
+values are polynomials in v^2 or v^4 and most of their coefficients are
+zero: the per-coefficient loops (p_mul, p_to_int, the Laurent sum,
+TruncSeries.divide) visit only the nonzero ones.
 
 Integer polynomials also travel as one int, their value at v = 2^B
 (Kronecker substitution, Harvey, JSC 2009), the kernel that weights and
@@ -76,12 +80,13 @@ def p_mul(a: Poly, b: Poly) -> Poly:
         a, b = b, a
     if len(b) == 1:
         c = b[0]
-        return tuple(c * x for x in a)
+        return tuple([c * x for x in a])
+    nz = [(j, ca) for j, ca in enumerate(a) if ca]
     cs = [0] * (len(a) + len(b) - 1)
     for i, cb in enumerate(b):
         if cb:
-            for j, ca in enumerate(a, i):
-                cs[j] += ca * cb
+            for j, ca in nz:
+                cs[i + j] += ca * cb
     return tuple(cs)
 
 
@@ -110,11 +115,17 @@ def byte_width(bound: int) -> int:
 
 
 def p_to_int(a, B: int) -> int:
-    """a(2^B): the integer polynomial a as one int (Kronecker substitution)."""
-    z = 0
+    """a(2^B): the integer polynomial a as one int (Kronecker substitution),
+    by Horner's rule over the nonzero coefficients, each step shifting by
+    B times the gap to the next one."""
+    z, gap = 0, B
     for c in reversed(a):
-        z = (z << B) + c
-    return z
+        if c:
+            z = (z << gap) + c
+            gap = B
+        else:
+            gap += B
+    return z << (gap - B)
 
 
 # the signed array typecode of each item size in bytes
@@ -303,7 +314,8 @@ def _laurent_add(ea, a, eb, b):
     if len(cs) < k + len(b):
         cs.extend([0] * (k + len(b) - len(cs)))
     for i, c in enumerate(b, k):
-        cs[i] += c
+        if c:
+            cs[i] += c
     return _strip(ea, cs)
 
 
@@ -409,7 +421,11 @@ class Scalar:
         return bool(self.n)
 
     def __eq__(self, other):
+        """Equality with a Scalar or an exact number; a float raises
+        TypeError, as in Scalar.of, and any other operand gives NotImplemented."""
         if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction, float)):
+                return NotImplemented
             other = Scalar.of(other)
         return self.e == other.e and self.n == other.n and self.d == other.d
 
@@ -620,7 +636,8 @@ class TruncSeries:
         content, and t = B[0], the quotient A/B has coefficients
         q_k / t^(k+1) for the integers
         q_k = t^k A_k - sum_i q_i B_(k-i) t^(k-1-i), the sum running over
-        the i with k - i <= deg B; for |t| = 1 the powers of t are signs."""
+        the i < k with q_i and B_(k-i) nonzero (see the module docstring);
+        for |t| = 1 the powers of t are signs."""
         M = min(self.precision, other.precision)
         s = other.valuation()
         if s is None or s > M:
@@ -646,11 +663,17 @@ class TruncSeries:
         tp = [1] * (M2 + 2)
         for k in range(1, M2 + 2):
             tp[k] = tp[k - 1] * t
+        # B_j t^(j-1) for the nonzero B_j, j >= 1: the term of q_i in q_k
+        bs = [(j, B[j] * tp[j - 1]) for j in range(1, deg + 1) if B[j]]
         q = [0] * (M2 + 1)
         for k in range(M2 + 1):
             acc = tp[k] * A[k]
-            for i in range(max(0, k - deg), k):
-                acc -= q[i] * B[k - i] * tp[k - 1 - i]
+            for j, bt in bs:
+                if j > k:
+                    break
+                qi = q[k - j]
+                if qi:
+                    acc -= qi * bt
             q[k] = acc
         # q_k / t^(k+1) over the one denominator t^(M2+1)
         den = tp[M2 + 1] * da

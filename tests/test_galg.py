@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,14 @@ def test_binomial_square():
     e = mono(1, (2,)) + mono(1, (-2,))
     sq = e * e
     assert sq == mono(1, (4,)) + mono(1, (0,), 2) + mono(1, (-4,))
+
+
+def test_scaling_by_a_fraction_either_side():
+    f = mono(2, (2, 0), 3) + mono(2, (0, 2), Scalar.v_pow(1))
+    want = mono(2, (2, 0), 1) + mono(2, (0, 2), Scalar.monomial(Fraction(1, 3), 1))
+    assert f * Fraction(1, 3) == want
+    assert Fraction(1, 3) * f == want
+    assert f * 2 == 2 * f == f.scale(2)
 
 
 def test_rank_mismatch():

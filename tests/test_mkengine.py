@@ -312,6 +312,17 @@ def test_pin_rho_names_a_staircase_weight_missing_from_the_family():
         pin_rho(fam)
 
 
+def test_a_polynomial_without_an_eigenvalue_compares_unequal():
+    """An MKPolynomial made with the default eigenvalue None differs from
+    the built one, which holds its eigenvalue, and comparing them raises
+    nothing."""
+    from mkpolys.mkengine import MKPolynomial
+    P = build_family(AI1, 1, 2)[(2,)]
+    bare = MKPolynomial(P.lam, P.coeffs, P.label, P.level)
+    assert bare != P and P != bare
+    assert P == MKPolynomial(P.lam, P.coeffs, P.label, P.level, P.eigenvalue)
+
+
 def test_build_polynomial_base_cases():
     k = KLabel.from_entry(AI1, 0)
     P0 = build_polynomial(k, [(0,)], RS1)[(0,)]

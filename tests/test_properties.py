@@ -6,7 +6,9 @@ that evaluation against one GAElem product at a time, with sympy as an
 independent oracle for Scalar arithmetic and the polynomial gcd, and the
 uniqueness of the canonical form that equality and hashing rely on; and
 the truncated series ring: its integer form, its ring laws, exact
-division against a Fraction reference, and expansion against sympy; and,
+division against a Fraction reference, and expansion against sympy; the
+kernels on inputs whose nonzero slots sit on a strided v-exponent grid,
+against dense loops, sympy and the Fraction reference; and,
 against test-local copies of the loops they replaced, the array read of
 Kronecker digits and the forward-elimination solve of the Gram oracle."""
 
@@ -603,6 +605,108 @@ def test_scalar_to_series_agrees_with_sympy(x):
     want = [expr.coeff(V, k) for k in range(M + 1)]
     assert got.precision == M
     assert got.coeffs == [Fraction(int(c.p), int(c.q)) for c in want]
+
+
+# -- the kernels on the v-exponent grid of a catalog family -----------------
+#
+# A family's parameters are powers of v^base_exp, so its Q(v) values are
+# polynomials in v^g for a stride g > 1 (v^2 for AI1, v^4 for AIVm at
+# base_exp 4) and most of their slots are zero: the kernels skip zero
+# coefficients, and these draws put the zeros where the families do.
+
+GRID_SLOTS = 48
+strides = st.sampled_from((1, 2, 4))
+grid_ints = st.integers(-9, 9) | st.integers(-2 ** 70, 2 ** 70)
+
+
+@st.composite
+def on_grid(draw, values, slots=GRID_SLOTS):
+    """A list of at most slots coefficients, zero off the multiples of a
+    stride g in {1, 2, 4} past an offset, with zero slots (possibly) at
+    either end."""
+    g, lo = draw(strides), draw(st.integers(0, 3))
+    cs = [0] * draw(st.integers(0, slots))
+    for i in range(lo, len(cs), g):
+        cs[i] = draw(values)
+    return cs
+
+
+def dense_mul(a, b):
+    """The product by a double loop over every slot."""
+    if not a or not b:
+        return ()
+    cs = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            cs[i + j] += x * y
+    return tuple(cs)
+
+
+def dense_horner(a, B):
+    """a(2^B) by Horner's rule over every slot."""
+    z = 0
+    for c in reversed(a):
+        z = (z << B) + c
+    return z
+
+
+@SETTINGS
+@given(on_grid(grid_ints), on_grid(grid_ints))
+def test_grid_product_is_the_dense_product(a, b):
+    a, b = p_make(a), p_make(b)
+    assert p_mul(a, b) == dense_mul(a, b) == p_mul(b, a)
+
+
+@SETTINGS
+@given(on_grid(grid_ints), st.sampled_from((8, 16, 40, 64, 152)))
+def test_grid_evaluation_is_dense_horner_and_reads_back(a, B):
+    assert p_to_int(a, B) == dense_horner(a, B)
+    assert p_to_int((), B) == 0
+    W = byte_width(2 * max(map(abs, a), default=0) + 2)
+    assert p_make(p_from_int(p_to_int(a, W), W)) == p_make(a)
+
+
+@SETTINGS
+@given(st.integers(-6, 6), on_grid(grid_ints), st.integers(-6, 6), on_grid(grid_ints),
+       st.data())
+def test_grid_laurent_sums_agree_with_sympy(e, a, f, b, data):
+    """Sums of Laurent polynomials on the grid, and sums in which a drawn
+    share of the terms (all of them included) cancels."""
+    x, y = Scalar.laurent(e, a), Scalar.laurent(f, b)
+    sx, sy = to_sympy(x), to_sympy(y)
+    assert same(x + y, sx + sy) and same(x - y, sx - sy)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    part = Scalar.laurent(e, [0 if k else -c for k, c in zip(keep, a)])
+    rest = Scalar.laurent(e, [c if k else 0 for k, c in zip(keep, a)])
+    assert fields(x + part) == fields(rest) and same(x + part, to_sympy(rest))
+    assert fields(x - x) == fields(SC_ZERO) == fields(x + Scalar.laurent(e, [-c for c in a]))
+
+
+GM = 40
+grid_leads = st.sampled_from([1, -1, 2, -3, 6, Fraction(3, 2)])
+
+
+@st.composite
+def grid_divisors(draw):
+    """A divisor v^s (t + ...) with t a drawn leading coefficient, s in
+    0..3 and its other coefficients on the grid."""
+    s, t = draw(st.integers(0, 3)), draw(grid_leads)
+    rest = draw(on_grid(coeffs, GM))
+    return TruncSeries([0] * s + [t] + rest[1:], GM)
+
+
+grid_series = on_grid(coeffs, GM + 1).map(lambda cs: TruncSeries(cs, GM))
+
+
+@SETTINGS
+@given(grid_series, grid_divisors())
+def test_grid_division_is_the_fraction_loop_and_inverts_multiplication(a, b):
+    s = b.valuation()
+    q = (a * b).divide(b)
+    assert q.precision == GM - s and q == a
+    a = times_v(a, s)
+    q = a.divide(b)
+    assert (q.coeffs, q.precision) == fraction_divide(a, b)
 
 
 # -- the Gram oracle's series solve -----------------------------------------

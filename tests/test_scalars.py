@@ -95,6 +95,21 @@ def test_scalar_refuses_float():
     assert Scalar([Fraction(1, 10)], [1, 2]) * Scalar([10]) == Scalar([1], [1, 2])
 
 
+def test_equality_with_a_non_number_is_false():
+    """A Scalar is unequal to None or a string, so it can be looked up in
+    a list holding them; a float still raises, and an exact number or a
+    Scalar compares by value."""
+    one = Scalar.of(1)
+    assert not one == None and one != None  # noqa: E711
+    assert not one == "x" and one != "x"
+    assert one in [None, "x", one]
+    with pytest.raises(TypeError, match="float"):
+        one == 1.0
+    assert one == 1 and one == Fraction(2, 2) and one != 2
+    assert C(Fraction(1, 2)) * V(1) == Scalar([0, 1], [2])
+    assert V(1) != V(2) and V(1) == V(1)
+
+
 def test_series_refuses_float():
     with pytest.raises(TypeError, match="float"):
         TruncSeries([0.1], 3)
