@@ -186,6 +186,21 @@ def _soundness(M, tag, n, m, sigma, bound, l):
                for lam, P in reversed(fam.items()))
 
 
+def _rank2(suite):
+    """The suite's rows on the rank-2 families BI, DI and AIIIa at bound 4,
+    which gives the 4 weights _orthogonality asks for; an AIIIa id names
+    its sigma, as the weight-shift rows do."""
+    return tuple(("%s %s n=2 l=%d" % (suite, name, l), (tag, 2, m, sigma, 4, l))
+                 for name, tag, m, sigma, levels in (
+                     ("BI m=3", "BI", 3, S0, (0, 1, 2)),
+                     ("BI m=5", "BI", 5, S0, (0, 1, 2)),
+                     ("DI m=4", "DI", 4, S0, (0, 1, 2)),
+                     ("DI m=6", "DI", 6, S0, (0, 1, 2)),
+                     ("AIIIa s=1/2 m=2", "AIIIa", 2, Fraction(1, 2), (-1, 0, 1)),
+                     ("AIIIa s=0 m=3", "AIIIa", 3, S0, (-1, 0, 1)))
+                 for l in levels)
+
+
 CHECKS = (
     Check("weight-shift",
           "level factor times base weight equals the k4-shifted weight, exactly",
@@ -205,7 +220,7 @@ CHECKS = (
                 for name, tag, n, m, bound in (("AI1 n=1", "AI1", 1, 0, 8),
                                                ("AIVm m=2 n=1", "AIVm", 1, 2, 6),
                                                ("AIIIb n=2", "AIIIb", 2, 0, 6))
-                for l in (0, 1, 2)),
+                for l in (0, 1, 2)) + _rank2("orthogonality"),
           _orthogonality, reads=_reads),
     Check("rank1",
           "solved chain equals the closed product and squares to the level factor",
@@ -221,7 +236,8 @@ CHECKS = (
     Check("bar",
           "all coefficients fixed by v -> 1/v",
           tuple(("bar %s l=%d" % (tag, l), (tag, n, 0, S0, bound, l))
-                for tag, n, bound in (("AI1", 1, 8), ("AIIIb", 2, 6)) for l in (0, 1, 2)),
+                for tag, n, bound in (("AI1", 1, 8), ("AIIIb", 2, 6)) for l in (0, 1, 2))
+          + _rank2("bar"),
           _bar, reads=_reads),
     Check("eigenvalue",
           "ambient Weyl sum equals N times the restricted sum; the level shift "
@@ -248,7 +264,7 @@ CHECKS = (
                     ("AIIIb", 2, 0, 4, (0, 1, 2)),
                     ("CI", 2, 0, 4, (0, 1)),
                     ("EVII", 3, 0, 4, (0,)))
-                for l in levels),
+                for l in levels) + _rank2("soundness"),
           _soundness, reads=_reads),
 )
 

@@ -11,6 +11,7 @@ binomial atoms (s, c, w) at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
@@ -29,8 +30,8 @@ from .roots import (
     dominant_weights_upto,
     is_dominant,
     wdiff,
-    weyl_apply,
     weyl_group,
+    weyl_sum,
 )
 from .qdiff import Pieces, clear_denominators
 from .scalars import (DEFAULT_PRECISION, P_ONE, SC_ONE, SC_ZERO, Scalar, TruncSeries, int_reslot,
@@ -406,91 +407,49 @@ def check_bar_invariance(P: MKPolynomial) -> bool:
     return all(c.bar() == c for c in P.coeffs.values())
 
 
-def _scalar_laurent(x: Scalar) -> dict:
-    """Laurent terms {exponent: coefficient} of a Laurent polynomial."""
-    if len(x.d) != 1:
-        raise ValueError("not a Laurent polynomial")
-    den = x.d[0]
-    return {x.e + i: Fraction(c, den) for i, c in enumerate(x.n) if c}
-
-
-def _staircase(n: int, k: int) -> Weight:
-    return tuple([2] * k + [0] * (n - k))
-
-
-def _eigenvalue_at(family: dict, lam: Weight) -> Scalar:
-    if lam not in family:
-        raise ValueError("weight %s out of range of the family" % (lam,))
-    return family[lam].eigenvalue
-
-
 def pin_rho(family: dict):
-    """Extract the spectral data (rho, center) from the eigenvalues of a
-    family at the staircase weights.
+    """Read the spectral data (rho, center) off the eigenvalues of a family
+    at the staircase weights (2, ..., 2, 0, ..., 0).
 
-    The eigenvalue at lam is v^center * mult * (S(lam + rho) - S(rho))
-    with S the symmetric exponential sum; consecutive staircase weights
-    differ in one coordinate, so each difference is a four-term Laurent
-    polynomial exposing center +- b*(rho_k + 1) and center +- b*rho_k.
+    The eigenvalue at lam is v^center * (S(lam/2 + rho) - S(rho)), S the
+    exponential Weyl sum of eps_1 at scale b (roots.weyl_sum).  Consecutive
+    staircase weights differ by 2 in coordinate k, so their difference has
+    the extreme exponents center +- b*(rho_k + 1).  Nothing else is read:
+    eigenvalue_closed_form_check compares every eigenvalue with the pin.
     """
     n = len(next(iter(family)))
     b = next(iter(family.values())).label.base_exp
-    mult = Fraction(len(weyl_group(n)), 2 * n)
+    stairs = [(2,) * k + (0,) * (n - k) for k in range(n + 1)]
+    for lam in stairs:
+        if lam not in family:
+            raise ValueError("weight %s out of range of the family" % (lam,))
     rho = []
-    center = None
-    for k in range(1, n + 1):
-        delta = (_eigenvalue_at(family, _staircase(n, k))
-                 - _eigenvalue_at(family, _staircase(n, k - 1)))
-        terms = _scalar_laurent(delta)
-        bag = {}
-        for e, c in terms.items():
-            m = c / mult
-            if m.denominator != 1 or abs(m) != 1:
-                raise ValueError("cannot pin the spectral shift")
-            bag[e] = int(m)
-        if len(bag) != 4 or sorted(bag.values()) != [-1, -1, 1, 1]:
+    for low, high in zip(stairs, stairs[1:]):
+        delta = family[high].eigenvalue - family[low].eigenvalue
+        if not delta or len(delta.d) != 1:
             raise ValueError("cannot pin the spectral shift")
-        hi, lo = max(bag), min(bag)
-        if bag[hi] != 1 or bag[lo] != 1:
-            raise ValueError("cannot pin the spectral shift")
-        c_k = Fraction(hi + lo, 2)
-        if center is None:
-            center = c_k
-        elif center != c_k:
-            raise ValueError("cannot pin the spectral shift")
-        rho.append(Fraction(hi - c_k, b) - 1)
-    if center is None or center.denominator != 1:
-        raise ValueError("cannot pin the spectral shift")
-    return tuple(rho), center
-
-
-def _closed_form_eigenvalue(lam: Weight, rho, center, b: int, mult: int) -> Scalar:
-    acc = SC_ZERO
-    for i in range(len(rho)):
-        x = (Fraction(lam[i], 2) + rho[i]) * b
-        r = rho[i] * b
-        if x.denominator != 1 or r.denominator != 1:
-            raise ValueError("non-integral exponent")
-        acc = acc + Scalar.of(mult) * (
-            Scalar.v_pow(int(x)) + Scalar.v_pow(-int(x))
-            - Scalar.v_pow(int(r)) - Scalar.v_pow(-int(r))
-        )
-    return acc * Scalar.v_pow(int(center))
+        lo, hi = delta.e, delta.e + len(delta.n) - 1
+        rho.append(Fraction(hi - lo, 2 * b) - 1)
+    return tuple(rho), Fraction(hi + lo, 2)
 
 
 def eigenvalue_closed_form_check(family: dict, pinned) -> bool:
-    """Every eigenvalue of the family equals the exponential Weyl sum at
-    lam + rho minus its value at rho, times a fixed monomial; pinned is
-    the (rho, center) of pin_rho."""
+    """Every eigenvalue of the family equals v^center * (S(lam/2 + rho) -
+    S(rho)), S the exponential Weyl sum of eps_1 at scale b; pinned is the
+    (rho, center) of pin_rho."""
     rho, center = pinned
-    n = len(rho)
-    mult = len(weyl_group(n)) // (2 * n)
+    if center.denominator != 1:
+        return False
+    eps1 = (1,) + (0,) * (len(rho) - 1)
     for lam, P in family.items():
+        b = P.label.base_exp
         try:
-            want = _closed_form_eigenvalue(lam, rho, center, P.label.base_exp, mult)
+            terms = weyl_sum(eps1, [Fraction(c, 2) + r for c, r in zip(lam, rho)], b)
+            terms.subtract(weyl_sum(eps1, rho, b))
         except ValueError:
             return False
-        if want != P.eigenvalue:
+        if sum((Scalar.monomial(c, e + int(center)) for e, c in terms.items()),
+               SC_ZERO) != P.eigenvalue:
             return False
     return True
 
@@ -506,12 +465,11 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams, families: dict) 
     if not entry.reduced:
         raise ValueError("identity requires a reduced entry")
     data = ambient_data(entry.family, entry.n)
-    n = entry.n
     pinned = {l: pin_rho(fam) for l, fam in families.items()}
     rho_res = pinned[0][0]
     b = KLabel.from_entry(entry, 0).base_exp
-    N = len(weyl_group(len(data.rho))) // len(weyl_group(n))
-    mu_res = data.restrict(data.mu)
+    N = len(weyl_group(len(data.rho))) // len(weyl_group(entry.n))
+    mu_half = [Fraction(c, 2) for c in data.restrict(data.mu)]
 
     report = {
         "entry": entry.family,
@@ -521,27 +479,11 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams, families: dict) 
         "pass": True,
     }
     for lam_amb in ambient_lams:
-        lhs = {}
-        target = tuple(Fraction(x) + r for x, r in zip(lam_amb, data.rho))
-        for w in weyl_group(len(data.rho)):
-            e = data.pair(weyl_apply(w, data.mu), target)
-            ve = e * D
-            if ve.denominator != 1:
-                raise ValueError("non-integral ambient exponent")
-            lhs[int(ve)] = lhs.get(int(ve), 0) + 1
-        lam_res = data.restrict(lam_amb)
-        x = tuple(Fraction(c, 2) + rho_res[i] for i, c in enumerate(lam_res))
-        mu_half = tuple(Fraction(c, 2) for c in mu_res)
-        rhs = {}
-        for w in weyl_group(n):
-            wmu = weyl_apply(w, mu_half)
-            e = sum(a * t for a, t in zip(wmu, x))
-            ve = e * b
-            if ve.denominator != 1:
-                raise ValueError("non-integral restricted exponent")
-            rhs[int(ve)] = rhs.get(int(ve), 0) + N
-        ok = lhs == rhs
-        report["lambdas"].append({"lambda": list(lam_amb), "match": bool(ok)})
+        lhs = weyl_sum(data.mu, [x + r for x, r in zip(lam_amb, data.rho)], D * data.gram)
+        x = [Fraction(c, 2) + r for c, r in zip(data.restrict(lam_amb), rho_res)]
+        rhs = weyl_sum(mu_half, x, b)
+        ok = lhs == Counter({e: N * c for e, c in rhs.items()})
+        report["lambdas"].append({"lambda": list(lam_amb), "match": ok})
         if not ok:
             report["pass"] = False
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +86,20 @@ def weyl_group(n: int):
 def weyl_apply(w, wt: Weight) -> Weight:
     perm, signs = w
     return tuple(signs[i] * wt[perm[i]] for i in range(len(wt)))
+
+
+def weyl_sum(mu, x, scale) -> Counter:
+    """The exponential Weyl sum of mu at x, {scale * (w mu, x): count}
+    over the signed permutations w of the coordinates, (,) the plain dot
+    product of the coordinates given; raises ValueError on an exponent
+    that is not an integer."""
+    out = Counter()
+    for w in weyl_group(len(mu)):
+        e = Fraction(scale * sum(a * b for a, b in zip(weyl_apply(w, mu), x)))
+        if e.denominator != 1:
+            raise ValueError("non-integral exponent")
+        out[int(e)] += 1
+    return out
 
 
 def weyl_orbit(wt: Weight, n: int):
@@ -313,9 +328,6 @@ class AmbientData:
     gram: Fraction
     rho: tuple
     mu: tuple
-
-    def pair(self, a, b) -> Fraction:
-        return self.gram * sum(x * y for x, y in zip(a, b))
 
     @staticmethod
     def restrict(v) -> tuple:

@@ -430,6 +430,9 @@ class Scalar:
         return self.e == other.e and self.n == other.n and self.d == other.d
 
     def __hash__(self):
+        """A rational value hashes as that int or Fraction, which it equals."""
+        if not self.e and len(self.n) <= 1 and len(self.d) == 1:
+            return hash(Fraction(self.n[0] if self.n else 0, self.d[0]))
         return hash((self.e, self.n, self.d))
 
     def __add__(self, other):

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from mkpolys import mkengine, weights
+from mkpolys import checks, mkengine, weights
 from mkpolys.galg import GAElem, from_m_basis, m_basis, orbit_sum
 from mkpolys.mkengine import (
     apply_qdiff,
@@ -574,6 +575,25 @@ def test_eigenvalue_identity_reports():
     assert rep["shift_law"] == [{"level": l, "match": True} for l in (0, 1, 2)]
     with pytest.raises(ValueError, match="reduced"):
         eigenvalue_identity_check(AIV2, [(Fraction(0),)], {})
+
+
+@pytest.mark.parametrize("tag,n,ambient_lams,bound", [
+    ("AI1", 1, ((0,), (2,), (4,), (6,)), 8),
+    ("CI", 2, ((0, 0), (2, 0), (2, 2), (4, 2)), 6),
+])
+def test_every_single_corrupted_eigenvalue_fails_the_identity_report(tag, n, ambient_lams,
+                                                                      bound):
+    """The eigenvalue rows' families, with one eigenvalue at one level
+    moved by v^40: the report fails, and raises nothing, for every choice."""
+    entry = satake_catalog(tag, n)
+    families = {l: checks.family(tag, n, 0, Fraction(0), l, bound) for l in (0, 1, 2)}
+    assert eigenvalue_identity_check(entry, ambient_lams, families)["pass"] is True
+    for l, fam in families.items():
+        for lam, P in fam.items():
+            bad = dict(fam)
+            bad[lam] = dataclasses.replace(P, eigenvalue=P.eigenvalue + Scalar.v_pow(40))
+            rep = eigenvalue_identity_check(entry, ambient_lams, {**families, l: bad})
+            assert rep["pass"] is False, (l, lam)
 
 
 def test_connection_coefficients():

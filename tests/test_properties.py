@@ -103,6 +103,15 @@ def test_bar_is_an_involutive_automorphism(x, y):
 
 
 @SETTINGS
+@given(st.one_of(st.integers(), st.fractions()))
+def test_a_rational_scalar_hashes_as_the_number_it_equals(x):
+    s = Scalar.of(x)
+    assert hash(s) == hash(x)
+    assert s in {x} and x in {s}
+    assert hash(Scalar([x * 3], [3])) == hash(x)
+
+
+@SETTINGS
 @given(scalars, scalars)
 def test_arithmetic_agrees_with_sympy(x, y):
     sx, sy = to_sympy(x), to_sympy(y)

@@ -16,6 +16,7 @@ from mkpolys.roots import (
     satake_catalog,
     weyl_group,
     weyl_orbit,
+    weyl_sum,
 )
 
 
@@ -197,6 +198,25 @@ def test_long_orbit_sum_invariant():
 def test_ambient_data_errors():
     with pytest.raises(ValueError, match="ambient data not cataloged"):
         ambient_data("CI", 3)
+
+
+@pytest.mark.parametrize("mu,x,scale", [
+    ((1,), (Fraction(3, 2),), 4),
+    ((1, 0), (Fraction(3, 2), Fraction(1, 2)), 4),
+    ((Fraction(1, 2), Fraction(1, 2), 0), (5, 3, 1), 2),
+    ((2, 1, 1), (0, 0, 0), Fraction(1, 3)),
+])
+def test_weyl_sum_counts_every_signed_permutation_and_is_symmetric(mu, x, scale):
+    n = len(mu)
+    s = weyl_sum(mu, x, scale)
+    assert sum(s.values()) == 2 ** n * math.factorial(n)
+    assert s == {-e: c for e, c in s.items()}
+    assert all(type(e) is int for e in s)
+
+
+def test_weyl_sum_refuses_a_non_integral_exponent():
+    with pytest.raises(ValueError, match="non-integral"):
+        weyl_sum((1, 0), (Fraction(1, 2), 0), 1)
 
 
 def test_weyl_group_order():
