@@ -61,7 +61,7 @@ def make_parser():
     c.add_argument("--family", required=True, choices=FAMILIES)
     c.add_argument("--n", type=_int_at_least(1), default=None,
                    help="rank, for the families whose rank varies")
-    c.add_argument("--m", type=int, default=None,
+    c.add_argument("--m", type=_int_at_least(1), default=None,
                    help="auxiliary size, for the families that have one")
     c.add_argument("--sigma", type=_frac, default=Fraction(0),
                    help="level-shift parameter of the non-reduced families")

@@ -309,10 +309,7 @@ def _series_solve(rows, rhs):
     Gauss-Jordan's k^3 and k^2.  The rows not yet pivoted change exactly
     as under Gauss-Jordan, so the pivots and the columns that run out of
     precision are the same; unlike Gauss-Jordan, no entry above a pivot
-    is divided by it.  A zero entry is skipped when its row already has
-    no more precision than the update would leave it (always, at a pivot
-    of valuation 0 with one precision throughout); otherwise the update
-    runs, so every row keeps the precision Gauss-Jordan gives it."""
+    is divided by it."""
     k = len(rows)
     rows = [list(r) + [b] for r, b in zip(rows, rhs)]
     for col in range(k):
@@ -328,21 +325,14 @@ def _series_solve(rows, rhs):
         p, rest = prow[col], prow[col + 1:]
         for i in range(col + 1, k):
             row = rows[i]
-            a = row[col]
-            if a.is_zero():
-                cap = min(a.precision, p.precision) - pval
-                if all(x.precision <= min(cap, y.precision) for x, y in zip(row[col + 1:], rest)):
-                    continue
-            f = a.divide(p)
+            f = row[col].divide(p)
             row[col + 1:] = [x - f * y for x, y in zip(row[col + 1:], rest)]
     x = [None] * k
     for i in reversed(range(k)):
         row = rows[i]
         acc = row[k]
         for j in range(i + 1, k):
-            # a zero entry known mod v^(p+1) times a power series is zero
-            # mod v^(p+1), whatever the precision of x[j]
-            acc = acc - (row[j] if row[j].is_zero() else row[j] * x[j])
+            acc = acc - row[j] * x[j]
         x[i] = acc.divide(row[i])
     return x
 

@@ -38,9 +38,10 @@ constant-term machinery, in the same kind of integer form: a list num of
 M + 1 Python ints over one integer denominator den > 0, with
 gcd(den, *num) = 1.  The zero series has den = 1.  Sums bring both sides
 over a common denominator with one gcd, products are integer
-convolutions truncated at M, and division is fraction-free (powers of
-the divisor's leading coefficient stand in for its inverse); each ends in
-one gcd pass that restores content 1, which a denominator of 1 skips.
+convolutions known to min(p_a + v_b, p_b + v_a) (p the precisions, v the
+valuations), and division is fraction-free (powers of the divisor's
+leading coefficient stand in for its inverse); each ends in one gcd pass
+that restores content 1, which a denominator of 1 skips.
 The read-only coeffs property gives the coefficients as Fractions.
 """
 
@@ -574,10 +575,15 @@ class TruncSeries:
         return not any(self.num)
 
     def valuation(self):
+        v = self._order()
+        return None if v > self.precision else v
+
+    def _order(self):
+        """The valuation, a zero counting as precision + 1."""
         for i, c in enumerate(self.num):
             if c:
                 return i
-        return None
+        return self.precision + 1
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -591,6 +597,8 @@ class TruncSeries:
 
     def _combine(self, other, sign):
         """self + sign * other over the common denominator."""
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         M = min(self.precision, other.precision)
         a, b = self.num, other.num
         da, db = self.den, other.den
@@ -619,7 +627,11 @@ class TruncSeries:
             other = Fraction(other)
             return _canon([c * other.numerator for c in self.num],
                           self.den * other.denominator, self.precision)
-        M = min(self.precision, other.precision)
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        # known mod v^(M+1) for M = min(p_a + v_b, p_b + v_a): past its
+        # precision, a factor meets only the other's zeros below its valuation
+        M = min(self.precision + other._order(), other.precision + self._order())
         bs = [(j, y) for j, y in enumerate(other.num[: M + 1]) if y]
         cs = [0] * (M + 1)
         for i, x in enumerate(self.num[: M + 1]):
@@ -643,14 +655,8 @@ class TruncSeries:
         for |t| = 1 the powers of t are signs."""
         M = min(self.precision, other.precision)
         s = other.valuation()
-        if s is None or s > M:
+        if s is None or s > M or self._order() < s:
             raise ValueError("precision exhausted")
-        if s > 0:
-            v = self.valuation()
-            if v is None:
-                return TruncSeries.zero(M - s)
-            if v < s:
-                raise ValueError("precision exhausted")
         M2 = M - s
         A = self.num[s : M + 1]
         B = other.num[s : M + 1]

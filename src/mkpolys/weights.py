@@ -425,7 +425,7 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
     dropped once the remaining atoms cannot move it back into the window.
     """
     if M < 0:
-        raise ValueError("nonpositive precision")
+        raise ValueError("negative precision")
     rank = P.rank
     lo, hi = window or ([0] * rank, [0] * rank)
     atoms = _atoms_of(_split_rescue(P), M)

@@ -91,12 +91,14 @@ def test_usage_error_is_exit_two():
     (("compute", "--family", "AI1", "--bound", "4", "--lambda", "6"), "above --bound 4"),
     (("compute", "--family", "AIVm", "--m", "2", "--sigma", "3/7"),
      "--sigma 3/7: parameter exponent not integral"),
+    (("compute", "--family", "BI", "--m", "0"), "--m"),
+    (("compute", "--family", "DI", "--m", "0"), "--m"),
 ], ids=["lambda-not-int", "lambda-odd", "sigma-zero-denominator",
         "negative-bound", "rank-mismatch", "negative-precision",
         "unknown-family", "m-without-auxiliary-size", "sigma-on-reduced-family",
         "aux-size-missing", "aux-size-too-small", "rank-too-small",
         "lambda-coordinate-count", "lambda-not-dominant", "lambda-above-bound",
-        "sigma-rejected-by-recipe"])
+        "sigma-rejected-by-recipe", "aux-size-zero-BI", "aux-size-zero-DI"])
 def test_bad_input_is_exit_two_with_a_message(args, message):
     out = run(*args)
     assert out.returncode == 2

@@ -584,8 +584,49 @@ def test_series_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + zero == a and a * one == a
     assert a - b == a + (-b) and a - a == zero
-    assert (a * b).coeffs == [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
-                              for k in range(SM + 1)]
+    # a product is known at least as far as its factors; the valuations
+    # can carry it further (test_series_product_precision_follows_valuations)
+    ab = a * b
+    assert ab.precision >= SM
+    assert ab.coeffs[:SM + 1] == [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1))
+                                  for k in range(SM + 1)]
+
+
+@st.composite
+def valued_series(draw):
+    """A series at a drawn precision p in 0..SM, zero or v^s times a drawn
+    lead and zero-heavy coefficients for s in 0..p, and an extension of it
+    to precision 3 SM that agrees with it mod v^(p+1)."""
+    p = draw(st.integers(0, SM))
+    rest = st.lists(st.just(0) | coeffs, max_size=p)
+    cs = draw(st.just([]) | st.builds(lambda s, t, cs: [0] * s + [t] + cs,
+                                      st.integers(0, p), leads, rest))
+    a = TruncSeries(cs, p)
+    tail = draw(st.lists(st.just(0) | coeffs, max_size=3 * SM - p))
+    return a, TruncSeries(a.coeffs + tail, 3 * SM)
+
+
+@SETTINGS
+@given(valued_series(), valued_series())
+def test_series_product_precision_follows_valuations(a, b):
+    """A product is known mod v^(M+1), M = min(p_a + v_b, p_b + v_a), a
+    zero counting at valuation p + 1: its coefficients through M are the
+    convolution of the known ones, and every extension of the factors
+    past their precisions has the same product through M."""
+    (a, a_ext), (b, b_ext) = a, b
+
+    def order(x):
+        return x.precision + 1 if x.is_zero() else x.valuation()
+
+    def known(x, k):
+        return x.coeffs[k] if k <= x.precision else 0
+
+    ab = a * b
+    M = min(a.precision + order(b), b.precision + order(a))
+    assert ab.precision == M
+    assert ab.coeffs == [sum(known(a, i) * known(b, k - i) for i in range(k + 1))
+                         for k in range(M + 1)]
+    assert (a_ext * b_ext).coeffs[:M + 1] == ab.coeffs
 
 
 @SETTINGS
@@ -831,22 +872,24 @@ def test_series_solve_divides_no_entry_above_a_pivot():
 
 
 def test_series_solve_keeps_the_precision_of_a_zero_entry():
-    # the zero below the pivot is known only mod v^(SM-2): its update must
-    # run, and lower its row's precision as under Gauss-Jordan
+    # the zero below the pivot is known only mod v^(SM-2), and its update
+    # lowers its row's precision; Gauss-Jordan, which also eliminates the
+    # entry above the pivot, knows x[0] one order further, so the two are
+    # compared to their common precision
     one, v = TruncSeries.one(SM), TruncSeries([0, 1], SM)
     rows = [[v, one], [TruncSeries.zero(SM - 3), one]]
     rhs = [v, TruncSeries.zero(SM)]
     got, want = mkengine._series_solve(rows, rhs), gauss_jordan(rows, rhs)
-    assert [(x.num, x.den, x.precision) for x in got] == \
-        [(x.num, x.den, x.precision) for x in want]
     assert [x.precision for x in got] == [SM - 5, SM - 4]
+    assert [x.precision for x in want] == [SM - 4, SM - 4]
+    assert all(x == y for x, y in zip(got, want))
 
 
 def test_back_substitution_keeps_the_precision_of_zero_entries():
     """A zero entry known mod v^(p+1) times any power series is zero mod
-    v^(p+1), whatever that series' precision.  A back substitution that
-    multiplies such zeros into the right side loses two orders per row on
-    this system and ends dividing past its precision, where Gauss-Jordan
+    v^(p+1), whatever that series' precision.  Under a product rule that
+    ignored valuations, back substitution lost two orders per row on this
+    system and ended dividing past its precision, where Gauss-Jordan
     solves."""
     def v(k):
         return TruncSeries([0] * k + [1], SM)

@@ -6,6 +6,7 @@ import pytest
 from mkpolys.scalars import (
     P_ONE,
     P_ZERO,
+    SC_ONE,
     Scalar,
     TruncSeries,
     p_gcd,
@@ -116,6 +117,18 @@ def test_series_refuses_float():
     with pytest.raises(TypeError, match="float"):
         TruncSeries([1, 0, 2.0], 3)
     assert TruncSeries([Fraction(1, 10), 2], 3).coeffs == [Fraction(1, 10), 2, 0, 0]
+
+
+def test_series_arithmetic_with_a_foreign_operand_is_a_type_error():
+    """A series adds and multiplies only series, and is scaled by an int
+    or a Fraction; any other operand, a float or a Scalar included, is
+    refused with TypeError, as Scalar refuses a foreign operand."""
+    one = TruncSeries.one(4)
+    for bad in (lambda: one + 1, lambda: 1 - one, lambda: one * 0.5,
+                lambda: one * SC_ONE, lambda: SC_ONE * one):
+        with pytest.raises(TypeError):
+            bad()
+    assert (one * 3).coeffs == (Fraction(3, 2) * one * 2).coeffs == [3, 0, 0, 0, 0]
 
 
 def test_series_examples():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mkpolys.galg import GAElem
 from mkpolys.roots import build_root_system, satake_catalog
-from mkpolys.scalars import Scalar
+from mkpolys.scalars import Scalar, TruncSeries
 from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
@@ -269,6 +269,12 @@ def test_expand_numerator_of_negative_valuation():
     atom = [(PochSymbol(1, -2, (2,), 4, 1), 1)]
     with pytest.raises(ValueError, match="pole at origin"):
         expand(PochProduct(1, atom), 4, ([-2], [2]))
+
+
+def test_expand_rejects_a_negative_precision():
+    with pytest.raises(ValueError, match="negative precision"):
+        expand(PochProduct(1, []), -1)
+    assert expand(PochProduct(1, []), 0).coeff((0,)) == TruncSeries.one(0)
 
 
 def test_expand_rejects_divergent_denominator():
