@@ -19,7 +19,6 @@ from .galg import GAElem, ga_divexact, m_basis, orbit_sum
 from .weights import (
     KLabel,
     PochProduct,
-    PochSymbol,
     expand,
     half_density,
     koornwinder_weight,

@@ -199,8 +199,8 @@ def _scope(suite, skip=()):
                      ("DI m=6", "DI", 2, 6, S0, (0, 1, 2)),
                      ("AIIIa s=1/2 m=2", "AIIIa", 2, 2, Fraction(1, 2), (-1, 0, 1)),
                      ("AIIIa s=0 m=3", "AIIIa", 2, 3, S0, (-1, 0, 1)),
-                     ("CI", "CI", 3, 0, S0, (0,)),
-                     ("EVII", "EVII", 3, 0, S0, (0,)),
+                     ("CI", "CI", 3, 0, S0, (0, 1)),
+                     ("EVII", "EVII", 3, 0, S0, (0, 1)),
                      ("AIIIb", "AIIIb", 3, 0, S0, (0,)),
                      ("AIIIa s=1/2 m=2", "AIIIa", 3, 2, Fraction(1, 2), (0,)))
                  if name not in skip
@@ -269,7 +269,7 @@ CHECKS = (
                     ("AIVm", 1, 2, 6, (0, 1, 2)),
                     ("AIIIb", 2, 0, 4, (0, 1, 2)),
                     ("CI", 2, 0, 4, (0, 1)),
-                    ("EVII", 3, 0, 4, (0,)))
+                    ("EVII", 3, 0, 4, (0, 1)))
                 for l in levels) + _scope("soundness", skip=("EVII",)),
           _soundness, reads=_reads),
 )

@@ -2,11 +2,11 @@
 factor, shifted weights, the positive-root half density, exact ratio
 collapse, and bi-truncated expansion feeding the constant-term pairing.
 
-A PochSymbol encodes (sign * v^v_exp * e^weight ; v^base_exp)_length with
-length None meaning infinity.  Products store only INFINITE symbols with
-integer multiplicities: a finite symbol (x;B)_L is normalized into the
-exact pair (x;B)_inf / (x B^L;B)_inf, which makes cancellation between a
-weight and its level-shift factor an identity of multisets.
+A product holds infinite symbols (s * v^c * e^w ; v^base)_inf under one
+base, keyed (s, c, w), with integer multiplicities.  A finite symbol
+(x;B)_L enters as the exact pair (x;B)_inf / (x B^L;B)_inf, which makes
+cancellation between a weight and its level-shift factor an identity of
+multisets.
 """
 
 from __future__ import annotations
@@ -17,20 +17,8 @@ from operator import add, le, sub
 
 from .galg import GAElem, chains
 from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
-from .scalars import (DEFAULT_PRECISION, Scalar, TruncSeries, _canon, byte_width, p_from_int,
+from .scalars import (DEFAULT_PRECISION, Scalar, TruncSeries, _series, byte_width, p_from_int,
                       scalar_to_series)
-
-
-@dataclass(frozen=True)
-class PochSymbol:
-    sign: int
-    v_exp: int
-    weight: tuple
-    base_exp: int
-    length: object = None  # None = infinite, else nonnegative int
-
-    def key(self):
-        return (self.sign, self.v_exp, self.weight, self.base_exp)
 
 
 @dataclass(frozen=True)
@@ -79,139 +67,113 @@ class KLabel:
 
 
 class PochProduct:
-    __slots__ = ("rank", "factors")
+    """A product of infinite symbols under one base: factors maps (s, c, w)
+    to its multiplicity.  symbols are ((s, c, w, L), mult) pairs, L None
+    for an infinite symbol or the length of a finite one."""
 
-    def __init__(self, rank: int, symbols=None):
+    __slots__ = ("rank", "base", "factors")
+
+    def __init__(self, rank: int, base: int, symbols=()):
         self.rank = rank
+        self.base = base
         self.factors = {}
-        if symbols:
-            for sym, mult in symbols:
-                self._add(sym, mult)
+        for (s, c, w, L), m in symbols:
+            self._add((s, c, w), m)
+            if L is not None:
+                self._add((s, c + L * base, w), -m)
 
-    def _add(self, sym: PochSymbol, mult: int):
-        if mult == 0 or sym.length == 0:
-            return
-        if sym.length is None:
-            k = sym.key()
-            m = self.factors.get(k, 0) + mult
-            if m:
-                self.factors[k] = m
-            elif k in self.factors:
-                del self.factors[k]
-        else:
-            inf = PochSymbol(sym.sign, sym.v_exp, sym.weight, sym.base_exp)
-            shifted = PochSymbol(
-                sym.sign, sym.v_exp + sym.length * sym.base_exp,
-                sym.weight, sym.base_exp,
-            )
-            self._add(inf, mult)
-            self._add(shifted, -mult)
+    def _add(self, k, mult: int):
+        m = self.factors.get(k, 0) + mult
+        if m:
+            self.factors[k] = m
+        elif k in self.factors:
+            del self.factors[k]
 
-    def copy(self) -> "PochProduct":
-        out = PochProduct(self.rank)
-        out.factors = dict(self.factors)
+    def _like(self, factors) -> "PochProduct":
+        out = PochProduct(self.rank, self.base)
+        out.factors = factors
         return out
 
     def __mul__(self, other: "PochProduct") -> "PochProduct":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out = self.copy()
+        if (self.rank, self.base) != (other.rank, other.base):
+            raise ValueError("rank or base mismatch")
+        out = self._like(dict(self.factors))
         for k, m in other.factors.items():
-            mm = out.factors.get(k, 0) + m
-            if mm:
-                out.factors[k] = mm
-            elif k in out.factors:
-                del out.factors[k]
+            out._add(k, m)
         return out
 
     def reciprocal(self) -> "PochProduct":
-        out = PochProduct(self.rank)
-        out.factors = {k: -m for k, m in self.factors.items()}
-        return out
+        return self._like({k: -m for k, m in self.factors.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, PochProduct)
-            and self.rank == other.rank
+            and (self.rank, self.base) == (other.rank, other.base)
             and self.factors == other.factors
         )
 
     def bar(self) -> "PochProduct":
-        out = PochProduct(self.rank)
-        out.factors = {
-            (s, c, wneg(w), b): m for (s, c, w, b), m in self.factors.items()
-        }
-        return out
+        return self._like({(s, c, wneg(w)): m for (s, c, w), m in self.factors.items()})
 
     def translate(self, mu: Weight, scale: int) -> "PochProduct":
         """Image under e^w -> v^(scale*(mu,w)) e^w, applied symbol-wise."""
-        out = PochProduct(self.rank)
-        for (s, c, wt, b), m in self.factors.items():
-            e = scale * dot4(mu, wt)
+        out = {}
+        for (s, c, w), m in self.factors.items():
+            e = scale * dot4(mu, w)
             if e.denominator != 1:
                 raise ValueError("non-integral translation exponent")
-            k = (s, c + int(e), wt, b)
-            out.factors[k] = out.factors.get(k, 0) + m
-        return out
+            out[s, c + int(e), w] = m
+        return self._like(out)
 
     def collapsed(self):
-        """Rewrite as finite symbols plus irreducible infinite tails.
+        """Rewrite as binomial atoms plus irreducible infinite tails.
 
-        Returns (finite, infinite): lists of (PochSymbol, mult) with finite
-        lengths in the first and None lengths in the second.
+        Returns (numerator atoms, denominator atoms, tails): an atom
+        (s, c, w) is one binomial 1 - s*v^c*e^w, listed once per unit of
+        multiplicity, and a tail ((s, c, w), mult) is
+        (s v^c e^w; v^base)_inf^mult.
         """
+        b = self.base
         groups = {}
-        for (s, c, w, b), m in self.factors.items():
-            groups.setdefault((s, w, b, c % b), []).append((c, m))
-        finite, infinite = [], []
-        for (s, w, b, _), lst in sorted(groups.items()):
+        for (s, c, w), m in self.factors.items():
+            groups.setdefault((s, w, c % b), []).append((c, m))
+        num, den, tails = [], [], []
+        for (s, w, _), lst in sorted(groups.items()):
             lst.sort()
             run = 0
-            for i in range(len(lst) - 1):
-                run += lst[i][1]
-                if run:
-                    steps = (lst[i + 1][0] - lst[i][0]) // b
-                    finite.append(
-                        (PochSymbol(s, lst[i][0], w, b, steps), run)
-                    )
+            for (c, m), (stop, _) in zip(lst, lst[1:]):
+                run += m
+                (num if run > 0 else den).extend(
+                    (s, cc, w) for cc in range(c, stop, b) for _ in range(abs(run)))
             run += lst[-1][1]
             if run:
-                infinite.append((PochSymbol(s, lst[-1][0], w, b), run))
-        return finite, infinite
-
-    def symbols(self):
-        """Canonical sorted list of (sign, v_exp, weight, base_exp, mult)."""
-        return sorted((k + (m,)) for k, m in self.factors.items())
+                tails.append(((s, lst[-1][0], w), run))
+        return num, den, tails
 
     def __repr__(self):
         bits = []
-        for (s, c, w, b, m) in self.symbols():
+        for (s, c, w), m in sorted(self.factors.items()):
             arg = "%sv^%d e%s" % ("-" if s < 0 else "", c, list(w))
-            bits.append("(%s; v^%d)_inf^%d" % (arg, b, m))
+            bits.append("(%s; v^%d)_inf^%d" % (arg, self.base, m))
         return " ".join(bits) if bits else "1"
-
-
-def poch_one(rank: int) -> PochProduct:
-    return PochProduct(rank)
 
 
 def _weight_product(k: KLabel, n: int, R1, R2) -> PochProduct:
     """Per root a of R1, the factor (e^{2a};B)_inf over the four
     length-one denominators; per root b of R2, the pair
     (e^b;B)_inf / (B^{k5} e^b;B)_inf."""
-    b = k.base_exp
     r1 = k.r1_args()
     syms = []
     for alpha in R1:
         two = tuple(2 * x for x in alpha)
-        syms.append((PochSymbol(1, 0, two, b), 1))
+        syms.append(((1, 0, two, None), 1))
         for sign, c in r1:
-            syms.append((PochSymbol(sign, c, alpha, b), -1))
+            syms.append(((sign, c, alpha, None), -1))
     t = k.r2_arg()
     for beta in R2:
-        syms.append((PochSymbol(1, 0, beta, b), 1))
-        syms.append((PochSymbol(1, t, beta, b), -1))
-    return PochProduct(n, syms)
+        syms.append(((1, 0, beta, None), 1))
+        syms.append(((1, t, beta, None), -1))
+    return PochProduct(n, k.base_exp, syms)
 
 
 def koornwinder_weight(k: KLabel, rs: RootSystem) -> PochProduct:
@@ -242,7 +204,7 @@ def shift_factor(entry: SatakeEntry, l: int, rs: RootSystem,
         raise ValueError("odd base exponent")
     L = abs(l)
     if L == 0:
-        return poch_one(rs.n)
+        return PochProduct(rs.n, b)
     sigma = Fraction(sigma)
     if entry.reduced:
         off = Fraction(1, 2)
@@ -253,10 +215,8 @@ def shift_factor(entry: SatakeEntry, l: int, rs: RootSystem,
     c = off * b
     if c.denominator != 1:
         raise ValueError("parameter exponent not integral")
-    syms = []
-    for alpha in rs.R1:  # the long restricted class in these coordinates
-        syms.append((PochSymbol(-1, int(c), alpha, b, L), 1))
-    return PochProduct(rs.n, syms)
+    # R1 is the long restricted class in these coordinates
+    return PochProduct(rs.n, b, [((-1, int(c), alpha, L), 1) for alpha in rs.R1])
 
 
 def shifted_weight(k: KLabel, entry: SatakeEntry, l: int,
@@ -322,47 +282,18 @@ def binomial_product(W: Weight, atoms) -> GAElem:
     return GAElem(len(W), {w: Scalar.laurent(e, p_from_int(z, B)) for w, z in terms.items()})
 
 
-def _finite_atoms(finite):
-    """Binomial atoms of collapsed finite symbols, one per factor and
-    multiplicity: (numerator atoms, denominator atoms)."""
-    num, den = [], []
-    for sym, m in finite:
-        for j in range(sym.length):
-            t = (sym.sign, sym.v_exp + j * sym.base_exp, sym.weight)
-            (num if m > 0 else den).extend([t] * abs(m))
-    return num, den
-
-
 def ratio_atoms(numer: PochProduct, denom: PochProduct):
     """Collapse numer/denom into (numerator atoms, denominator atoms);
     raises 'ratio not rational' if an infinite tail survives."""
-    finite, infinite = (numer * denom.reciprocal()).collapsed()
-    if infinite:
+    num, den, tails = (numer * denom.reciprocal()).collapsed()
+    if tails:
         raise ValueError("ratio not rational")
-    return _finite_atoms(finite)
+    return num, den
 
 
 # ---------------------------------------------------------------------------
 # Bi-truncated expansion
 # ---------------------------------------------------------------------------
-
-class SeriesElem:
-    """A finitely supported map weight -> list of M + 1 integer
-    coefficients, mod v^(M+1)."""
-
-    __slots__ = ("rank", "M", "terms")
-
-    def __init__(self, rank, M, terms=None):
-        self.rank = rank
-        self.M = M
-        self.terms = terms if terms is not None else {}
-
-    def coeff(self, w) -> TruncSeries:
-        cs = self.terms.get(tuple(w))
-        if cs is None:
-            return TruncSeries.zero(self.M)
-        return _canon(cs, 1, self.M)
-
 
 def _split_rescue(P: PochProduct) -> PochProduct:
     """Quadratically split double-weight numerator symbols wherever a
@@ -375,18 +306,18 @@ def _split_rescue(P: PochProduct) -> PochProduct:
     A split symbol sits at a half weight, so it could split again only
     over a negative tail at a quarter weight, which no catalog weight has;
     a symbol left unsplit is expanded exactly, or raises."""
-    needs = {sym.weight for sym, m in P.collapsed()[1] if m < 0}
-    out = P.copy()
-    for (s, c, w, b), m in P.factors.items():
+    b = P.base
+    needs = {w for (_, _, w), m in P.collapsed()[2] if m < 0}
+    splits = []
+    for (s, c, w), m in P.factors.items():
         if m <= 0 or s != 1 or c % 2 or b % 2 or any(x % 2 for x in w):
             continue
         half = tuple(x // 2 for x in w)
         if half in needs:
-            out._add(PochSymbol(s, c, w, b), -m)
-            for sgn in (1, -1):
-                for cc in (c // 2, c // 2 + b // 2):
-                    out._add(PochSymbol(sgn, cc, half, b), m)
-    return out
+            splits.append(((s, c, w, None), -m))
+            splits += [((sgn, cc, half, None), m)
+                       for sgn in (1, -1) for cc in (c // 2, c // 2 + b // 2)]
+    return P * PochProduct(P.rank, b, splits)
 
 
 def _atoms_of(P: PochProduct, M: int):
@@ -394,13 +325,11 @@ def _atoms_of(P: PochProduct, M: int):
     it is mod v^(M+1), each standing for 1 - s*v^c*e^w (reps = 0, a
     binomial, 0 <= c <= M) or its inverse (reps = M // c, a geometric
     atom, 0 < c <= M), w nonzero."""
-    if any(not any(w) for _, _, w, _ in P.factors):
+    if any(not any(w) for _, _, w in P.factors):
         raise ValueError("cannot expand: a symbol of weight zero")
-    finite, infinite = P.collapsed()
-    num, den = _finite_atoms(finite)
-    for sym, m in infinite:
-        tail = [(sym.sign, c, sym.weight) for c in range(sym.v_exp, M + 1, sym.base_exp)]
-        (num if m > 0 else den).extend(tail * abs(m))
+    num, den, tails = P.collapsed()
+    for (s, c, w), m in tails:
+        (num if m > 0 else den).extend([(s, cc, w) for cc in range(c, M + 1, P.base)] * abs(m))
     if any(c <= 0 for _, c, _ in den):
         raise ValueError("cannot expand: nonpositive valuation in denominator")
     if any(c < 0 for _, c, _ in num):
@@ -412,13 +341,14 @@ def _atoms_of(P: PochProduct, M: int):
     return atoms
 
 
-def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesElem:
-    """Expand to a SeriesElem, exact for every weight inside the window up
-    to order M.  window is (lo, hi) per-coordinate bounds on doubled
-    coordinates; None restricts to the zero weight only.
+def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> dict:
+    """Expand to {weight: row}, a row being the M + 1 integer coefficients
+    of the weight's series mod v^(M+1); exact for every weight inside the
+    window, and a weight missing from the map has the zero series.  window
+    is (lo, hi) per-coordinate bounds on doubled coordinates; None
+    restricts to the zero weight only.
 
-    Each weight holds one dense row of M + 1 integer coefficients,
-    starting from the row 1 at weight 0.  A binomial atom subtracts a
+    The expansion starts from the row 1 at weight 0.  A binomial atom subtracts a
     shifted copy of each row at weight + w; a geometric atom runs the
     recurrence out[j] = in[j] + s*v^c*out[j - 1] along each chain
     x0 + j*w, for M // c steps past the chain's last input.  A weight is
@@ -481,15 +411,14 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> SeriesEle
                     elif seen:
                         break       # a chain meets the box in one segment
         rows = new
-    return SeriesElem(rank, M, {wt: row for wt, row in rows.items() if any(row)})
+    return {wt: row for wt, row in rows.items() if any(row)}
 
 
 def poch_to_gaelem(P: PochProduct) -> GAElem:
     """Exact group-algebra form of a product that is secretly a finite
     Laurent element (integer-parameter weights, shift factors)."""
-    finite, infinite = _split_rescue(P).collapsed()
-    num, den = _finite_atoms(finite)
-    if infinite or den:
+    num, den, tails = _split_rescue(P).collapsed()
+    if tails or den:
         raise ValueError("product is not a finite Laurent element")
     return binomial_product((0,) * P.rank, num)
 
@@ -511,7 +440,7 @@ class InnerProductEngine:
         h = f * g.bar()
         acc = TruncSeries.zero(self.M)
         for w, c in h.terms.items():
-            ser = self.exp.coeff(wneg(w))
-            if not ser.is_zero():
-                acc = acc + scalar_to_series(c, self.M) * ser
+            row = self.exp.get(wneg(w))
+            if row is not None:
+                acc = acc + scalar_to_series(c, self.M) * _series(row, 1, self.M)
         return acc

@@ -36,15 +36,22 @@ def test_a_failing_self_check_fails_exactly_the_rows_reading_its_family(
 
     def faulty(label, rs, basis):
         matrix = real(label, rs, basis)
-        if label == target:
+        if label == target and rs.n == n:
             bases.append(tuple(basis))
             key = ((0, 0), (2, 0))
             matrix[key] = matrix.get(key, SC_ONE) + SC_ONE
         return matrix
 
     monkeypatch.setattr(mkengine, "operator_action", faulty)
-    # the rows must build under the fault, on an empty memo of families
-    monkeypatch.setattr(checks, "_FAMILIES", {})
+    def reached(key):
+        """Whether the fault reaches the memo's family (tag, n, m, sigma, l)."""
+        tag, rank, m, sigma, l = key
+        return rank == n and KLabel.from_entry(checks.satake_catalog(tag, rank, m), l, sigma) == target
+
+    # the rows must build under the fault: every family it reaches leaves
+    # the memo, and the others are reused
+    monkeypatch.setattr(checks, "_FAMILIES",
+                        {key: fam for key, fam in checks._FAMILIES.items() if not reached(key)})
     rows = [check.row(case, M) for check, case in CASES]
     failed = {r["id"]: r for r in rows if not r["pass"]}
     assert sorted(failed) == failing

@@ -41,8 +41,6 @@ from mkpolys.scalars import (
 from mkpolys.weights import (
     KLabel,
     PochProduct,
-    PochSymbol,
-    _finite_atoms,
     _split_rescue,
     binomial_product,
     half_density,
@@ -347,7 +345,7 @@ def binomial_oracle(pre, atoms):
 
 def finite_product(rank, atoms, b):
     """The atoms as a PochProduct of length-one symbols (x; v^b)_1."""
-    return PochProduct(rank, [(PochSymbol(s, c, w, b, 1), 1) for s, c, w in atoms])
+    return PochProduct(rank, b, [((s, c, w, 1), 1) for s, c, w in atoms])
 
 
 @SETTINGS
@@ -403,9 +401,8 @@ def test_shift_factors_multiply_like_the_oracle(tag, n, m, sigma):
     k0 = KLabel.from_entry(entry, 0, sigma)
     for l in range(-3, 4):
         S = shift_factor(entry, l, rs, sigma)
-        P = _split_rescue(S)
-        num, den = _finite_atoms(P.collapsed()[0])
-        assert not den and len(num) == abs(l) * len(rs.R1)
+        num, den, tails = _split_rescue(S).collapsed()
+        assert not den and not tails and len(num) == abs(l) * len(rs.R1)
         assert poch_to_gaelem(S) == binomial_oracle(GAElem.unit(n), num)
         for X in (S, shifted_weight(k0, entry, l, rs, sigma), half_density(k0, rs)):
             once = _split_rescue(X)

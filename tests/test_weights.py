@@ -16,11 +16,9 @@ from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
     PochProduct,
-    PochSymbol,
     expand,
     half_density,
     koornwinder_weight,
-    poch_one,
     poch_to_gaelem,
     ratio_atoms,
     shift_factor,
@@ -39,9 +37,9 @@ def binom(rank, w, sign, vexp):
 
 # --- independent expansion oracle -----------------------------------------
 
-def oracle_expand(symbols, M, rank):
-    """Multiply out (sign, v_exp, weight, base, length, mult) symbols
-    (length None for infinity) from 1, factor by factor over
+def oracle_expand(symbols, M, rank, base):
+    """Multiply out (sign, v_exp, weight, length, mult) symbols in base
+    v^base (length None for infinity) from 1, factor by factor over
     {(weight, order): Fraction}, exactly and over the whole support: every
     factor has nonnegative valuation, so dropping the orders past M is the
     only truncation."""
@@ -64,7 +62,7 @@ def oracle_expand(symbols, M, rank):
                 out[key] = out.get(key, Fraction(0)) + (sign ** m) * val
         return {k: v for k, v in out.items() if v}
 
-    for sign, vexp, w, base, length, mult in symbols:
+    for sign, vexp, w, length, mult in symbols:
         stop = vexp + length * base if length is not None else M + 1
         for c in range(vexp, stop, base):
             for _ in range(abs(mult)):
@@ -81,17 +79,17 @@ def oracle_expand(symbols, M, rank):
 def test_koornwinder_weight_structure():
     k = KLabel.from_entry(AI1, 0)
     W = koornwinder_weight(k, RS1)
-    per_alpha = [s for s in W.symbols() if s[2] == (2,)]
-    numer = [s for s in W.symbols() if s[2] == (4,)]
-    assert len(numer) == 1 and numer[0][4] == 1
-    assert len(per_alpha) == 4 and all(m == -1 for *_, m in per_alpha)
+    per_alpha = [m for (_, _, w), m in W.factors.items() if w == (2,)]
+    numer = [m for (_, _, w), m in W.factors.items() if w == (4,)]
+    assert numer == [1]
+    assert per_alpha == [-1] * 4
 
 
 def test_koornwinder_weight_sign_of_k2_symbol():
     # a zero offset in the second slot puts a negative argument at v^0
     k = KLabel.from_entry(AI1, 0)
     W = koornwinder_weight(k, RS1)
-    assert (-1, 0, (2,), 4) in W.factors
+    assert W.base == 4 and (-1, 0, (2,)) in W.factors
 
 
 def test_klabel_integrality_guard():
@@ -100,8 +98,8 @@ def test_klabel_integrality_guard():
 
 
 def test_shift_factor_level_zero_is_empty():
-    assert shift_factor(AI1, 0, RS1) == poch_one(1)
-    assert shift_factor(AIV2, 0, RS1) == poch_one(1)
+    assert shift_factor(AI1, 0, RS1) == PochProduct(1, AI1.base_exp())
+    assert shift_factor(AIV2, 0, RS1) == PochProduct(1, AIV2.base_exp())
 
 
 def test_shift_factor_reduced_rank_one_l2():
@@ -142,7 +140,7 @@ def test_half_density_squares_to_weight():
 def test_half_density_structure_rank_one():
     k = KLabel.from_entry(AI1, 0)
     D = half_density(k, RS1)
-    assert all(s[2] in ((2,), (4,)) for s in D.symbols())  # positive side only
+    assert all(w in ((2,), (4,)) for _, _, w in D.factors)  # positive side only
 
 
 # --- ratio collapse --------------------------------------------------------
@@ -150,20 +148,20 @@ def test_half_density_structure_rank_one():
 def test_poch_ratio_examples():
     # atoms (sign, v_exp, weight) stand for binomials 1 - sign v^v_exp e^weight
     b = 4
-    a_inf = PochProduct(1, [(PochSymbol(1, 2, (2,), b), 1)])
+    a_inf = PochProduct(1, b, [((1, 2, (2,), None), 1)])
     assert ratio_atoms(a_inf, a_inf) == ([], [])
 
-    aq_inf = PochProduct(1, [(PochSymbol(1, 2 + b, (2,), b), 1)])
+    aq_inf = PochProduct(1, b, [((1, 2 + b, (2,), None), 1)])
     assert ratio_atoms(a_inf, aq_inf) == ([(1, 2, (2,))], [])  # (1-a)
 
-    aq2 = PochProduct(1, [(PochSymbol(1, 2 + 2 * b, (2,), b), 1)])
+    aq2 = PochProduct(1, b, [((1, 2 + 2 * b, (2,), None), 1)])
     assert ratio_atoms(aq2, a_inf) == ([], [(1, 2, (2,)), (1, 2 + b, (2,))])
 
 
 def test_poch_ratio_non_collapsing_raises():
     b = 4
-    x = PochProduct(1, [(PochSymbol(1, 2, (2,), b), 1)])
-    y = PochProduct(1, [(PochSymbol(1, 3, (2,), b), 1)])  # off-residue
+    x = PochProduct(1, b, [((1, 2, (2,), None), 1)])
+    y = PochProduct(1, b, [((1, 3, (2,), None), 1)])  # off-residue
     with pytest.raises(ValueError, match="ratio not rational"):
         ratio_atoms(x, y)
 
@@ -171,14 +169,10 @@ def test_poch_ratio_non_collapsing_raises():
 # --- expansion -------------------------------------------------------------
 
 def test_expand_trivial_cases():
-    one = expand(poch_one(1), 6, ([-2], [2]))
-    assert one.coeff((0,)).coeffs[0] == 1
-    assert list(one.terms) == [(0,)]
+    assert expand(PochProduct(1, 4), 6, ([-2], [2])) == {(0,): [1, 0, 0, 0, 0, 0, 0]}
     # single binomial at order zero
-    P = PochProduct(1, [(PochSymbol(-1, 0, (2,), 4, 1), 1)])  # 1 + e^w
-    se = expand(P, 4, ([-2], [2]))
-    assert se.coeff((2,)).coeffs[0] == 1
-    assert se.coeff((0,)).coeffs[0] == 1
+    P = PochProduct(1, 4, [((-1, 0, (2,), 1), 1)])  # 1 + e^w
+    assert expand(P, 4, ([-2], [2])) == {(0,): [1, 0, 0, 0, 0], (2,): [1, 0, 0, 0, 0]}
 
 
 def test_expand_matches_oracle_on_weight():
@@ -188,12 +182,12 @@ def test_expand_matches_oracle_on_weight():
     got = expand(W, M, ([-wmax], [wmax]))
     # feed the oracle the irreducible collapsed form (after splitting)
     from mkpolys.weights import _split_rescue
-    fin, inf = _split_rescue(W).collapsed()
-    syms = [(s.sign, s.v_exp, s.weight, s.base_exp, s.length, m) for s, m in fin]
-    syms += [(s.sign, s.v_exp, s.weight, s.base_exp, None, m) for s, m in inf]
-    want = oracle_expand(syms, M, 1)
+    num, den, tails = _split_rescue(W).collapsed()
+    syms = [(s, c, w, 1, 1) for s, c, w in num] + [(s, c, w, 1, -1) for s, c, w in den]
+    syms += [(s, c, w, None, m) for (s, c, w), m in tails]
+    want = oracle_expand(syms, M, 1, W.base)
     for w in range(-wmax, wmax + 1, 2):
-        coeffs = got.coeff((w,)).coeffs
+        coeffs = got.get((w,), [0] * (M + 1))
         for o in range(M + 1):
             assert coeffs[o] == want.get(((w,), o), Fraction(0)), (w, o)
 
@@ -203,43 +197,76 @@ directions = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
 
 @st.composite
 def rank_two_products(draw):
-    """(symbols, M, window): finite and infinite numerator and denominator
-    symbols along nonzero directions whose first coordinate may be zero or
-    negative, and a window that may cut the chains."""
+    """(symbols, base, M, window): finite and infinite numerator and
+    denominator symbols under one base, along nonzero directions whose
+    first coordinate may be zero or negative, and a window that may cut
+    the chains."""
+    base = draw(st.integers(1, 3))
     symbols = []
     for _ in range(draw(st.integers(1, 4))):
         mult = draw(st.sampled_from((1, 2, -1, -2)))
         symbols.append((draw(st.sampled_from((1, -1))),
-                        draw(st.integers(0 if mult > 0 else 1, 3)),
-                        draw(directions), draw(st.integers(1, 3)),
+                        draw(st.integers(0 if mult > 0 else 1, 3)), draw(directions),
                         draw(st.one_of(st.none(), st.integers(1, 3))), mult))
     lo = [draw(st.integers(-4, 2)) for _ in range(2)]
     hi = [a + draw(st.integers(0, 4)) for a in lo]
-    return symbols, draw(st.integers(0, 6)), (lo, hi)
+    return symbols, base, draw(st.integers(0, 6)), (lo, hi)
+
+
+def rank_two_product(symbols, base):
+    return PochProduct(2, base, [((s, c, w, L), m) for s, c, w, L, m in symbols])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_two_products())
+def test_a_product_is_rebuilt_from_its_collapsed_form(case):
+    symbols, base, _, _ = case
+    P = rank_two_product(symbols, base)
+    num, den, tails = P.collapsed()
+    rebuilt = PochProduct(2, base, [((s, c, w, 1), 1) for s, c, w in num]
+                          + [((s, c, w, 1), -1) for s, c, w in den]
+                          + [((s, c, w, None), m) for (s, c, w), m in tails])
+    assert rebuilt == P
+
+
+@settings(max_examples=20, deadline=None)
+@given(rank_two_products())
+def test_a_length_zero_symbol_is_the_empty_product(case):
+    symbols, base, _, _ = case
+    empty = rank_two_product([(s, c, w, 0, m) for s, c, w, _, m in symbols], base)
+    assert empty == PochProduct(2, base) and not empty.factors
+
+
+@settings(max_examples=20, deadline=None)
+@given(rank_two_products())
+def test_products_under_two_bases_or_ranks_do_not_multiply(case):
+    symbols, base, _, _ = case
+    P = rank_two_product(symbols, base)
+    for other in (rank_two_product(symbols, base % 3 + 1), PochProduct(1, base)):
+        with pytest.raises(ValueError, match="rank or base mismatch"):
+            P * other
 
 
 # splitting the (4,0) symbol adds to the (2,0) one, which itself splits
 # over the tail at (1,0); the product must stay what it was
-@example(([(1, 0, (4, 0), 4, None, 1), (1, 0, (2, 0), 4, None, 1),
-           (1, 1, (2, 0), 4, None, -1), (1, 1, (1, 0), 4, None, -1)], 6, ([-4, -2], [4, 2])))
+@example(([(1, 0, (4, 0), None, 1), (1, 0, (2, 0), None, 1),
+           (1, 1, (2, 0), None, -1), (1, 1, (1, 0), None, -1)], 4, 6, ([-4, -2], [4, 2])))
 @settings(max_examples=60, deadline=None)
 @given(rank_two_products())
 def test_expand_matches_oracle_at_rank_two(case):
-    symbols, M, (lo, hi) = case
-    P = PochProduct(2, [(PochSymbol(s, c, w, b, L), m) for s, c, w, b, L, m in symbols])
-    got = expand(P, M, (lo, hi))
-    want = oracle_expand(symbols, M, 2)
-    assert all(lo[i] <= wt[i] <= hi[i] for wt in got.terms for i in (0, 1))
+    symbols, base, M, (lo, hi) = case
+    got = expand(rank_two_product(symbols, base), M, (lo, hi))
+    want = oracle_expand(symbols, M, 2, base)
+    assert all(lo[i] <= wt[i] <= hi[i] for wt in got for i in (0, 1))
     for wt in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
-        assert got.coeff(wt).coeffs == [want.get((wt, o), 0) for o in range(M + 1)], wt
+        assert got.get(wt, [0] * (M + 1)) == [want.get((wt, o), 0) for o in range(M + 1)], wt
 
 
 def test_expand_constant_term_order_zero():
     # at order zero only the two valuation-zero binomials act: (1-e)(1-1/e)
     k = KLabel.from_entry(AIV2, 0)
     W = koornwinder_weight(k, RS1)
-    ct = expand(W, 6, None).coeff((0,))
-    assert ct.coeffs[0] == 2
+    assert expand(W, 6, None)[(0,)][0] == 2
 
 
 def test_expand_product_multiplicativity():
@@ -247,38 +274,38 @@ def test_expand_product_multiplicativity():
     # factor expansions taken over a window enlarged by the partner's span
     rng = random.Random(13)
     for _ in range(5):
-        s1 = PochSymbol(rng.choice((1, -1)), rng.randint(1, 3), (2,), 4, rng.randint(1, 2))
-        s2 = PochSymbol(rng.choice((1, -1)), rng.randint(1, 3), (-2,), 4, None)
-        P = PochProduct(1, [(s1, 1)])
-        Q = PochProduct(1, [(s2, -1)])
+        s1 = (rng.choice((1, -1)), rng.randint(1, 3), (2,), rng.randint(1, 2))
+        s2 = (rng.choice((1, -1)), rng.randint(1, 3), (-2,), None)
+        P = PochProduct(1, 4, [(s1, 1)])
+        Q = PochProduct(1, 4, [(s2, -1)])
         M, inner, outer = 8, 4, 36
+        zero = [0] * (M + 1)
         pq = expand(P * Q, M, ([-inner], [inner]))
         p = expand(P, M, ([-outer], [outer]))
         q = expand(Q, M, ([-outer], [outer]))
         for w in range(-inner, inner + 1, 2):
             acc = [Fraction(0)] * (M + 1)
-            for w1 in p.terms:
-                w2 = (w - w1[0],)
-                prod = p.coeff(w1) * q.coeff(w2)
+            for w1, row in p.items():
+                prod = TruncSeries(row, M) * TruncSeries(q.get((w - w1[0],), zero), M)
                 acc = [a + b for a, b in zip(acc, prod.coeffs)]
-            assert acc == pq.coeff((w,)).coeffs
+            assert acc == pq.get((w,), zero)
 
 
 def test_expand_numerator_of_negative_valuation():
     # 1 - v^-2 e^2 has a pole at v = 0
-    atom = [(PochSymbol(1, -2, (2,), 4, 1), 1)]
+    atom = [((1, -2, (2,), 1), 1)]
     with pytest.raises(ValueError, match="pole at origin"):
-        expand(PochProduct(1, atom), 4, ([-2], [2]))
+        expand(PochProduct(1, 4, atom), 4, ([-2], [2]))
 
 
 def test_expand_rejects_a_negative_precision():
     with pytest.raises(ValueError, match="negative precision"):
-        expand(PochProduct(1, []), -1)
-    assert expand(PochProduct(1, []), 0).coeff((0,)) == TruncSeries.one(0)
+        expand(PochProduct(1, 4), -1)
+    assert expand(PochProduct(1, 4), 0) == {(0,): [1]}
 
 
 def test_expand_rejects_divergent_denominator():
-    P = PochProduct(1, [(PochSymbol(1, 0, (2,), 4), -1)])
+    P = PochProduct(1, 4, [((1, 0, (2,), None), -1)])
     with pytest.raises(ValueError, match="cannot expand"):
         expand(P, 4, ([-4], [4]))
 
@@ -286,8 +313,7 @@ def test_expand_rejects_divergent_denominator():
 @pytest.mark.parametrize("mult,length", [(1, 1), (-1, 2), (-1, None)])
 def test_expand_rejects_a_symbol_of_weight_zero(mult, length):
     # a symbol (v e^0; v^4)_L is a scalar factor, not an atom of the expansion
-    P = PochProduct(2, [(PochSymbol(1, 1, (0, 0), 4, length), mult),
-                        (PochSymbol(1, 0, (2, 0), 4, 1), 1)])
+    P = PochProduct(2, 4, [((1, 1, (0, 0), length), mult), ((1, 0, (2, 0), 1), 1)])
     with pytest.raises(ValueError, match="cannot expand: a symbol of weight zero"):
         expand(P, 4, ([-2, -2], [2, 2]))
 
