@@ -22,10 +22,9 @@ each weight and every pair it has computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .galg import GAElem
 from .mkengine import (
@@ -45,14 +44,12 @@ from .weights import KLabel, koornwinder_weight, poch_to_gaelem, shift_factor, s
 S0 = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Check:
-    suite: str
-    claim: str
-    cases: tuple
-    holds: Callable             # (M, *arguments) -> bool
-    show: Callable = None       # (*arguments) -> str, shown beside the row
-    reads: Callable = None      # (*arguments) -> the (tag, n, m, sigma, l, bound) it reads
+class Check(namedtuple("Check", "suite claim cases holds show reads", defaults=(None, None))):
+    """holds(M, *arguments) -> bool decides a case; show(*arguments) -> str,
+    if given, is shown beside the row; reads(*arguments), if given, lists
+    the (tag, n, m, sigma, l, bound) families the case reads."""
+
+    __slots__ = ()
 
     def row(self, case, M: int) -> dict:
         """The verify row of one case.  A case that raises ValueError fails,

@@ -12,7 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .checks import SUITES, cases
 from .mkengine import build_polynomial
 from .roots import (FAMILIES, build_root_system, catalog_json, dominant_weights_upto, is_dominant,
                     satake_catalog)
@@ -72,7 +71,7 @@ def make_parser():
     c.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=SUITES + ("all",))
+    v.add_argument("suite", help="a suite name, or all")
     v.add_argument("--precision", type=_int_at_least(0), default=DEFAULT_PRECISION)
     v.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
@@ -140,6 +139,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import SUITES, cases   # the registry loads only for verify
+    names = SUITES + ("all",)
+    if args.suite not in names:
+        return _usage_error("unknown suite %r (choose from %s)" % (args.suite, ", ".join(names)))
     rows = [check.row(case, args.precision) for check, case in cases(args.suite)]
     rows.sort(key=lambda r: r["id"])
     if args.format == "json":

@@ -11,8 +11,7 @@ binomial atoms (s, c, w) at a time.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import add, neg
 
@@ -171,13 +170,13 @@ def operator_action(label: KLabel, rs: RootSystem, basis) -> dict:
     return matrix
 
 
-@dataclass
-class MKPolynomial:
-    lam: Weight
-    coeffs: dict                 # dominant weight -> Scalar (orbit-sum basis)
-    label: KLabel
-    level: int = 0
-    eigenvalue: Scalar = None    # the operator's diagonal entry at lam
+class MKPolynomial(namedtuple("MKPolynomial", "lam coeffs label level eigenvalue",
+                              defaults=(0, None))):
+    """The polynomial at lam of the family of label at level: coeffs maps
+    each dominant weight to its Scalar coefficient in the orbit-sum basis,
+    and eigenvalue is the operator's diagonal entry at lam."""
+
+    __slots__ = ()
 
     def as_gaelem(self, n: int) -> GAElem:
         return from_m_basis(self.coeffs, n)

@@ -18,7 +18,7 @@ restrict to (1,), (0,), ..., (0,), (-1,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .galg import GAElem
@@ -138,17 +138,21 @@ def eval_at_one(x: Scalar) -> Fraction:
 # modules
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Rank1Module:
-    family: str              # "AI1" or "AIV"
-    n: int                   # 1 for AI1; >= 2 for AIV
-    dim: int                 # n + 1
-    weights: list            # doubled restricted weight per basis vector
-    c_params: tuple          # (c,) or (c1, cn)
-    ops: dict                # the generator table
-    # chain[j] is the level-j restriction; flipped serves AIV levels l < 0
-    chain: list = field(default_factory=lambda: [GAElem.unit(1)], compare=False, repr=False)
-    flipped: Rank1Module | None = field(default=None, compare=False, repr=False)
+    """A module of build_rank1 and the chain it has solved so far."""
+
+    __slots__ = ("family", "n", "dim", "weights", "c_params", "ops", "chain", "flipped")
+
+    def __init__(self, family, n, dim, weights, c_params, ops):
+        self.family = family        # "AI1" or "AIV"
+        self.n = n                  # 1 for AI1; >= 2 for AIV
+        self.dim = dim              # n + 1
+        self.weights = weights      # doubled restricted weight per basis vector
+        self.c_params = c_params    # (c,) or (c1, cn)
+        self.ops = ops              # the generator table
+        # chain[j] is the level-j restriction; flipped serves AIV levels l < 0
+        self.chain = [GAElem.unit(1)]
+        self.flipped = None
 
 
 def build_rank1(family: str, n: int = 1, c_params=None) -> Rank1Module:
@@ -212,12 +216,11 @@ def aiv_blocks(module: Rank1Module, d1: Scalar, dn: Scalar):
             + [o[g % j] for j in range(2, n) for g in ("E%d", "F%d")])
 
 
-@dataclass
-class SphericalPair:
-    level: int
-    right_vector: list      # components of v_l
-    left_vector: list       # components of f_l
-    character_data: dict    # the shifted parameters actually used
+class SphericalPair(namedtuple("SphericalPair", "level right_vector left_vector character_data")):
+    """The shift-level pair: the components of v_l and of f_l, and the
+    shifted parameters actually used."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         """Human-readable display of the solved vectors, exact coefficients."""

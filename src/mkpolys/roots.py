@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,13 +50,7 @@ def eps(i: int, n: int) -> Weight:
     return tuple(2 if j == i else 0 for j in range(n))
 
 
-@dataclass
-class RootSystem:
-    n: int
-    R1: list
-    R2: list
-    R1p: list
-    R2p: list
+RootSystem = namedtuple("RootSystem", "n R1 R2 R1p R2p")
 
 
 def build_root_system(n: int) -> RootSystem:
@@ -181,8 +174,7 @@ FAMILIES = (
 _OPEN_FAMILIES = {"DIIIb", "EIII"}
 
 
-@dataclass(frozen=True)
-class SatakeEntry:
+class SatakeEntry(namedtuple("SatakeEntry", "family n aux reduced long_mult med_mult base_d")):
     """Catalog record for one Hermitian family.
 
     base_d is d_i at the marked index, so the squared base is q^(2*base_d);
@@ -192,13 +184,7 @@ class SatakeEntry:
     BI / DI).
     """
 
-    family: str
-    n: int
-    aux: int
-    reduced: bool
-    long_mult: int
-    med_mult: int
-    base_d: int
+    __slots__ = ()
 
     def base_exp(self) -> int:
         """The v-exponent of the base q_i^2."""
@@ -318,16 +304,13 @@ def catalog_json(reduced=None) -> str:
 # Ambient Weyl data for the central-character eigenvalue identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AmbientData:
+class AmbientData(namedtuple("AmbientData", "gram rho mu")):
     """Ambient weight-space data for one catalog entry whose ambient Weyl
     group is the signed permutations of its coordinates (weyl_group of
     len(rho)): the scalar Gram (x, x) of each coordinate vector, the
     half-sum rho and the chosen direction mu."""
 
-    gram: Fraction
-    rho: tuple
-    mu: tuple
+    __slots__ = ()
 
     @staticmethod
     def restrict(v) -> tuple:

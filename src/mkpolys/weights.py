@@ -11,7 +11,7 @@ multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -21,16 +21,11 @@ from .scalars import (DEFAULT_PRECISION, Scalar, TruncSeries, _series, byte_widt
                       scalar_to_series)
 
 
-@dataclass(frozen=True)
-class KLabel:
-    """Koornwinder parameters (k1..k5) with the base q_i^2 = v^base_exp."""
+class KLabel(namedtuple("KLabel", "k1 k2 k3 k4 k5 base_exp")):
+    """Koornwinder parameters (k1..k5), Fractions, with the base
+    q_i^2 = v^base_exp."""
 
-    k1: Fraction
-    k2: Fraction
-    k3: Fraction
-    k4: Fraction
-    k5: Fraction
-    base_exp: int
+    __slots__ = ()
 
     @staticmethod
     def make(ks, base_exp):

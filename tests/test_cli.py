@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 BASE = [sys.executable, "-m", "mkpolys.cli"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(*args):
@@ -71,6 +74,29 @@ def test_compute_open_family_fails_cleanly():
 def test_usage_error_is_exit_two():
     assert run("verify", "nonsense").returncode == 2
     assert run().returncode == 2
+
+
+def test_unknown_suite_is_exit_two_with_every_suite_named(capsys):
+    from mkpolys import checks, cli
+    assert cli.main(["verify", "nonsense"]) == 2
+    err = capsys.readouterr().err
+    assert "nonsense" in err and all(s in err for s in checks.SUITES + ("all",))
+
+
+def test_import_loads_no_dataclasses_and_no_check_registry():
+    """`import mkpolys.cli` loads neither dataclasses (with inspect) nor
+    the check registry, which only `verify` reads, and the registry loads
+    no dataclasses either.  -S keeps what site-packages import out of
+    sys.modules."""
+    probe = ("import sys\n"
+             "import mkpolys.cli\n"
+             "print(sorted({'dataclasses', 'inspect', 'mkpolys.checks'} & set(sys.modules)))\n"
+             "import mkpolys.checks\n"
+             "print('dataclasses' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "False"]
 
 
 @pytest.mark.parametrize("args,message", [

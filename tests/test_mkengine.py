@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -324,6 +323,33 @@ def test_a_polynomial_without_an_eigenvalue_compares_unequal():
     assert P == MKPolynomial(P.lam, P.coeffs, P.label, P.level, P.eigenvalue)
 
 
+def test_records_compare_and_hash_by_value_and_refuse_assignment():
+    """Equal labels and equal catalog entries are equal and hash equal, so
+    two equal labels share one operator cache entry; an MKPolynomial keeps
+    its defaults and compares field by field; labels, catalog entries and
+    checks refuse attribute assignment."""
+    from mkpolys.mkengine import MKPolynomial
+    a, b = KLabel.from_entry(AI1, 3), KLabel.from_entry(AI1, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    pieces = _qdiff_pieces(a, RS1)
+    size = len(mkengine._QDIFF_CACHE)
+    assert _qdiff_pieces(b, RS1) is pieces and len(mkengine._QDIFF_CACHE) == size
+    e, f = satake_catalog("CI", 2), satake_catalog("CI", 2)
+    assert e is not f and e == f and hash(e) == hash(f)
+
+    P = MKPolynomial((0,), {(0,): SC_ONE}, a)
+    assert (P.level, P.eigenvalue) == (0, None)
+    assert P == MKPolynomial((0,), {(0,): SC_ONE}, b, 0, None)
+    assert P != MKPolynomial((0,), {(0,): SC_ONE}, a, 1)
+    assert P != MKPolynomial((0,), {(0,): -SC_ONE}, a)
+
+    for record, name in ((a, "k1"), (e, "n"), (checks.CHECKS[0], "claim")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.note = "extra"
+
+
 def test_build_polynomial_base_cases():
     k = KLabel.from_entry(AI1, 0)
     P0 = build_polynomial(k, [(0,)], RS1)[(0,)]
@@ -591,7 +617,7 @@ def test_every_single_corrupted_eigenvalue_fails_the_identity_report(tag, n, amb
     for l, fam in families.items():
         for lam, P in fam.items():
             bad = dict(fam)
-            bad[lam] = dataclasses.replace(P, eigenvalue=P.eigenvalue + Scalar.v_pow(40))
+            bad[lam] = P._replace(eigenvalue=P.eigenvalue + Scalar.v_pow(40))
             rep = eigenvalue_identity_check(entry, ambient_lams, {**families, l: bad})
             assert rep["pass"] is False, (l, lam)
 
