@@ -5,8 +5,9 @@ constant-term inner product.  Also: orthogonality verification, the
 v -> 1/v coefficient symmetry, the central-character eigenvalue identity,
 and connection coefficients between neighbouring levels.  The operator
 runs on ints, with v evaluated at 2^B (apply_qdiff, mkpolys.qdiff): a
-batch's numerator is reslotted once and divided by one line of
-binomial atoms (s, c, w) at a time.
+batch's numerator is built and divided at its product width, one line
+of binomial atoms (s, c, w) at a time, and the quotient's digits are
+certified after the division.
 """
 
 from __future__ import annotations
@@ -69,90 +70,121 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     exponential Weyl sums shifted by their value at the zero weight.
 
     With v evaluated at 2^B (Kronecker substitution in v) each coefficient
-    is one int times a power of v shared by the numerator.  As f is
-    invariant, its numerator is sum_eta w_eta(G) for the one product
-    G = cof * (T_eps_1 f - f) (see qdiff.Pieces), shifted into a band of
-    v-slots of its own; the sum of the bands, moved once from the product
-    width to B (int_reslot on the whole batch), is divided by the common
-    atoms (s, c, w) one line +-w at a time (ga_divexact on Pieces.lines,
-    each atom 1 - s*v^c*e^w a shift by c*B) and must be Weyl invariant:
-    the bands sit in disjoint slots, so equal ints mean equal values in
-    every band.  Its dominant weights are read back and split by band.
-    Pieces.slot_width gives B and the gap between bands, and proves that
-    the batch raises exactly when one of its inputs would alone.
+    is one int times a power of v shared by the numerator.  As f_i is
+    invariant, its numerator is F_i = sum_eta w_eta(G) for the one product
+    G = cof * (T_eps_1 f_i - f_i) (see qdiff.Pieces), with coefficients at
+    most beta = 2 * nu * norm in absolute value (nu the largest l1 norm of
+    a coefficient that T_eps_1 moves) and v-degrees in [0, top_i], top_i
+    read from its ints' bit lengths.  The batch F = sum_i v^off_i * F_i
+    packs the bands [off_i, off_i + top_i] back to back; it is built at
+    B = Pieces.product_width(nu) and divided there by D, the product of
+    the divisors, one line +-w at a time (ga_divexact on Pieces.lines),
+    then by the monomial of split_atoms.
+
+    The result is certified after the division, as GCDHEU does (see
+    scalars.p_gcd).  Evaluation at 2^B is a ring homomorphism, so the
+    division is exact arithmetic at any B: a nonzero chain-end value
+    proves that D does not divide F, hence not every F_i, and the batch
+    raises "non-polynomial result".  Else the quotient ints, checked Weyl
+    invariant, are Q~(2^B), Q~ read once as the balanced base-2^B digits
+    of the dominant ones.  D has l1 norm at most 2^d and v-degrees in
+    [0, deg] (Pieces.d, Pieces.deg).
+      - Norm test: if beta + max|digit| * 2^d < 2^(B-1), F - Q~ * D has
+        coefficients below 2^(B-1) and vanishes at 2^B, so F = Q~ * D.
+      - Band test: if band i holds its digits in [off_i, off_i + top_i -
+        deg], Q~ = sum_i v^off_i * Q~_i, and the residues F_i - Q~_i * D,
+        of v-degrees in [0, top_i], are disjoint once shifted by off_i
+        and sum to zero: F_i = Q~_i * D for every i.  Else the batch
+        raises: Q~ is the quotient of F, unique as Z[v][e^W] has no zero
+        divisors, and were every F_i = Q_i * D it would be
+        sum_i v^off_i * Q_i, the v-degrees of a product adding.
+    A failed norm test builds the batch again at 2B.  This ends: if every
+    F_i divides, the digits are the quotient Q's and pass the norm test
+    once 2^(B-1) exceeds beta + |Q|_inf * 2^d.  If not, either D does not
+    divide F, and the chain-end polynomial of the first divisor that fails
+    is nonzero at 2^B for all but finitely many B, or D divides F, and the
+    band test raises once the digits are the quotient's.  So the batch
+    raises exactly when one of its inputs would alone.
     """
     pieces = _qdiff_pieces(label, rs)
     direction, b = pieces.direction, label.base_exp
     out = [{} for _ in fs]
-    batch = []                  # (result, f as a GAElem) of each nonconstant f
+    batch = []                  # (result, the terms T_direction moves: (weight, v-shift, c))
     for i, (res, f) in enumerate(zip(out, fs)):
         g = from_m_basis(f, rs.n)
         if any(c.d != P_ONE for c in g.terms.values()):
             raise ValueError("input %d is not an integer Laurent polynomial" % i)
-        if any(map(any, g.terms)):  # else f is constant and its image zero
-            batch.append((res, g))
-    if not batch:
-        return out
-    ws = [w for _, g in batch for w in g.terms]
-    nu = max(l1_norm(c) for _, g in batch for c in g.terms.values())
-    B1 = pieces.product_width(nu)
-    B, gap = pieces.slot_width(nu, [min(x) for x in zip(*ws)], [max(x) for x in zip(*ws)])
-    e0, cof = pieces.cof
-    if B1 != pieces.width:
-        cof = dict(zip(cof, int_reslot(list(cof.values()), pieces.width, B1)))
-    acc, bands, off = {}, [], 0
-    for res, g in batch:
-        moved = []              # the terms T_direction moves: (weight, e, v-shift, z)
+        moved = []
         for w, c in g.terms.items():
             t = dot4(direction, w) * b
             if t.denominator != 1:
                 raise ValueError("non-integral translation exponent")
             if t:
-                moved.append((w, c.e, int(t), p_to_int(c.n, B1)))
-        base = min(e + min(t, 0) for _, e, t, _ in moved)
-        diff = [(w, (z << ((e + t - base) * B1)) - (z << ((e - base) * B1)))
-                for w, e, t, z in moved]
-        G = {}
-        for w1, z1 in cof.items():
-            for w2, z2 in diff:
-                w = tuple(map(add, w1, w2))
-                G[w] = G.get(w, 0) + z1 * z2
-        # sum_eta w_eta(G), each w a signed permutation of G's weight columns
-        cols = list(zip(*G))
-        negs = [tuple(map(neg, c)) for c in cols]
-        part = {}
-        for perm, signs in pieces.reps:
-            images = zip(*[(cols if s > 0 else negs)[p] for p, s in zip(perm, signs)])
-            for w, z in zip(images, G.values()):
-                part[w] = part.get(w, 0) + z
-        # balanced digits below 2^(B1-1) put a top slot d at bit length >= d * B1
-        top = max((abs(z).bit_length() for z in part.values()), default=0) // B1
-        for w, z in part.items():
-            acc[w] = acc.get(w, 0) + (z << (off * B1))
-        bands.append((res, base + e0, off * B, 1 << ((top + 1) * B)))
-        off += top + 1 + gap
-    # the division needs the wider slots of slot_width
-    num = GAElem(rs.n)
-    num.terms = {w: z for w, z in acc.items() if z}
-    del acc                     # frees the ints at B1 before the division
-    if B != B1:
-        num.terms = dict(zip(num.terms, int_reslot(list(num.terms.values()), B1, B)))
-    try:
-        for line in pieces.lines:
-            num = ga_divexact(num, line, B)
-    except ValueError:
-        raise ValueError("non-polynomial result")
+                moved.append((w, int(t), c))
+        if moved:               # else f is constant and its image zero
+            batch.append((res, moved))
+    if not batch:
+        return out
+    nu = max(l1_norm(c) for _, moved in batch for _, _, c in moved)
+    beta = 2 * nu * pieces.norm
+    B = pieces.product_width(nu)
+    e0, cof = pieces.cof
     sign, C, W = pieces.monomial
+    while True:
+        if B != pieces.width:
+            cof = dict(zip(cof, int_reslot(list(pieces.cof[1].values()), pieces.width, B)))
+        acc, bands, off = {}, [], 0
+        for res, moved in batch:
+            base = min(c.e + min(t, 0) for _, t, c in moved)
+            diff = []
+            for w, t, c in moved:
+                z = p_to_int(c.n, B)
+                diff.append((w, (z << ((c.e + t - base) * B)) - (z << ((c.e - base) * B))))
+            G = {}
+            for w1, z1 in cof.items():
+                for w2, z2 in diff:
+                    w = tuple(map(add, w1, w2))
+                    G[w] = G.get(w, 0) + z1 * z2
+            # sum_eta w_eta(G), each w a signed permutation of G's weight columns
+            cols = list(zip(*G))
+            negs = [tuple(map(neg, c)) for c in cols]
+            part = {}
+            for perm, signs in pieces.reps:
+                images = zip(*[(cols if s > 0 else negs)[p] for p, s in zip(perm, signs)])
+                for w, z in zip(images, G.values()):
+                    part[w] = part.get(w, 0) + z
+            # balanced digits below 2^(B-1) put a top slot d at bit length >= d * B
+            top = max((abs(z).bit_length() for z in part.values()), default=0) // B
+            for w, z in part.items():
+                acc[w] = acc.get(w, 0) + (z << (off * B))
+            bands.append((res, base + e0, off, top))
+            off += top + 1
+        num = GAElem(rs.n)
+        num.terms = {w: z for w, z in acc.items() if z}
+        del acc, G, part        # num alone holds the numerator: freed by the first line
+        try:
+            for line in pieces.lines:
+                num = ga_divexact(num, line, B)
+        except ValueError:
+            raise ValueError("non-polynomial result")
+        quo = {wdiff(w, W): z for w, z in num.terms.items()}
+        require_invariant(quo, "the operator's image")
+        digits = {w: p_from_int(z, B) for w, z in quo.items() if is_dominant(w)}
+        big = max((max(map(abs, ds)) for ds in digits.values()), default=0)
+        if beta + (big << pieces.d) < 1 << (B - 1):
+            break
+        B *= 2
     k = sign * pieces.stab
-    quo = {wdiff(w, W): z for w, z in num.terms.items()}
-    require_invariant(quo, "the operator's image")
-    for w, z in quo.items():
-        if is_dominant(w):
-            for res, E, s, m in bands:
-                # the band's balanced digits; those below sum to under half of 2^s
-                z1 = ((z + (1 << s >> 1) >> s) + (m >> 1)) % m - (m >> 1)
-                if z1:
-                    res[w] = Scalar.laurent(E - C, [k * d for d in p_from_int(z1, B)])
+    for w, ds in digits.items():
+        end = 0
+        for res, E, off, top in bands:
+            if any(ds[end:off]):
+                raise ValueError("non-polynomial result")
+            end = off + top - pieces.deg + 1
+            if any(ds[off:end]):
+                res[w] = Scalar.laurent(E - C, [k * d for d in ds[off:end]])
+        if any(ds[end:]):
+            raise ValueError("non-polynomial result")
     return out
 
 

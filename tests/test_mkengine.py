@@ -33,8 +33,9 @@ from mkpolys.roots import (
     wdiff,
     weyl_apply,
     weyl_group,
+    wsum,
 )
-from mkpolys.scalars import P_ONE, SC_ONE, Scalar
+from mkpolys.scalars import P_ONE, SC_ONE, Scalar, byte_width, p_from_int, p_make
 from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
@@ -237,6 +238,64 @@ def test_a_non_invariant_quotient_raises(monkeypatch):
     assert apply_qdiff(k, fs, RS2) == want
 
 
+def test_a_digit_outside_its_band_raises(monkeypatch):
+    # fault injection: the last line's quotient gains one digit past every
+    # band on a whole orbit, so it stays Weyl invariant and passes the norm
+    # test, and only the band test sees it
+    k = KLabel.from_entry(AIIIB2, 1)
+    pieces = _qdiff_pieces(k, RS2)
+    W = pieces.monomial[2]
+    lines = len(pieces.lines)
+    real, calls = mkengine.ga_divexact, []
+
+    def faulty(f, line, B):
+        q = real(f, line, B)
+        calls.append(line)
+        if len(calls) == lines:
+            slot = max(z.bit_length() for z in q.terms.values()) // B + 2
+            for w in orbit_sum((2, 0), 2).terms:
+                x = wsum(w, W)
+                q.terms[x] = q.terms.get(x, 0) + (1 << slot * B)
+        return q
+
+    fs = [{mu: SC_ONE} for mu in dominant_weights_upto(2, 4)]
+    want = apply_qdiff(k, fs, RS2)
+    monkeypatch.setattr(mkengine, "ga_divexact", faulty)
+    with pytest.raises(ValueError, match="non-polynomial result"):
+        apply_qdiff(k, fs, RS2)
+    assert len(calls) == lines
+    monkeypatch.setattr(mkengine, "ga_divexact", real)
+    assert apply_qdiff(k, fs, RS2) == want
+
+
+@pytest.mark.parametrize("entry,l,bound", [
+    (AI1, 2, 6), (AIIIB2, 1, 4), (satake_catalog("EVII", 3), 0, 2)],
+    ids=["AI1 l=2", "AIIIb l=1", "EVII l=0"])
+def test_a_failed_norm_test_builds_the_batch_again_at_twice_the_width(monkeypatch, entry, l,
+                                                                      bound):
+    # orbit sums and each L * P; a larger d makes the first width fail
+    # the norm test, and the images must not change
+    rs = build_root_system(entry.n)
+    k = KLabel.from_entry(entry, l)
+    basis = dominant_weights_upto(entry.n, bound)
+    fs = [{mu: SC_ONE} for mu in basis] + [
+        clear_denominators(P.coeffs) for P in build_polynomial(k, basis, rs, verify=False).values()]
+    pieces = _qdiff_pieces(k, rs)
+    real, widths = mkengine.ga_divexact, []
+
+    def spy(f, line, B):
+        if line is pieces.lines[0]:
+            widths.append(B)    # one division of a whole batch
+        return real(f, line, B)
+
+    monkeypatch.setattr(mkengine, "ga_divexact", spy)
+    want = apply_qdiff(k, fs, rs)
+    B, = widths
+    monkeypatch.setattr(pieces, "d", pieces.d + B)
+    assert apply_qdiff(k, fs, rs) == want
+    assert widths == [B, B, 2 * B]
+
+
 @pytest.mark.parametrize("entry,l,sigma", [
     (AI1, 0, 0), (AI1, 2, 0), (AIV2, -1, Fraction(1, 2)), (AIV2, 1, Fraction(1, 2)),
     (AIIIB2, 1, 0), (satake_catalog("CI", 2), 0, 0), (satake_catalog("BI", 2, 3), 1, 0),
@@ -253,10 +312,16 @@ def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
     _, lcm = _per_image_atoms(label, rs)
     assert Counter(pieces.atoms) == lcm
     assert _cofactor_images(pieces) == _per_image_cofactors(label, rs, pieces.width)
-    # the column box is the box of every term's image
-    ws = [weyl_apply(w, x) for w in pieces.reps for x in pieces.cof[1]]
-    assert pieces.lo == [min(x) for x in zip(*ws)]
-    assert pieces.hi == [max(x) for x in zip(*ws)]
+    # the premise of apply_qdiff's certificate: the divisors multiplied
+    # out have v-degrees in [0, deg] and l1 norm at most 2^d
+    divisors = [atom for line in pieces.lines for atom in line]
+    assert len(divisors) == pieces.d
+    B = byte_width(2 << pieces.d)
+    e0, D = atom_product((0,) * rs.n, divisors, B)
+    digits = [p_from_int(z, B) for z in D.values()]
+    assert e0 == 0
+    assert max(len(p_make(ds)) for ds in digits) - 1 == pieces.deg
+    assert sum(abs(x) for ds in digits for x in ds) <= 1 << pieces.d
 
 
 @pytest.mark.parametrize("entry,n,bound", [(AI1, 1, 8), (AIV2, 1, 6), (AIIIB2, 2, 4)])
