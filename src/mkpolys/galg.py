@@ -3,9 +3,11 @@
 A GAElem is a finite map weight -> Scalar; its involution bar negates
 weights.  Exact division by the binomial atoms 1 - s*v^c*e^(+-w) of one
 line +-w, the backbone of the q-difference operator, runs on elements
-whose coefficients are ints (v evaluated at 2^B): a chain recurrence of
-shifts and additions that divides nothing, run on each chain of the line
-for every atom in turn.
+whose coefficients are ints (v evaluated at 2^B) and whose weights are
+packed into ints (pack, unpack: the Kronecker substitution applied to
+the weights, Monagan and Pearce, CASC 2007), so that adding two weights
+is one int addition: a chain recurrence of shifts and additions that
+divides nothing, run on each chain of the line for every atom in turn.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
-from operator import add, sub
+from operator import add, lshift, sub
 
 from .roots import (
     Weight,
@@ -198,11 +200,34 @@ def chains(terms: dict, w: Weight) -> dict:
     return out
 
 
+RADIX, BOX = 16, 1 << 12    # bits per packed coordinate; pack's box |x| < BOX
+_MASK, _HALF = (1 << RADIX) - 1, 1 << (RADIX - 1)
+
+
+def pack(w: Weight) -> int:
+    """The weight w as one int, sum_k w[k] * 2^(16k), in balanced digits:
+    Z-linear, and read back by unpack.  Raises ValueError outside the box
+    |w[k]| < BOX, which keeps sums of two packed weights inside the radix
+    rule of ga_divexact."""
+    if any(abs(x) >= BOX for x in w):
+        raise ValueError("weight %s is outside the packing box" % (w,))
+    return sum(map(lshift, w, range(0, RADIX * len(w), RADIX)))
+
+
+def unpack(x: int, n: int) -> Weight:
+    """The rank-n weight packed in x, its coordinates in [-2^15, 2^15):
+    2^15 added in every digit makes each one nonnegative, with no borrow."""
+    x += _HALF * ((1 << RADIX * n) - 1) // _MASK
+    return tuple(((x >> s) & _MASK) - _HALF for s in range(0, RADIX * n, RADIX))
+
+
 def ga_divexact(f: GAElem, line, B: int) -> GAElem:
-    """f, with int coefficients, divided by each binomial 1 - s*v^c*e^(+-w)
-    of the atoms (s, c, +-w) of line in turn, with v evaluated at 2^B, all
-    on one line +-w (w nonzero, c >= 0); raises 'not divisible' at the
-    first atom that leaves a quotient that is no Laurent polynomial.
+    """f, keyed by packed weights (pack) and with int coefficients,
+    divided by each binomial 1 - s*v^c*e^(+-w) of the atoms (s, c, +-w) of
+    line in turn, with v evaluated at 2^B, all on one line +-w (w nonzero,
+    c >= 0); the quotient is keyed by packed weights too.  Raises 'not
+    divisible' at the first atom that leaves a quotient that is no Laurent
+    polynomial.
 
     One chain x0 + j*w of f's support is divided on its own, as a dense
     list from its first term j0 to its last j1, by the recurrence
@@ -216,12 +241,28 @@ def ga_divexact(f: GAElem, line, B: int) -> GAElem:
     value is the one that dividing the whole of f by each atom in turn
     makes on that chain, so the line raises exactly when that sequence
     would.
+
+    The radix rule: chains are split on packed keys, x having the base
+    x - j*w, j = floor(x_i / w_i) for a coordinate i of largest |w_i|,
+    read from the key.  If f's coordinates are at most K, |j*w_k| <=
+    |j*w_i| <= K + max|w|, so two bases differ by at most 4K + 2 max|w|
+    per coordinate; below 2^16 they pack to distinct keys (the lowest
+    nonzero coordinate of a difference packing to 0, pack being linear,
+    would be a multiple of 2^16).  Sums of two packed weights have
+    K < 2^13, and a quotient's weights lie between two of its dividend's.
     """
     w = line[0][2]
     if any(x != w and x != wneg(w) for _, _, x in line):
         raise ValueError("divisors are not on one line")
+    i = max(range(len(w)), key=lambda k: abs(w[k]))
+    wi, pw, shift = w[i], pack(w), RADIX * i
+    bias = _HALF * ((1 << shift + RADIX) - 1) // _MASK
+    split = {}
+    for x, z in f.terms.items():
+        j = ((((x + bias) >> shift) & _MASK) - _HALF) // wi
+        split.setdefault(x - j * pw, {})[j] = z
     quo = {}
-    for base, cs in chains(f.terms, w).items():
+    for base, cs in split.items():
         j0 = min(cs)
         row = [cs.get(j, 0) for j in range(j0, max(cs) + 1)]
         for s, c, x in line:
@@ -249,7 +290,7 @@ def ga_divexact(f: GAElem, line, B: int) -> GAElem:
                 break
         for j, z in enumerate(row, j0):
             if z:
-                quo[tuple(a + j * b for a, b in zip(base, w))] = z
+                quo[base + j * pw] = z
     out = GAElem(f.rank)
     out.terms = quo
     return out

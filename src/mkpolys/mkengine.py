@@ -4,19 +4,21 @@ positive-root half density, and as a truncated Gram-style oracle from the
 constant-term inner product.  Also: orthogonality verification, the
 v -> 1/v coefficient symmetry, the central-character eigenvalue identity,
 and connection coefficients between neighbouring levels.  The operator
-runs on ints, with v evaluated at 2^B (apply_qdiff, mkpolys.qdiff): a
-batch's numerator is built and divided at its product width, one line
-of binomial atoms (s, c, w) at a time, and the quotient's digits are
-certified after the division.
+runs on ints, with v evaluated at 2^B and weights packed into ints
+(apply_qdiff, mkpolys.qdiff, galg.pack): a batch's numerator is one
+product and one Weyl sum, built and divided at its product width, one
+line of binomial atoms (s, c, w) at a time, and the quotient's digits
+are certified after the division.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from operator import add, neg
+from itertools import repeat
+from operator import add, mul
 
-from .galg import GAElem, from_m_basis, ga_divexact, orbit_sum, require_invariant
+from .galg import GAElem, from_m_basis, ga_divexact, orbit_sum, pack, require_invariant, unpack
 from .roots import (
     D,
     RootSystem,
@@ -70,25 +72,26 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     exponential Weyl sums shifted by their value at the zero weight.
 
     With v evaluated at 2^B (Kronecker substitution in v) each coefficient
-    is one int times a power of v shared by the numerator.  As f_i is
-    invariant, its numerator is F_i = sum_eta w_eta(G) for the one product
-    G = cof * (T_eps_1 f_i - f_i) (see qdiff.Pieces), with coefficients at
-    most beta = 2 * nu * norm in absolute value (nu the largest l1 norm of
-    a coefficient that T_eps_1 moves) and v-degrees in [0, top_i], top_i
-    read from its ints' bit lengths.  The batch F = sum_i v^off_i * F_i
-    packs the bands [off_i, off_i + top_i] back to back; it is built at
+    is one int times a power of v.  As f_i is invariant, its numerator is
+    F_i = sum_eta w_eta(cof * (T_eps_1 f_i - f_i)) (qdiff.Pieces), with
+    coefficients at most beta = 2 * nu * norm in absolute value (nu the
+    largest l1 norm of a coefficient that T_eps_1 moves) and v-degrees in
+    [0, top_i], top_i = Pieces.top plus the top v-degree of T_eps_1 f_i -
+    f_i: Z[v] has no zero divisors, so a product's v-degree is the sum of
+    its factors', and neither a sum nor a Weyl image raises it.  The batch
+    F = sum_i v^off_i * F_i, the bands [off_i, off_i + top_i] back to
+    back, is one product and one Weyl sum (_numerator), built at
     B = Pieces.product_width(nu) and divided there by D, the product of
     the divisors, one line +-w at a time (ga_divexact on Pieces.lines),
     then by the monomial of split_atoms.
 
     The result is certified after the division, as GCDHEU does (see
-    scalars.p_gcd).  Evaluation at 2^B is a ring homomorphism, so the
-    division is exact arithmetic at any B: a nonzero chain-end value
-    proves that D does not divide F, hence not every F_i, and the batch
-    raises "non-polynomial result".  Else the quotient ints, checked Weyl
-    invariant, are Q~(2^B), Q~ read once as the balanced base-2^B digits
-    of the dominant ones.  D has l1 norm at most 2^d and v-degrees in
-    [0, deg] (Pieces.d, Pieces.deg).
+    scalars.p_gcd).  Evaluation at 2^B is a ring homomorphism: a nonzero
+    chain-end value proves that D does not divide F, hence not every F_i,
+    and the batch raises "non-polynomial result".  Else the quotient ints,
+    checked Weyl invariant, are Q~(2^B), Q~ read as the balanced base-2^B
+    digits of the dominant ones.  D has l1 norm at most 2^d and v-degrees
+    in [0, deg] (Pieces.d, Pieces.deg).
       - Norm test: if beta + max|digit| * 2^d < 2^(B-1), F - Q~ * D has
         coefficients below 2^(B-1) and vanishes at 2^B, so F = Q~ * D.
       - Band test: if band i holds its digits in [off_i, off_i + top_i -
@@ -109,7 +112,7 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     pieces = _qdiff_pieces(label, rs)
     direction, b = pieces.direction, label.base_exp
     out = [{} for _ in fs]
-    batch = []                  # (result, the terms T_direction moves: (weight, v-shift, c))
+    batch = []                  # (result, the terms T_direction moves: (packed weight, v-shift, c))
     for i, (res, f) in enumerate(zip(out, fs)):
         g = from_m_basis(f, rs.n)
         if any(c.d != P_ONE for c in g.terms.values()):
@@ -120,7 +123,7 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
             if t.denominator != 1:
                 raise ValueError("non-integral translation exponent")
             if t:
-                moved.append((w, int(t), c))
+                moved.append((pack(w), int(t), c))
         if moved:               # else f is constant and its image zero
             batch.append((res, moved))
     if not batch:
@@ -128,46 +131,15 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     nu = max(l1_norm(c) for _, moved in batch for _, _, c in moved)
     beta = 2 * nu * pieces.norm
     B = pieces.product_width(nu)
-    e0, cof = pieces.cof
     sign, C, W = pieces.monomial
     while True:
-        if B != pieces.width:
-            cof = dict(zip(cof, int_reslot(list(pieces.cof[1].values()), pieces.width, B)))
-        acc, bands, off = {}, [], 0
-        for res, moved in batch:
-            base = min(c.e + min(t, 0) for _, t, c in moved)
-            diff = []
-            for w, t, c in moved:
-                z = p_to_int(c.n, B)
-                diff.append((w, (z << ((c.e + t - base) * B)) - (z << ((c.e - base) * B))))
-            G = {}
-            for w1, z1 in cof.items():
-                for w2, z2 in diff:
-                    w = tuple(map(add, w1, w2))
-                    G[w] = G.get(w, 0) + z1 * z2
-            # sum_eta w_eta(G), each w a signed permutation of G's weight columns
-            cols = list(zip(*G))
-            negs = [tuple(map(neg, c)) for c in cols]
-            part = {}
-            for perm, signs in pieces.reps:
-                images = zip(*[(cols if s > 0 else negs)[p] for p, s in zip(perm, signs)])
-                for w, z in zip(images, G.values()):
-                    part[w] = part.get(w, 0) + z
-            # balanced digits below 2^(B-1) put a top slot d at bit length >= d * B
-            top = max((abs(z).bit_length() for z in part.values()), default=0) // B
-            for w, z in part.items():
-                acc[w] = acc.get(w, 0) + (z << (off * B))
-            bands.append((res, base + e0, off, top))
-            off += top + 1
-        num = GAElem(rs.n)
-        num.terms = {w: z for w, z in acc.items() if z}
-        del acc, G, part        # num alone holds the numerator: freed by the first line
+        num, bands = _numerator(pieces, batch, B)
         try:
             for line in pieces.lines:
                 num = ga_divexact(num, line, B)
         except ValueError:
             raise ValueError("non-polynomial result")
-        quo = {wdiff(w, W): z for w, z in num.terms.items()}
+        quo = {wdiff(unpack(x, rs.n), W): z for x, z in num.terms.items()}
         require_invariant(quo, "the operator's image")
         digits = {w: p_from_int(z, B) for w, z in quo.items() if is_dominant(w)}
         big = max((max(map(abs, ds)) for ds in digits.values()), default=0)
@@ -186,6 +158,46 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
         if any(ds[end:]):
             raise ValueError("non-polynomial result")
     return out
+
+
+def _numerator(pieces: Pieces, batch, B: int):
+    """apply_qdiff's numerator F at v = 2^B, keyed by packed weights, and
+    its bands [(result, E, off_i, top_i)], E the v-exponent of slot off_i.
+    Each band is multiplied alone: a product of bands top_i slots apart
+    would multiply the zero slots between them too."""
+    e0, cof = pieces.cof
+    if B != pieces.width:
+        cof = dict(zip(cof, int_reslot(list(cof.values()), pieces.width, B)))
+    diff, bands, off = {}, [], 0        # packed weight -> [(z, band shift)]
+    for res, moved in batch:
+        base = min(c.e + min(t, 0) for _, t, c in moved)
+        for x, t, c in moved:
+            z = p_to_int(c.n, B)
+            diff.setdefault(x, []).append(
+                ((z << (c.e + t - base) * B) - (z << (c.e - base) * B), off * B))
+        top = pieces.top + max(c.e + max(t, 0) + len(c.n) for _, t, c in moved) - 1 - base
+        bands.append((res, base + e0, off, top))
+        off += top + 1
+    G = {}
+    for x, zs in diff.items():
+        for y, u in cof.items():
+            acc = G.get(x + y, 0)
+            for z, shift in zs:
+                acc += z * u << shift
+            G[x + y] = acc
+    # sum_eta w_eta(G), pack being linear: sum_j signs[j] * col[perm[j]] * pack(e_j)
+    n = len(pieces.direction)
+    cols, num = list(zip(*map(unpack, G, repeat(n)))), {}
+    units = [pack(tuple(int(k == j) for k in range(n))) for j in range(n)]
+    for perm, signs in pieces.reps:
+        keys = repeat(0)
+        for p, s, unit in zip(perm, signs, units):
+            keys = map(add, keys, map(mul, cols[p], repeat(s * unit)))
+        for k, z in zip(keys, G.values()):
+            num[k] = num.get(k, 0) + z
+    out = GAElem(n)
+    out.terms = {k: z for k, z in num.items() if z}
+    return out, bands
 
 
 def operator_action(label: KLabel, rs: RootSystem, basis) -> dict:

@@ -4,9 +4,9 @@ An integer polynomial a travels as one int, its value a(2^B) (Kronecker
 substitution in v, Harvey, JSC 2009; the kernel lives in scalars), and
 an integer Laurent polynomial as such an int times a power of v.  Pieces
 holds the operator's cofactor in the direction eps_1 multiplied out in
-that form, the common binomial atoms (s, c, w) to divide by, one list
-per line +-w for galg.ga_divexact, and the bounds that the division's
-certificate reads (mkengine.apply_qdiff).
+that form, keyed by packed weights, the common binomial atoms (s, c, w)
+to divide by, one list per line +-w for galg.ga_divexact, and the bounds
+that the division's certificate reads (mkengine.apply_qdiff).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 
+from .galg import pack
 from .roots import RootSystem, eps, weyl_apply, weyl_group, wneg
 from .scalars import P_ONE, Scalar, byte_width, p_divexact, p_gcd, p_mul
 from .weights import KLabel, atom_product, half_density, ratio_atoms, split_atoms
@@ -26,10 +27,11 @@ class Pieces:
     The coefficient at the image eta = w(direction) is a ratio of binomial
     products; its cofactor against the factored least common denominator
     (the common atoms (s, c, w), each standing for 1 - s*v^c*e^w) is the
-    Laurent polynomial v^e0 * sum z(v) e^weight, z in Z[v] evaluated at
-    v = 2^width.  The common atoms, the union of w(dens) over all of W,
-    are W-stable, so the cofactor at w(direction) is w applied to the one
-    at direction, cof = (e0, {weight: z}), the only one kept; reps holds
+    Laurent polynomial v^e0 * sum z(v) e^weight, z in Z[v] of v-degrees in
+    [0, top] evaluated at v = 2^width.  The common atoms, the union of
+    w(dens) over all of W, are W-stable, so the cofactor at w(direction)
+    is w applied to the one at direction, cof = (e0, {packed weight: z}),
+    the only one kept (galg.pack); reps holds
     the first w with w(direction) = eta, per eta.  For Weyl invariant f,
     w(T_direction f) = T_eta(w f) = T_eta f, so the numerator
     sum_eta cof_eta * (T_eta f - f) is sum_eta w_eta(cof * (T_direction f - f)).
@@ -59,7 +61,10 @@ class Pieces:
         atoms = num_atoms + list((lcm - Counter(den_atoms)).elements())
         self.norm = len(reps) << len(atoms)
         self.width = self.product_width(1)
-        self.cof = atom_product((0,) * rs.n, atoms, self.width)
+        e0, cof = atom_product((0,) * rs.n, atoms, self.width)
+        self.cof = e0, {pack(w): z for w, z in cof.items()}
+        # balanced digits below 2^(width-1) put slot t at bit length [t, t + 1) * width
+        self.top = max(abs(z).bit_length() for z in cof.values()) // self.width
         divisors, self.monomial = split_atoms(self.atoms, rs.n)
         self.d, self.deg = len(divisors), sum(c for _, c, _ in divisors)
         lines = {}              # the divisors grouped by line +-w, in order

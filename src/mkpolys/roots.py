@@ -22,6 +22,7 @@ import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
 Weight = tuple
 
@@ -34,15 +35,15 @@ def dot4(a: Weight, b: Weight) -> Fraction:
 
 
 def wsum(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def wneg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def wdiff(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def eps(i: int, n: int) -> Weight:

@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from mkpolys.galg import (
+    BOX,
     GAElem,
     from_m_basis,
     ga_divexact,
     m_basis,
     orbit_sum,
+    pack,
+    unpack,
 )
 from mkpolys.roots import dominant_weights_upto, weyl_apply, weyl_group, weyl_orbit
 from mkpolys.scalars import SC_ONE, Scalar
@@ -187,22 +191,29 @@ def atom_elem(rank, atom, B):
     return int_elem(rank, {(0,) * rank: 1, w: -s << (c * B)})
 
 
+def divexact(f, line, B):
+    """ga_divexact on f with its weights packed, the quotient's weights
+    unpacked again."""
+    q = ga_divexact(int_elem(f.rank, {pack(w): c for w, c in f.terms.items()}), line, B)
+    return int_elem(f.rank, {unpack(x, f.rank): z for x, z in q.terms.items()})
+
+
 def test_divexact():
     # a product of atoms, divided one atom at a time in either order
     f = int_elem(1, {(2,): 1, (0,): 3})
     g, h = (1, 2, (-2,)), (-1, 0, (4,))
     for B in (8, 16, 40):
         prod = f * atom_elem(1, g, B) * atom_elem(1, h, B)
-        assert ga_divexact(ga_divexact(prod, [g], B), [h], B) == f
-        assert ga_divexact(ga_divexact(prod, [h], B), [g], B) == f
+        assert divexact(divexact(prod, [g], B), [h], B) == f
+        assert divexact(divexact(prod, [h], B), [g], B) == f
         # 1 + 2e^2 is no multiple of 1 + e^2
         with pytest.raises(ValueError, match="not divisible"):
-            ga_divexact(int_elem(1, {(0,): 1, (2,): 2}), [(-1, 0, (2,))], B)
+            divexact(int_elem(1, {(0,): 1, (2,): 2}), [(-1, 0, (2,))], B)
         # a line holds the atoms of e^w and e^-w only
         with pytest.raises(ValueError, match="one line"):
-            ga_divexact(prod, [g, h], B)
+            divexact(prod, [g, h], B)
         k = (1, 1, (2,))
-        assert ga_divexact(prod * atom_elem(1, k, B), [g, k], B) == f * atom_elem(1, h, B)
+        assert divexact(prod * atom_elem(1, k, B), [g, k], B) == f * atom_elem(1, h, B)
 
 
 def test_divexact_rank_two_round_trip():
@@ -217,7 +228,7 @@ def test_divexact_rank_two_round_trip():
             for a in atoms:
                 prod = prod * atom_elem(2, a, B)
             for a in atoms:
-                prod = ga_divexact(prod, [a], B)
+                prod = divexact(prod, [a], B)
             assert prod == f
 
 
@@ -227,8 +238,34 @@ def test_divexact_rank_two_non_divisible_stops_at_once():
     g = (1, 1, (0, 2))
     for B in (8, 16):
         with pytest.raises(ValueError, match="not divisible"):
-            ga_divexact(int_elem(2, {(0, 0): 1}), [g], B)
+            divexact(int_elem(2, {(0, 0): 1}), [g], B)
         # a remainder that only shows up at the end of a longer chain
         h = int_elem(2, {(0, 0): 1, (2, 2): 3}) * atom_elem(2, g, B) + int_elem(2, {(0, 0): 1})
         with pytest.raises(ValueError, match="not divisible"):
-            ga_divexact(h, [g], B)
+            divexact(h, [g], B)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["rank 1", "rank 2", "rank 3", "rank 4"])
+def test_pack_round_trips_up_to_the_edge_of_the_box(n):
+    # every corner of the box, and random weights with edge coordinates;
+    # sums of two packed weights (the operator numerator's keys) read back
+    # as the sums of their weights
+    rng = random.Random(n)
+    edge = (BOX - 1, 1 - BOX, 0, 1, -1)
+    ws = list(itertools.product((BOX - 1, 1 - BOX), repeat=n))
+    ws += [tuple(rng.choice(edge) if rng.random() < 0.5 else rng.randint(1 - BOX, BOX - 1)
+                 for _ in range(n)) for _ in range(200)]
+    for w in ws:
+        assert unpack(pack(w), n) == w
+    for a, b in zip(ws, reversed(ws)):
+        assert unpack(pack(a) + pack(b), n) == tuple(x + y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["rank 1", "rank 2", "rank 3", "rank 4"])
+def test_pack_raises_just_outside_the_box(n):
+    for k in range(n):
+        for x in (BOX, -BOX):
+            w = [BOX - 1] * n
+            w[k] = x
+            with pytest.raises(ValueError, match="outside the packing box"):
+                pack(tuple(w))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mkpolys import checks, mkengine, weights
-from mkpolys.galg import GAElem, from_m_basis, m_basis, orbit_sum
+from mkpolys.galg import GAElem, from_m_basis, m_basis, orbit_sum, pack, unpack
 from mkpolys.mkengine import (
     apply_qdiff,
     build_family,
@@ -114,7 +114,9 @@ def _cofactor_images(pieces):
     """The cofactor at w(eps_1) for each w of pieces.reps: w applied to
     the weights of the one cofactor that Pieces keeps."""
     e0, cof = pieces.cof
-    return {weyl_apply(w, pieces.direction): (e0, {weyl_apply(w, x): z for x, z in cof.items()})
+    n = len(pieces.direction)
+    return {weyl_apply(w, pieces.direction): (e0, {weyl_apply(w, unpack(x, n)): z
+                                                   for x, z in cof.items()})
             for w in pieces.reps}
 
 
@@ -224,8 +226,8 @@ def test_a_non_invariant_quotient_raises(monkeypatch):
         q = real(f, line, B)
         calls.append(line)
         if len(calls) == lines:
-            w = next(w for w in q.terms if not is_dominant(wdiff(w, W)))
-            q.terms[w] += 1
+            x = next(x for x in q.terms if not is_dominant(wdiff(unpack(x, 2), W)))
+            q.terms[x] += 1
         return q
 
     fs = [{mu: SC_ONE} for mu in dominant_weights_upto(2, 4)]
@@ -254,7 +256,7 @@ def test_a_digit_outside_its_band_raises(monkeypatch):
         if len(calls) == lines:
             slot = max(z.bit_length() for z in q.terms.values()) // B + 2
             for w in orbit_sum((2, 0), 2).terms:
-                x = wsum(w, W)
+                x = pack(wsum(w, W))
                 q.terms[x] = q.terms.get(x, 0) + (1 << slot * B)
         return q
 
@@ -296,13 +298,16 @@ def test_a_failed_norm_test_builds_the_batch_again_at_twice_the_width(monkeypatc
     assert widths == [B, B, 2 * B]
 
 
-@pytest.mark.parametrize("entry,l,sigma", [
+COFACTOR_LABELS = pytest.mark.parametrize("entry,l,sigma", [
     (AI1, 0, 0), (AI1, 2, 0), (AIV2, -1, Fraction(1, 2)), (AIV2, 1, Fraction(1, 2)),
     (AIIIB2, 1, 0), (satake_catalog("CI", 2), 0, 0), (satake_catalog("BI", 2, 3), 1, 0),
     (satake_catalog("DI", 2, 4), 2, 0), (satake_catalog("AIIIa", 2, 2), 1, Fraction(1, 2)),
     (satake_catalog("EVII", 3), 0, 0)],
     ids=["AI1 l=0", "AI1 l=2", "AIVm l=-1", "AIVm l=1", "AIIIb l=1", "CI l=0", "BI l=1",
          "DI l=2", "AIIIa l=1", "EVII l=0"])
+
+
+@COFACTOR_LABELS
 def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
     # the W-images of the one cofactor kept, against the cofactors as
     # multiplied out one Weyl image at a time
@@ -322,6 +327,37 @@ def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
     assert e0 == 0
     assert max(len(p_make(ds)) for ds in digits) - 1 == pieces.deg
     assert sum(abs(x) for ds in digits for x in ds) <= 1 << pieces.d
+
+
+@COFACTOR_LABELS
+def test_each_band_bound_is_the_top_slot_of_its_numerator(monkeypatch, entry, l, sigma):
+    # orbit sums and each L * P: the bound that band i is laid out with,
+    # before the product, equals the top slot read from the bit lengths of
+    # input i's numerator built alone, so the bands are no wider than
+    # reading them after the product would make them
+    rs = build_root_system(entry.n)
+    k = KLabel.from_entry(entry, l, sigma)
+    basis = dominant_weights_upto(entry.n, 6 if entry.n == 1 else 4)
+    gs = [clear_denominators(P.coeffs)
+          for P in build_polynomial(k, basis, rs, verify=False).values()]
+    real, seen = mkengine._numerator, []
+
+    def spy(pieces, batch, B):
+        num, bands = real(pieces, batch, B)
+        seen.append((pieces, batch, B, bands))
+        return num, bands
+
+    monkeypatch.setattr(mkengine, "_numerator", spy)
+    apply_qdiff(k, [{mu: SC_ONE} for mu in basis], rs)
+    apply_qdiff(k, gs, rs)
+    assert len(seen) == 2
+    for pieces, batch, B, bands in seen:
+        assert len(bands) == len(batch) == len(basis) - 1
+        for item, (_, _, _, top) in zip(batch, bands):
+            num, _ = real(pieces, [item], B)
+            # balanced digits below 2^(B-1) put a top slot t at bit length
+            # in [t * B, (t + 1) * B)
+            assert max(abs(z).bit_length() for z in num.terms.values()) // B == top
 
 
 @pytest.mark.parametrize("entry,n,bound", [(AI1, 1, 8), (AIV2, 1, 6), (AIIIB2, 2, 4)])

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolys import mkengine
-from mkpolys.galg import GAElem, chains, ga_divexact
+from mkpolys.galg import BOX, GAElem, chains, ga_divexact, pack, unpack
 from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
 from mkpolys.scalars import (
     SC_ONE,
@@ -144,6 +144,13 @@ def int_elem(rank, terms):
     return out
 
 
+def divexact(f, line, B):
+    """ga_divexact on f with its weights packed, the quotient's weights
+    unpacked again."""
+    q = ga_divexact(int_elem(f.rank, {pack(w): c for w, c in f.terms.items()}), line, B)
+    return int_elem(f.rank, {unpack(x, f.rank): z for x, z in q.terms.items()})
+
+
 def atoms_of_rank(rank):
     """Atoms (s, c, w): s = +-1, c >= 0 (c = 0 included), w nonzero."""
     weight = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
@@ -170,7 +177,7 @@ def binomial_cases(draw):
 @given(binomial_cases())
 def test_divexact_inverts_multiplication(case):
     f, a, B = case
-    assert ga_divexact(f * int_atom(f.rank, a, B), [a], B) == f
+    assert divexact(f * int_atom(f.rank, a, B), [a], B) == f
 
 
 @SETTINGS
@@ -181,7 +188,7 @@ def test_divexact_rejects_a_non_multiple(case, data):
     f, a, B = case
     w = data.draw(st.tuples(*[st.integers(-4, 4)] * f.rank))
     with pytest.raises(ValueError, match="not divisible"):
-        ga_divexact(f * int_atom(f.rank, a, B) + int_elem(f.rank, {w: 1}), [a], B)
+        divexact(f * int_atom(f.rank, a, B) + int_elem(f.rank, {w: 1}), [a], B)
 
 
 @SETTINGS
@@ -194,7 +201,7 @@ def test_divexact_of_a_binomial_product_one_atom_at_a_time(data):
     for a in line:
         prod = prod * int_atom(f.rank, a, B)
     for a in data.draw(st.permutations(line)):
-        prod = ga_divexact(prod, [a], B)
+        prod = divexact(prod, [a], B)
     assert prod == f
 
 
@@ -247,7 +254,27 @@ def test_line_division_is_division_binomial_by_binomial(case, B):
     ending there raises 'not divisible'.  Every coefficient that the
     division makes on these inputs is far below 2^(B-1), so the zero
     tests and the read-back are those of Z[v]."""
+    check_line_division(*case, B)
+
+
+@SETTINGS
+@given(line_cases(), st.sampled_from((32, 48, 64)), st.data())
+def test_line_division_at_the_edge_of_the_packing_box(case, B, data):
+    """The same, with f translated so that its weights reach the edge of
+    the box that pack takes in every coordinate, on a side drawn per
+    coordinate: the radix rule's case of largest K."""
     f, line = case
+    if f.terms:
+        ws = list(f.terms)
+        t = [BOX - 1 - max(x) if data.draw(st.booleans()) else 1 - BOX - min(x)
+             for x in zip(*ws)]
+        f = GAElem(f.rank, {tuple(map(sum, zip(w, t))): c for w, c in f.terms.items()})
+    check_line_division(f, line, B)
+
+
+def check_line_division(f, line, B):
+    """ga_divexact on f's values at v = 2^B against divide_by_binomial,
+    one prefix of the line at a time."""
     e = min((c.e for c in f.terms.values()), default=0)
     fz = int_elem(f.rank, {w: p_to_int(c.n, B) << ((c.e - e) * B) for w, c in f.terms.items()})
     want = f
@@ -256,9 +283,9 @@ def test_line_division_is_division_binomial_by_binomial(case, B):
             want = divide_by_binomial(want, line[t - 1])
         except ValueError:
             with pytest.raises(ValueError, match="not divisible"):
-                ga_divexact(fz, line[:t], B)
+                divexact(fz, line[:t], B)
             break
-        q = ga_divexact(fz, line[:t], B)
+        q = divexact(fz, line[:t], B)
         assert GAElem(f.rank, {w: Scalar.laurent(e, p_from_int(z, B))
                                for w, z in q.terms.items()}) == want
 
