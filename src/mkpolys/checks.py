@@ -7,15 +7,10 @@ plain data, and the function that decides one case at series precision
 M.  Families and rank-one modules are built once, on first use, and
 shared for the life of the process; importing this module builds nothing.
 
-Every family a row reads comes from `family`, built with the eigen
-self-check: the orthogonality, bar, soundness and connection rows all
-take the same arguments (tag, n, m, sigma, bound, l), and the eigenvalue
-rows read the spectral vector off the eigenvalues of the families at
-levels 0, 1 and 2.  Each check declares the families its rows read, so
-each (tag, n, m, sigma, l) is built once, at the widest bound a row
-reads, and a narrower read is its restriction.  A family whose
-self-check raises is built once too, and each row that reads it fails
-with the message as its "error"; the other rows are unaffected.  Gram
+The orthogonality, bar, eigenvalue, connection and soundness rows are
+the family table TABLE times those suites, with the arguments (tag, n, m,
+sigma, l) and the id "<suite> <name> n=<n> l=<l>"; a suite that applies
+to only some families says so with a predicate on the table row.  Gram
 matrices come from mkengine.gram_matrix, which keeps one expansion of
 each weight and every pair it has computed.
 """
@@ -37,17 +32,17 @@ from .mkengine import (
     verify_orthogonality,
 )
 from .qsp1 import aiiia_parameter, build_rank1, chain_res, fundamental_res, solve_spherical
-from .roots import build_root_system, satake_catalog
+from .roots import ambient_data, build_root_system, satake_catalog
 from .scalars import SC_ONE
 from .weights import KLabel, koornwinder_weight, poch_to_gaelem, shift_factor, shifted_weight
 
 S0 = Fraction(0)
+MIN_WEIGHTS = 4                 # below this, an orthogonality or bar row is vacuous
 
 
-class Check(namedtuple("Check", "suite claim cases holds show reads", defaults=(None, None))):
+class Check(namedtuple("Check", "suite claim cases holds show", defaults=(None,))):
     """holds(M, *arguments) -> bool decides a case; show(*arguments) -> str,
-    if given, is shown beside the row; reads(*arguments), if given, lists
-    the (tag, n, m, sigma, l, bound) families the case reads."""
+    if given, is shown beside the row."""
 
     __slots__ = ()
 
@@ -66,48 +61,62 @@ class Check(namedtuple("Check", "suite claim cases holds show reads", defaults=(
         return out
 
 
-_FAMILIES = {}                  # (tag, n, m, sigma, l) -> (bound, family or message)
+TableRow = namedtuple("TableRow", "name tag n m sigma levels bound")
+
+# every family a row reads; at bound 4 a rank-2 or rank-3 family has MIN_WEIGHTS weights
+TABLE = (
+    TableRow("AI1", "AI1", 1, 0, S0, (0, 1, 2), 8),
+    TableRow("AIVm m=2", "AIVm", 1, 2, S0, (0, 1, 2), 8),
+    TableRow("AIIIb", "AIIIb", 2, 0, S0, (0, 1, 2), 6),
+    TableRow("CI", "CI", 2, 0, S0, (0, 1, 2), 6),
+    TableRow("BI m=3", "BI", 2, 3, S0, (0, 1, 2), 4),
+    TableRow("BI m=5", "BI", 2, 5, S0, (0, 1, 2), 4),
+    TableRow("DI m=4", "DI", 2, 4, S0, (0, 1, 2), 4),
+    TableRow("DI m=6", "DI", 2, 6, S0, (0, 1, 2), 4),
+    TableRow("AIIIa s=1/2 m=2", "AIIIa", 2, 2, Fraction(1, 2), (-1, 0, 1), 4),
+    TableRow("AIIIa s=0 m=3", "AIIIa", 2, 3, S0, (-1, 0, 1), 4),
+    TableRow("CI", "CI", 3, 0, S0, (0, 1), 4),
+    TableRow("EVII", "EVII", 3, 0, S0, (0, 1), 4),
+    TableRow("AIIIb", "AIIIb", 3, 0, S0, (0,), 4),
+    TableRow("AIIIa s=1/2 m=2", "AIIIa", 3, 2, Fraction(1, 2), (0,), 4),
+)
+
+_FAMILIES = {}                  # (tag, n, m, sigma, l) -> family or message
 
 
-def family(tag: str, n: int, m: int, sigma, l: int, bound: int) -> dict:
-    """The operator-exact level-l family through bound, with the eigen
-    self-check; callers must not modify it.  Each (tag, n, m, sigma, l) is
-    built once per process, at the widest bound any registered row reads
-    (or at bound, when that is wider), and a narrower read is the
-    restriction to coordinate sum <= bound: the polynomial at lam is
-    solved from the weights below lam alone.  A failed build is kept as
-    its message, raised again on every call."""
+def family(tag: str, n: int, m: int, sigma, l: int) -> dict:
+    """The operator-exact level-l family of TABLE through its table bound,
+    with the eigen self-check; callers must not modify it.  Each is built
+    once per process, and a failed build is kept as its message, raised
+    again on every call, as is a read of a family outside TABLE."""
     key = (tag, n, m, sigma, l)
-    built, fam = _FAMILIES.get(key, (-1, None))
-    if built < bound:
-        built = max(bound, _widest().get(key, bound))
+    if key not in _FAMILIES:
+        bound = next((f.bound for f in TABLE
+                      if (f.tag, f.n, f.m, f.sigma) == key[:4] and l in f.levels), None)
+        if bound is None:
+            raise ValueError("%s n=%d m=%d sigma=%s l=%d is not a family of the table" % key)
         try:
-            fam = build_family(satake_catalog(tag, n, m), l, built, sigma, verify=True)
+            _FAMILIES[key] = build_family(satake_catalog(tag, n, m), l, bound, sigma, verify=True)
         except ValueError as exc:
-            fam = str(exc)
-        _FAMILIES[key] = built, fam
+            _FAMILIES[key] = str(exc)
+    fam = _FAMILIES[key]
     if isinstance(fam, str):
         raise ValueError(fam)
-    if built == bound:
-        return fam
-    return {lam: P for lam, P in fam.items() if sum(lam) <= bound}
+    return fam
 
 
-@lru_cache(maxsize=None)
-def _widest() -> dict:
-    """(tag, n, m, sigma, l) -> the widest bound any registered row reads."""
-    out = {}
-    for check in CHECKS:
-        for _, args in check.cases if check.reads else ():
-            for *key, bound in check.reads(*args):
-                out[tuple(key)] = max(out.get(tuple(key), bound), bound)
-    return out
+def _table(suite, applies=lambda f, l: True):
+    """The suite's cases: each family of TABLE at each level l with applies(f, l)."""
+    return tuple(("%s %s n=%d l=%d" % (suite, f.name, f.n, l), (f.tag, f.n, f.m, f.sigma, l))
+                 for f in TABLE for l in f.levels if applies(f, l))
 
 
-def _reads(tag, n, m, sigma, bound, l, levels=(0,)):
-    """The families a row of arguments (tag, n, m, sigma, bound, l) reads:
-    level l + i for i in levels."""
-    return [(tag, n, m, sigma, l + i, bound) for i in levels]
+def _ambient(f, l):
+    """Level 0 of a family whose ambient data roots.ambient_data catalogs."""
+    try:
+        return l == 0 and bool(ambient_data(f.tag, f.n))
+    except ValueError:
+        return False
 
 
 def _weight_shift(M, tag, n, m, sigma, l):
@@ -117,9 +126,9 @@ def _weight_shift(M, tag, n, m, sigma, l):
     return lhs == koornwinder_weight(KLabel.from_entry(entry, l, sigma), rs)
 
 
-def _orthogonality(M, tag, n, m, sigma, bound, l):
-    fam = family(tag, n, m, sigma, l, bound)
-    return len(fam) >= 4 and verify_orthogonality(
+def _orthogonality(M, tag, n, m, sigma, l):
+    fam = family(tag, n, m, sigma, l)
+    return len(fam) >= MIN_WEIGHTS and verify_orthogonality(
         fam, satake_catalog(tag, n, m), l, M, sigma)["pass"]
 
 
@@ -149,20 +158,21 @@ def _rank1_aiv(M, n, sigma, l):
             and _squares_to_factor(mod, entry, -l, sigma)[1])
 
 
-def _bar(M, tag, n, m, sigma, bound, l):
-    fam = family(tag, n, m, sigma, l, bound)
-    return len(fam) >= 4 and all(check_bar_invariance(P) for P in fam.values())
+def _bar(M, tag, n, m, sigma, l):
+    fam = family(tag, n, m, sigma, l)
+    return len(fam) >= MIN_WEIGHTS and all(check_bar_invariance(P) for P in fam.values())
 
 
-def _eigenvalue(M, tag, n, ambient_lams, bound):
-    rep = eigenvalue_identity_check(satake_catalog(tag, n), ambient_lams,
-                                    {l: family(tag, n, 0, S0, l, bound) for l in (0, 1, 2)})
+def _eigenvalue(M, tag, n, m, sigma, l):
+    # the level-0 family's weights are the ambient weights
+    families = {i: family(tag, n, m, sigma, i) for i in (0, 1, 2)}
+    rep = eigenvalue_identity_check(satake_catalog(tag, n, m), list(families[0]), families)
     return rep["pass"] and rep["N"] == 1
 
 
-def _connection(M, tag, n, m, sigma, bound, l):
-    fam, nxt = family(tag, n, m, sigma, l, bound), family(tag, n, m, sigma, l + 1, bound)
-    for lam in ((2,), (4,), (6,)):
+def _connection(M, tag, n, m, sigma, l):
+    fam, nxt = family(tag, n, m, sigma, l), family(tag, n, m, sigma, l + 1)
+    for lam in filter(any, fam):            # every weight but 0
         d = connection_coeffs(fam, nxt, lam)
         rebuilt = GAElem(n)
         for mu, c in d.items():
@@ -173,35 +183,14 @@ def _connection(M, tag, n, m, sigma, bound, l):
     return True
 
 
-def _soundness(M, tag, n, m, sigma, bound, l):
+def _soundness(M, tag, n, m, sigma, l):
     """The self-checked operator-exact family and the truncated Gram
-    construction compared mod v^(M+1) through bound."""
-    fam = family(tag, n, m, sigma, l, bound)
+    construction compared mod v^(M+1) through its bound."""
+    fam = family(tag, n, m, sigma, l)
     entry = satake_catalog(tag, n, m)
     # the widest weight first, so that gram_matrix expands W_l once
     return all(dual_path_agree(P, build_polynomial_gs(entry, l, lam, M, sigma), M)
                for lam, P in reversed(fam.items()))
-
-
-def _scope(suite, skip=()):
-    """The suite's rows on the rank-2 families BI, DI and AIIIa and the
-    rank-3 families CI, EVII, AIIIb and AIIIa at bound 4, which gives the
-    4 weights _orthogonality asks for, but for the families named in
-    skip; an AIIIa id names its sigma, as the weight-shift rows do."""
-    return tuple(("%s %s n=%d l=%d" % (suite, name, n, l), (tag, n, m, sigma, 4, l))
-                 for name, tag, n, m, sigma, levels in (
-                     ("BI m=3", "BI", 2, 3, S0, (0, 1, 2)),
-                     ("BI m=5", "BI", 2, 5, S0, (0, 1, 2)),
-                     ("DI m=4", "DI", 2, 4, S0, (0, 1, 2)),
-                     ("DI m=6", "DI", 2, 6, S0, (0, 1, 2)),
-                     ("AIIIa s=1/2 m=2", "AIIIa", 2, 2, Fraction(1, 2), (-1, 0, 1)),
-                     ("AIIIa s=0 m=3", "AIIIa", 2, 3, S0, (-1, 0, 1)),
-                     ("CI", "CI", 3, 0, S0, (0, 1)),
-                     ("EVII", "EVII", 3, 0, S0, (0, 1)),
-                     ("AIIIb", "AIIIb", 3, 0, S0, (0,)),
-                     ("AIIIa s=1/2 m=2", "AIIIa", 3, 2, Fraction(1, 2), (0,)))
-                 if name not in skip
-                 for l in levels)
 
 
 CHECKS = (
@@ -219,12 +208,7 @@ CHECKS = (
           _weight_shift),
     Check("orthogonality",
           "off-diagonal pair constant terms vanish mod v^{order}",
-          tuple(("orthogonality %s l=%d" % (name, l), (tag, n, m, S0, bound, l))
-                for name, tag, n, m, bound in (("AI1 n=1", "AI1", 1, 0, 8),
-                                               ("AIVm m=2 n=1", "AIVm", 1, 2, 6),
-                                               ("AIIIb n=2", "AIIIb", 2, 0, 6))
-                for l in (0, 1, 2)) + _scope("orthogonality"),
-          _orthogonality, reads=_reads),
+          _table("orthogonality"), _orthogonality),
     Check("rank1",
           "solved chain equals the closed product and squares to the level factor",
           tuple(("rank1 AI1 l=%d" % l, (l,)) for l in (1, 2, 3, 4)),
@@ -238,37 +222,18 @@ CHECKS = (
           _rank1_aiv),
     Check("bar",
           "all coefficients fixed by v -> 1/v",
-          tuple(("bar %s l=%d" % (tag, l), (tag, n, 0, S0, bound, l))
-                for tag, n, bound in (("AI1", 1, 8), ("AIIIb", 2, 6)) for l in (0, 1, 2))
-          + _scope("bar"),
-          _bar, reads=_reads),
+          _table("bar"), _bar),
     Check("eigenvalue",
           "ambient Weyl sum equals N times the restricted sum; the level shift "
           "moves the spectral vector by l/2 per entry",
-          (("eigenvalue identity AI1", ("AI1", 1, ((0,), (2,), (4,), (6,)), 8)),
-           ("eigenvalue identity CI n=2",
-            ("CI", 2, ((0, 0), (2, 0), (2, 2), (4, 2)), 6))),
-          _eigenvalue,
-          reads=lambda tag, n, _, bound: _reads(tag, n, 0, S0, bound, 0, (0, 1, 2))),
+          _table("eigenvalue", _ambient), _eigenvalue),
     Check("connection",
           "expansion in the next level has exactly two terms with unit leading "
           "coefficient",
-          tuple(("connection %s l=%d" % (name, l), (tag, 1, m, S0, 8, l))
-                for name, tag, m in (("AI1", "AI1", 0), ("AIV2", "AIVm", 2))
-                for l in (0, 1)),
-          _connection,
-          reads=lambda *args: _reads(*args, levels=(0, 1))),
+          _table("connection", lambda f, l: f.n == 1 and l + 1 in f.levels), _connection),
     Check("soundness",
           "triangular eigen-solve and truncated Gram path agree mod v^{order}",
-          tuple(("soundness %s l=%d" % (tag, l), (tag, n, m, S0, bound, l))
-                for tag, n, m, bound, levels in (
-                    ("AI1", 1, 0, 8, (0, 1, 2)),
-                    ("AIVm", 1, 2, 6, (0, 1, 2)),
-                    ("AIIIb", 2, 0, 4, (0, 1, 2)),
-                    ("CI", 2, 0, 4, (0, 1)),
-                    ("EVII", 3, 0, 4, (0, 1)))
-                for l in levels) + _scope("soundness", skip=("EVII",)),
-          _soundness, reads=_reads),
+          _table("soundness"), _soundness),
 )
 
 SUITES = tuple(dict.fromkeys(c.suite for c in CHECKS))

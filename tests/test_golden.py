@@ -10,9 +10,11 @@ the arithmetic that alters any coefficient, its canonical form or its
 printed form fails here.
 
 golden_verify.json is what `mkpolys verify all --format json` printed
-before the check registry keyed every family by (tag, n, m, sigma, l,
-bound): each row's id, claim, verdict and shown text, so a change to the
-registry cannot drop, rename or reword a row unnoticed.  Regenerate it with
+once the orthogonality, bar, eigenvalue, connection and soundness rows
+became the registry's family table times those suites: each row's id,
+claim, verdict and shown text, so a change to the registry cannot drop,
+rename or reword a row unnoticed.  A change that does so on purpose
+regenerates it, and says which rows it renamed or added, with
 
     PYTHONPATH=src python3 -m mkpolys.cli verify all --format json > tests/golden_verify.json
 
