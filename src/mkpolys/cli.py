@@ -119,8 +119,8 @@ def cmd_compute(args) -> int:
     try:
         fam = build_polynomial(label, lams, build_root_system(entry.n),
                                level=args.level, verify=False)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, MemoryError) as exc:    # a MemoryError carries no message
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 1
     if args.format == "json":
         for lam in lams:

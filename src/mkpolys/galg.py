@@ -4,7 +4,7 @@ A GAElem is a finite map weight -> Scalar; its involution bar negates
 weights.  Exact division by the binomial atoms 1 - s*v^c*e^(+-w) of one
 line +-w, the backbone of the q-difference operator, runs on elements
 whose coefficients are ints (v evaluated at 2^B) and whose weights are
-packed into ints (pack, unpack: the Kronecker substitution applied to
+packed into ints (pack, columns: the Kronecker substitution applied to
 the weights, Monagan and Pearce, CASC 2007), so that adding two weights
 is one int addition: a chain recurrence of shifts and additions that
 divides nothing, run on each chain of the line for every atom in turn.
@@ -162,19 +162,24 @@ def m_basis(f: GAElem) -> dict:
     return {w: c for w, c in f.terms.items() if is_dominant(w)}
 
 
-def require_invariant(terms: dict, name: str):
+def require_invariant(terms: dict, name: str, fixed: int = 0) -> Counter:
     """ValueError naming the element {weight: nonzero coefficient} unless
-    it is Weyl invariant, in O(terms): per dominant weight d, the terms in
-    its orbit whose coefficient is the one at d must number the orbit's
-    size, n! / prod(mult!) * 2^(nonzero entries)."""
+    it is invariant under the signed permutations of its coordinates past
+    the first fixed ones, in O(terms): per orbit representative d (those
+    coordinates, then the others' absolute values in descending order),
+    the terms in its orbit whose coefficient is the one at d must number
+    the orbit's size, m! / prod(mult!) * 2^(nonzero entries) over the m
+    coordinates moved.  Returns {d: orbit size}."""
     count = Counter()
     for w, c in terms.items():
-        d = tuple(sorted(map(abs, w), reverse=True))
+        d = w[:fixed] + tuple(sorted(map(abs, w[fixed:]), reverse=True))
         count[d] += c == terms.get(d, 0)
     for d, k in count.items():
-        size = factorial(len(d)) // prod(map(factorial, Counter(d).values())) << sum(map(bool, d))
+        m = d[fixed:]
+        size = factorial(len(m)) // prod(map(factorial, Counter(m).values())) << sum(map(bool, m))
         if k != size:
             raise ValueError("%s is not Weyl invariant on the orbit of %s" % (name, d))
+    return count
 
 
 def from_m_basis(coeffs: dict, n: int) -> GAElem:
@@ -206,7 +211,7 @@ _MASK, _HALF = (1 << RADIX) - 1, 1 << (RADIX - 1)
 
 def pack(w: Weight) -> int:
     """The weight w as one int, sum_k w[k] * 2^(16k), in balanced digits:
-    Z-linear, and read back by unpack.  Raises ValueError outside the box
+    Z-linear, and read back by columns.  Raises ValueError outside the box
     |w[k]| < BOX, which keeps sums of two packed weights inside the radix
     rule of ga_divexact."""
     if any(abs(x) >= BOX for x in w):
@@ -214,11 +219,11 @@ def pack(w: Weight) -> int:
     return sum(map(lshift, w, range(0, RADIX * len(w), RADIX)))
 
 
-def unpack(x: int, n: int) -> Weight:
-    """The rank-n weight packed in x, its coordinates in [-2^15, 2^15):
-    2^15 added in every digit makes each one nonnegative, with no borrow."""
-    x += _HALF * ((1 << RADIX * n) - 1) // _MASK
-    return tuple(((x >> s) & _MASK) - _HALF for s in range(0, RADIX * n, RADIX))
+def columns(xs, n: int) -> list:
+    """The coordinate columns of the rank-n weights packed in the collection
+    xs, each in [-2^15, 2^15): 2^15 added in every digit leaves no borrow."""
+    bias = _HALF * ((1 << RADIX * n) - 1) // _MASK
+    return [[((x + bias >> s) & _MASK) - _HALF for x in xs] for s in range(0, RADIX * n, RADIX)]
 
 
 def ga_divexact(f: GAElem, line, B: int) -> GAElem:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .galg import GAElem, from_m_basis, ga_divexact, orbit_sum, pack, require_invariant, unpack
+from .galg import (RADIX, GAElem, columns, from_m_basis, ga_divexact, orbit_sum, pack,
+                   require_invariant)
 from .roots import (
     D,
     RootSystem,
@@ -73,7 +74,9 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
 
     With v evaluated at 2^B (Kronecker substitution in v) each coefficient
     is one int times a power of v.  As f_i is invariant, its numerator is
-    F_i = sum_eta w_eta(cof * (T_eps_1 f_i - f_i)) (qdiff.Pieces), with
+    F_i = sum_(w in W) w(cof * (T_eps_1 f_i - f_i)) = |S| * sum_eta
+    w_eta(A * (T_eps_1 f_i - f_i)) (qdiff.Pieces), S the stabilizer of
+    eps_1: the quotient takes only the sign of the monomial.  F_i has
     coefficients at most beta = 2 * nu * norm in absolute value (nu the
     largest l1 norm of a coefficient that T_eps_1 moves) and v-degrees in
     [0, top_i], top_i = Pieces.top plus the top v-degree of T_eps_1 f_i -
@@ -139,14 +142,13 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
                 num = ga_divexact(num, line, B)
         except ValueError:
             raise ValueError("non-polynomial result")
-        quo = {wdiff(unpack(x, rs.n), W): z for x, z in num.terms.items()}
+        quo = {wdiff(w, W): z for w, z in zip(zip(*columns(num.terms, rs.n)), num.terms.values())}
         require_invariant(quo, "the operator's image")
         digits = {w: p_from_int(z, B) for w, z in quo.items() if is_dominant(w)}
         big = max((max(map(abs, ds)) for ds in digits.values()), default=0)
         if beta + (big << pieces.d) < 1 << (B - 1):
             break
         B *= 2
-    k = sign * pieces.stab
     for w, ds in digits.items():
         end = 0
         for res, E, off, top in bands:
@@ -154,7 +156,7 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
                 raise ValueError("non-polynomial result")
             end = off + top - pieces.deg + 1
             if any(ds[off:end]):
-                res[w] = Scalar.laurent(E - C, [k * d for d in ds[off:end]])
+                res[w] = Scalar.laurent(E - C, [sign * d for d in ds[off:end]])
         if any(ds[end:]):
             raise ValueError("non-polynomial result")
     return out
@@ -185,15 +187,18 @@ def _numerator(pieces: Pieces, batch, B: int):
             for z, shift in zs:
                 acc += z * u << shift
             G[x + y] = acc
-    # sum_eta w_eta(G), pack being linear: sum_j signs[j] * col[perm[j]] * pack(e_j)
+    # sum_w w(G) = sum_w w(R), R the sum of G onto one weight d per W-orbit,
+    # pack being linear: w(d) packs to sum_j signs[j] * d[perm[j]] * pack(e_j)
     n = len(pieces.direction)
-    cols, num = list(zip(*map(unpack, G, repeat(n)))), {}
-    units = [pack(tuple(int(k == j) for k in range(n))) for j in range(n)]
-    for perm, signs in pieces.reps:
+    R = Counter()
+    for w, z in zip(zip(*columns(G, n)), G.values()):
+        R[tuple(sorted(map(abs, w), reverse=True))] += z
+    cols, num = list(zip(*R)), {}
+    for perm, signs in weyl_group(n):
         keys = repeat(0)
-        for p, s, unit in zip(perm, signs, units):
-            keys = map(add, keys, map(mul, cols[p], repeat(s * unit)))
-        for k, z in zip(keys, G.values()):
+        for j, (p, s) in enumerate(zip(perm, signs)):
+            keys = map(add, keys, map(mul, cols[p], repeat(s << RADIX * j)))
+        for k, z in zip(keys, R.values()):
             num[k] = num.get(k, 0) + z
     out = GAElem(n)
     out.terms = {k: z for k, z in num.items() if z}

@@ -71,6 +71,21 @@ def test_compute_open_family_fails_cleanly():
     assert "open" in out.stderr
 
 
+def test_compute_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # a build that runs out of memory (CI n=5 under a 1 GB cap does, in
+    # building the operator's pieces) exits 1 with one error line, not a
+    # traceback
+    from mkpolys import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_polynomial", out_of_memory)
+    assert cli.main(["compute", "--family", "CI", "--n", "2", "--bound", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"
+
+
 def test_usage_error_is_exit_two():
     assert run("verify", "nonsense").returncode == 2
     assert run().returncode == 2

@@ -7,12 +7,12 @@ import pytest
 from mkpolys.galg import (
     BOX,
     GAElem,
+    columns,
     from_m_basis,
     ga_divexact,
     m_basis,
     orbit_sum,
     pack,
-    unpack,
 )
 from mkpolys.roots import dominant_weights_upto, weyl_apply, weyl_group, weyl_orbit
 from mkpolys.scalars import SC_ONE, Scalar
@@ -193,9 +193,9 @@ def atom_elem(rank, atom, B):
 
 def divexact(f, line, B):
     """ga_divexact on f with its weights packed, the quotient's weights
-    unpacked again."""
+    read back by columns."""
     q = ga_divexact(int_elem(f.rank, {pack(w): c for w, c in f.terms.items()}), line, B)
-    return int_elem(f.rank, {unpack(x, f.rank): z for x, z in q.terms.items()})
+    return int_elem(f.rank, dict(zip(zip(*columns(q.terms, f.rank)), q.terms.values())))
 
 
 def test_divexact():
@@ -247,18 +247,23 @@ def test_divexact_rank_two_non_divisible_stops_at_once():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["rank 1", "rank 2", "rank 3", "rank 4"])
 def test_pack_round_trips_up_to_the_edge_of_the_box(n):
-    # every corner of the box, and random weights with edge coordinates;
-    # sums of two packed weights (the operator numerator's keys) read back
-    # as the sums of their weights
+    # every corner of the box, and random weights with edge coordinates,
+    # read back by columns one coordinate at a time; sums of two packed
+    # weights (the operator numerator's keys) read back as the sums of
+    # their weights, the edge of the radix 2^16 included
     rng = random.Random(n)
     edge = (BOX - 1, 1 - BOX, 0, 1, -1)
     ws = list(itertools.product((BOX - 1, 1 - BOX), repeat=n))
     ws += [tuple(rng.choice(edge) if rng.random() < 0.5 else rng.randint(1 - BOX, BOX - 1)
                  for _ in range(n)) for _ in range(200)]
-    for w in ws:
-        assert unpack(pack(w), n) == w
-    for a, b in zip(ws, reversed(ws)):
-        assert unpack(pack(a) + pack(b), n) == tuple(x + y for x, y in zip(a, b))
+    assert columns([pack(w) for w in ws], n) == [list(col) for col in zip(*ws)]
+    sums = [tuple(x + y for x, y in zip(a, b)) for a, b in zip(ws, reversed(ws))]
+    assert list(zip(*columns([pack(a) + pack(b) for a, b in zip(ws, reversed(ws))], n))) == sums
+    half = 1 << 15      # columns reads every coordinate in [-2^15, 2^15)
+    extremes = list(itertools.product((half - 1, -half), repeat=n))
+    assert list(zip(*columns([sum(x << 16 * k for k, x in enumerate(w)) for w in extremes],
+                             n))) == extremes
+    assert columns([], n) == [[] for _ in range(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4], ids=["rank 1", "rank 2", "rank 3", "rank 4"])

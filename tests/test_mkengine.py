@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mkpolys import checks, mkengine, weights
-from mkpolys.galg import GAElem, from_m_basis, m_basis, orbit_sum, pack, unpack
+from mkpolys import checks, mkengine, qdiff, weights
+from mkpolys.galg import GAElem, columns, from_m_basis, m_basis, orbit_sum, pack
 from mkpolys.mkengine import (
     apply_qdiff,
     build_family,
@@ -69,7 +69,9 @@ def test_coefficient_functions_are_bar_images():
     k = KLabel.from_entry(AI1, 1)
     pieces = _qdiff_pieces(k, RS1)
     cofs = _per_image_cofactors(k, RS1, pieces.width)
-    assert pieces.stab == 1 and _cofactor_images(pieces) == cofs
+    # at rank one the stabilizer of eps_1 is trivial: one weight per orbit
+    assert _cofactor_images(pieces) == cofs
+    assert len(pieces.cof[1]) == len(cofs[(2,)][1])
     assert set(cofs) == {(2,), (-2,)}
     e_plus, plus = cofs[(2,)]
     e_minus, minus = cofs[(-2,)]
@@ -110,14 +112,29 @@ def _per_image_cofactors(label, rs, width):
             for eta, (nums, dens) in groups.items()}
 
 
+def _stabilizer(n):
+    """The elements of W that fix eps_1: the signed permutations of
+    coordinates 2..n."""
+    return [w for w in weyl_group(n) if weyl_apply(w, eps(0, n)) == eps(0, n)]
+
+
 def _cofactor_images(pieces):
-    """The cofactor at w(eps_1) for each w of pieces.reps: w applied to
-    the weights of the one cofactor that Pieces keeps."""
+    """The cofactor at w(eps_1) for the first w of W with each image: each
+    orbit weight r of the cofactor that Pieces keeps, its coefficient
+    divided by the size of its stabilizer orbit and spread over that
+    orbit, then w applied to the weights."""
     e0, cof = pieces.cof
     n = len(pieces.direction)
-    return {weyl_apply(w, pieces.direction): (e0, {weyl_apply(w, unpack(x, n)): z
-                                                   for x, z in cof.items()})
-            for w in pieces.reps}
+    full = {}
+    for r, z in zip(zip(*columns(cof, n)), cof.values()):
+        orbit = {weyl_apply(s, r) for s in _stabilizer(n)}
+        assert z % len(orbit) == 0
+        full.update(dict.fromkeys(orbit, z // len(orbit)))
+    out = {}
+    for w in weyl_group(n):
+        out.setdefault(weyl_apply(w, pieces.direction),
+                       (e0, {weyl_apply(w, x): z for x, z in full.items()}))
+    return out
 
 
 def _scalar_apply_qdiff(label, f, rs):
@@ -226,7 +243,9 @@ def test_a_non_invariant_quotient_raises(monkeypatch):
         q = real(f, line, B)
         calls.append(line)
         if len(calls) == lines:
-            x = next(x for x in q.terms if not is_dominant(wdiff(unpack(x, 2), W)))
+            keys = list(q.terms)
+            x = next(x for x, w in zip(keys, zip(*columns(keys, 2)))
+                     if not is_dominant(wdiff(w, W)))
             q.terms[x] += 1
         return q
 
@@ -309,14 +328,21 @@ COFACTOR_LABELS = pytest.mark.parametrize("entry,l,sigma", [
 
 @COFACTOR_LABELS
 def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
-    # the W-images of the one cofactor kept, against the cofactors as
-    # multiplied out one Weyl image at a time
+    # the cofactor kept at one weight per stabilizer orbit, spread over
+    # each orbit and mapped by W, against the cofactors as multiplied out
+    # one Weyl image at a time; each kept weight is its orbit's
+    # representative (w_1, |w_2..w_n| in descending order)
     rs = build_root_system(entry.n)
     label = KLabel.from_entry(entry, l, sigma)
     pieces = Pieces(label, rs)
-    _, lcm = _per_image_atoms(label, rs)
+    groups, lcm = _per_image_atoms(label, rs)
     assert Counter(pieces.atoms) == lcm
     assert _cofactor_images(pieces) == _per_image_cofactors(label, rs, pieces.width)
+    for r in zip(*columns(pieces.cof[1], rs.n)):
+        assert r[1:] == tuple(sorted(map(abs, r[1:]), reverse=True))
+    # norm bounds the sum over all of W: |W| times 2^(cofactor atoms)
+    nums, dens = groups[pieces.direction]
+    assert pieces.norm == len(weyl_group(rs.n)) << len(nums) + sum((lcm - Counter(dens)).values())
     # the premise of apply_qdiff's certificate: the divisors multiplied
     # out have v-degrees in [0, deg] and l1 norm at most 2^d
     divisors = [atom for line in pieces.lines for atom in line]
@@ -327,6 +353,44 @@ def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
     assert e0 == 0
     assert max(len(p_make(ds)) for ds in digits) - 1 == pieces.deg
     assert sum(abs(x) for ds in digits for x in ds) <= 1 << pieces.d
+
+
+@pytest.mark.parametrize("fault", ["changed", "dropped"])
+def test_a_cofactor_that_is_not_stabilizer_invariant_raises(monkeypatch, fault):
+    # fault injection: the multiplied-out cofactor changes at one weight
+    # that is no orbit representative, so its orbit is not constant
+    real = qdiff.atom_product
+
+    def faulty(W, atoms, B):
+        e0, cof = real(W, atoms, B)
+        x = next(x for x in cof if x[1:] != tuple(sorted(map(abs, x[1:]), reverse=True)))
+        if fault == "changed":
+            cof[x] += 1
+        else:
+            del cof[x]
+        return e0, cof
+
+    monkeypatch.setattr(qdiff, "atom_product", faulty)
+    with pytest.raises(ValueError, match="the cofactor is not Weyl invariant"):
+        Pieces(KLabel.from_entry(AIIIB2, 1), RS2)
+
+
+@pytest.mark.parametrize("entry,l,bound", [
+    (AIIIB2, 1, 4), (satake_catalog("CI", 2), 0, 4), (satake_catalog("EVII", 3), 0, 2),
+    (AI1, 1, 6)], ids=["AIIIb n=2 l=1", "CI n=2 l=0", "EVII n=3 l=0", "AI1 l=1"])
+def test_a_doubled_orbit_coefficient_fails_the_build(monkeypatch, entry, l, bound):
+    # fault injection: one representative's orbit coefficient doubled, at
+    # six representatives spread over the cofactor, one at a time
+    rs = build_root_system(entry.n)
+    label = KLabel.from_entry(entry, l)
+    reps = list(Pieces(label, rs).cof[1])
+    for x in reps[::max(1, len(reps) // 6)][:6]:
+        pieces = Pieces(label, rs)
+        e0, cof = pieces.cof
+        pieces.cof = e0, {**cof, x: 2 * cof[x]}
+        monkeypatch.setattr(mkengine, "_QDIFF_CACHE", {(label, rs.n): pieces})
+        with pytest.raises(ValueError, match="non-polynomial result"):
+            build_family(entry, l, bound, verify=True)
 
 
 @COFACTOR_LABELS

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolys import mkengine
-from mkpolys.galg import BOX, GAElem, chains, ga_divexact, pack, unpack
+from mkpolys.galg import BOX, GAElem, chains, columns, ga_divexact, pack
 from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
 from mkpolys.scalars import (
     SC_ONE,
@@ -146,9 +146,9 @@ def int_elem(rank, terms):
 
 def divexact(f, line, B):
     """ga_divexact on f with its weights packed, the quotient's weights
-    unpacked again."""
+    read back by columns."""
     q = ga_divexact(int_elem(f.rank, {pack(w): c for w, c in f.terms.items()}), line, B)
-    return int_elem(f.rank, {unpack(x, f.rank): z for x, z in q.terms.items()})
+    return int_elem(f.rank, dict(zip(zip(*columns(q.terms, f.rank)), q.terms.values())))
 
 
 def atoms_of_rank(rank):
