@@ -12,7 +12,8 @@ the family table TABLE times those suites, with the arguments (tag, n, m,
 sigma, l) and the id "<suite> <name> n=<n> l=<l>"; a suite that applies
 to only some families says so with a predicate on the table row.  Gram
 matrices come from mkengine.gram_matrix, which keeps one expansion of
-each weight and every pair it has computed.
+each weight and every pair it has computed, each entry |W mu| times a
+sum of that expansion's rows.
 """
 
 from __future__ import annotations

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
 from operator import add, lshift, sub
 
 from .roots import (
     Weight,
     dot4,
     is_dominant,
+    orbit_size,
     weyl_group,  # noqa: F401 -- the perfbench tests read galg.weyl_group
     weyl_orbit,
     wneg,
@@ -175,9 +175,7 @@ def require_invariant(terms: dict, name: str, fixed: int = 0) -> Counter:
         d = w[:fixed] + tuple(sorted(map(abs, w[fixed:]), reverse=True))
         count[d] += c == terms.get(d, 0)
     for d, k in count.items():
-        m = d[fixed:]
-        size = factorial(len(m)) // prod(map(factorial, Counter(m).values())) << sum(map(bool, m))
-        if k != size:
+        if k != orbit_size(d[fixed:]):
             raise ValueError("%s is not Weyl invariant on the orbit of %s" % (name, d))
     return count
 

@@ -18,8 +18,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .galg import (RADIX, GAElem, columns, from_m_basis, ga_divexact, orbit_sum, pack,
-                   require_invariant)
+from .galg import RADIX, GAElem, columns, from_m_basis, ga_divexact, pack, require_invariant
 from .roots import (
     D,
     RootSystem,
@@ -28,10 +27,12 @@ from .roots import (
     ambient_data,
     dot4,
     build_root_system,
+    eps,
     dominance_leq,
     dominant_weights_below,
     dominant_weights_upto,
     is_dominant,
+    orbit_size,
     wdiff,
     weyl_group,
     weyl_sum,
@@ -73,20 +74,22 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     exponential Weyl sums shifted by their value at the zero weight.
 
     With v evaluated at 2^B (Kronecker substitution in v) each coefficient
-    is one int times a power of v.  As f_i is invariant, its numerator is
-    F_i = sum_(w in W) w(cof * (T_eps_1 f_i - f_i)) = |S| * sum_eta
-    w_eta(A * (T_eps_1 f_i - f_i)) (qdiff.Pieces), S the stabilizer of
-    eps_1: the quotient takes only the sign of the monomial.  F_i has
-    coefficients at most beta = 2 * nu * norm in absolute value (nu the
-    largest l1 norm of a coefficient that T_eps_1 moves) and v-degrees in
-    [0, top_i], top_i = Pieces.top plus the top v-degree of T_eps_1 f_i -
-    f_i: Z[v] has no zero divisors, so a product's v-degree is the sum of
-    its factors', and neither a sum nor a Weyl image raises it.  The batch
-    F = sum_i v^off_i * F_i, the bands [off_i, off_i + top_i] back to
-    back, is one product and one Weyl sum (_numerator), built at
-    B = Pieces.product_width(nu) and divided there by D, the product of
-    the divisors, one line +-w at a time (ga_divexact on Pieces.lines),
-    then by the monomial of split_atoms.
+    is one int times a power of v.  As f_i is invariant, the sum over W
+    is sum_(w in W) w(cof * (T_eps_1 f_i - f_i)) = |S| * F_i, F_i =
+    sum_eta w_eta(A * (T_eps_1 f_i - f_i)) (qdiff.Pieces), S the
+    stabilizer of eps_1: it is divided exactly by |S|, one W-orbit at a
+    time (_numerator; a remainder raises), and the quotient's digits are
+    multiplied back by |S| and the sign of the monomial when they are
+    read.  F_i has coefficients at most beta = 2 * nu * norm in absolute
+    value (nu the largest l1 norm of a coefficient that T_eps_1 moves) and
+    v-degrees in [0, top_i], top_i = Pieces.top plus the top v-degree of
+    T_eps_1 f_i - f_i: Z[v] has no zero divisors, so a product's v-degree
+    is the sum of its factors', and neither a sum nor a Weyl image raises
+    it.  The batch F = sum_i v^off_i * F_i, the bands [off_i, off_i +
+    top_i] back to back, is one product and one Weyl sum (_numerator),
+    built at B = Pieces.product_width(nu) and divided there by D, the
+    product of the divisors, one line +-w at a time (ga_divexact on
+    Pieces.lines), then by the monomial of split_atoms.
 
     The result is certified after the division, as GCDHEU does (see
     scalars.p_gcd).  Evaluation at 2^B is a ring homomorphism: a nonzero
@@ -112,8 +115,7 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
     band test raises once the digits are the quotient's.  So the batch
     raises exactly when one of its inputs would alone.
     """
-    pieces = _qdiff_pieces(label, rs)
-    direction, b = pieces.direction, label.base_exp
+    direction, b = eps(0, rs.n), label.base_exp
     out = [{} for _ in fs]
     batch = []                  # (result, the terms T_direction moves: (packed weight, v-shift, c))
     for i, (res, f) in enumerate(zip(out, fs)):
@@ -131,10 +133,12 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
             batch.append((res, moved))
     if not batch:
         return out
+    pieces = _qdiff_pieces(label, rs)
     nu = max(l1_norm(c) for _, moved in batch for _, _, c in moved)
     beta = 2 * nu * pieces.norm
     B = pieces.product_width(nu)
     sign, C, W = pieces.monomial
+    k = sign * pieces.stab
     while True:
         num, bands = _numerator(pieces, batch, B)
         try:
@@ -156,7 +160,7 @@ def apply_qdiff(label: KLabel, fs, rs: RootSystem) -> list:
                 raise ValueError("non-polynomial result")
             end = off + top - pieces.deg + 1
             if any(ds[off:end]):
-                res[w] = Scalar.laurent(E - C, [sign * d for d in ds[off:end]])
+                res[w] = Scalar.laurent(E - C, [k * d for d in ds[off:end]])
         if any(ds[end:]):
             raise ValueError("non-polynomial result")
     return out
@@ -188,20 +192,26 @@ def _numerator(pieces: Pieces, batch, B: int):
                 acc += z * u << shift
             G[x + y] = acc
     # sum_w w(G) = sum_w w(R), R the sum of G onto one weight d per W-orbit,
-    # pack being linear: w(d) packs to sum_j signs[j] * d[perm[j]] * pack(e_j)
+    # and sum_w w(e^d) = (|W| / |W d|) * m_d, |W| / |S| = 2n: divided by
+    # |S|, orbit d gets R_d * 2n / |W d|, spread by the images of d, pack
+    # being linear: w(d) packs to sum_j signs[j] * d[perm[j]] * pack(e_j)
     n = len(pieces.direction)
     R = Counter()
     for w, z in zip(zip(*columns(G, n)), G.values()):
         R[tuple(sorted(map(abs, w), reverse=True))] += z
-    cols, num = list(zip(*R)), {}
+    quo = {}
+    for d, z in R.items():
+        quo[d], r = divmod(2 * n * z, orbit_size(d))
+        if r:
+            raise ValueError("the numerator is not |S| times an integer polynomial")
+    cols, num = list(zip(*quo)), {}
     for perm, signs in weyl_group(n):
         keys = repeat(0)
         for j, (p, s) in enumerate(zip(perm, signs)):
             keys = map(add, keys, map(mul, cols[p], repeat(s << RADIX * j)))
-        for k, z in zip(keys, R.values()):
-            num[k] = num.get(k, 0) + z
+        num.update(zip(keys, quo.values()))
     out = GAElem(n)
-    out.terms = {k: z for k, z in num.items() if z}
+    out.terms = {k: q for k, q in num.items() if q}
     return out, bands
 
 
@@ -318,12 +328,11 @@ def gram_matrix(entry: SatakeEntry, l: int, basis, M: int = DEFAULT_PRECISION,
         W = shifted_weight(KLabel.from_entry(entry, 0, sigma), entry, l, rs, sigma)
         engine = InnerProductEngine(W, M, ([-2 * span] * entry.n, [2 * span] * entry.n))
         _GRAM[key] = span, engine, pairs
-    mons = [(mu, orbit_sum(mu, entry.n)) for mu in basis]
     G = {}
-    for i, (mu, m_mu) in enumerate(mons):
-        for nu, m_nu in mons[: i + 1]:
+    for i, mu in enumerate(basis):
+        for nu in basis[: i + 1]:
             if (mu, nu) not in pairs:
-                pairs[(mu, nu)] = pairs[(nu, mu)] = engine.ct_pair(m_mu, m_nu)
+                pairs[(mu, nu)] = pairs[(nu, mu)] = engine.ct_pair(mu, nu)
             G[(mu, nu)] = G[(nu, mu)] = pairs[(mu, nu)]
     return G
 
@@ -333,11 +342,12 @@ def build_polynomial_gs(entry: SatakeEntry, l: int, lam: Weight,
     """Truncated coefficients from the orthogonality characterization:
     solve ct(P bar(m_mu) W) = 0 mod v^(M+1) for all mu below lam, from
     gram_matrix over those weights.  Returns a dict weight -> TruncSeries
-    including the unit leading coefficient.
+    including the unit leading coefficient; a weight with nothing below
+    it solves the empty system and needs no Gram matrix.
     """
     below = dominant_weights_below(lam)
-    G = gram_matrix(entry, l, below, M, sigma)
     lower = below[:-1]
+    G = gram_matrix(entry, l, below, M, sigma) if lower else {}
     rows = [[G[(mu, nu)] for mu in lower] for nu in lower]
     rhs = [-G[(lam, nu)] for nu in lower]
     sol = _series_solve(rows, rhs)

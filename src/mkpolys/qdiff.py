@@ -13,7 +13,7 @@ division's certificate reads (mkengine.apply_qdiff).
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
+from math import factorial, gcd
 
 from .galg import pack, require_invariant
 from .roots import RootSystem, eps, weyl_apply, weyl_group, wneg
@@ -35,15 +35,17 @@ class Pieces:
     not assumed), and cof = (e0, {packed r: |S r| * A_r}) keeps it at one
     weight r = (w_1, |w_2..w_n| descending) per S-orbit (galg.pack).  For
     Weyl invariant f, g = T_direction f - f is S-invariant, so e^r * g has
-    the W-sum of each e^(s r) * g, and w(T_direction f) = T_eta f: the
-    numerator sum_eta A_eta * (T_eta f - f) = sum_eta w_eta(A * g) is the
-    sum over W of cof * g divided by |S|.  cof has the l1 norm of A, at
-    most 2^(number of atoms) (binomials have norm 2, and the l1 norm is
-    submultiplicative), so norm = |W| * 2^(number of atoms) bounds the
-    sum over W.  The final division is by the divisors and monomial of
-    split_atoms; lines holds the divisors as one list of atoms per line
-    +-w, divided one line at a time.  Their product D has l1 norm at most
-    2^d, d the number of divisors, and v-degrees in [0, deg].
+    the W-sum of each e^(s r) * g, and w(T_direction f) = T_eta f: the sum
+    over W of cof * g is stab = |S| = 2^(n-1) * (n-1)! times the numerator
+    sum_eta A_eta * (T_eta f - f) = sum_eta w_eta(A * g), which is what
+    the division reads.  cof has the l1 norm of A, at most 2^(number of
+    atoms) (binomials have norm 2, and the l1 norm is submultiplicative),
+    so norm = (|W| / |S|) * 2^(number of atoms) bounds the numerator, a
+    sum over the |W| / |S| = 2n images eta.  The final division is by the
+    divisors and monomial of split_atoms; lines holds the divisors as one
+    list of atoms per line +-w, divided one line at a time.  Their product
+    D has l1 norm at most 2^d, d the number of divisors, and v-degrees in
+    [0, deg].
     """
 
     def __init__(self, label: KLabel, rs: RootSystem):
@@ -58,7 +60,8 @@ class Pieces:
         # the cofactor at direction: the numerator atoms times the
         # denominator atoms missing there
         atoms = num_atoms + list((lcm - Counter(den_atoms)).elements())
-        self.norm = len(weyl_group(rs.n)) << len(atoms)
+        self.stab = factorial(rs.n - 1) << rs.n - 1
+        self.norm = 2 * rs.n << len(atoms)
         self.width = self.product_width(1)
         e0, cof = atom_product((0,) * rs.n, atoms, self.width)
         sizes = require_invariant(cof, "the cofactor", 1)
@@ -75,9 +78,11 @@ class Pieces:
     def product_width(self, nu: int) -> int:
         """A slot width B that holds the numerator for an input whose
         coefficients have l1 norm at most nu: T - 1 at most doubles nu,
-        and the sum over W of the products with cof at most multiplies
-        it by norm, so the numerator's coefficients are at most beta = 2 *
-        nu * norm in absolute value, below 2^(B-1)."""
+        and the sum over the images eta of the products with their
+        cofactors at most multiplies it by norm, so the numerator's
+        coefficients are at most beta = 2 * nu * norm in absolute value,
+        below 2^(B-1).  The sum over W is |S| times wider, and is divided
+        by |S| before it is read."""
         return byte_width(4 * nu * self.norm)
 
 

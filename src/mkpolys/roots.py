@@ -22,6 +22,7 @@ import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from operator import add, neg, sub
 
 Weight = tuple
@@ -97,9 +98,22 @@ def weyl_sum(mu, x, scale) -> Counter:
 
 
 def weyl_orbit(wt: Weight, n: int):
+    """The images of wt under the signed permutations, listing no group
+    element: each entry, with either sign, goes to every position."""
     if len(wt) != n:
         raise ValueError("rank mismatch")
-    return {weyl_apply(w, wt) for w in weyl_group(n)}
+    out = {()}
+    for x in wt:
+        signs = (x, -x) if x else (x,)
+        out = {t[:i] + (y,) + t[i:] for t in out for i in range(len(t) + 1) for y in signs}
+    return out
+
+
+@lru_cache(maxsize=None)
+def orbit_size(wt: Weight) -> int:
+    """|W wt|: the arrangements of |wt|'s entries, times 2 per nonzero one."""
+    mult = Counter(map(abs, wt))
+    return factorial(len(wt)) // prod(map(factorial, mult.values())) << len(wt) - mult[0]
 
 
 def is_dominant(wt: Weight) -> bool:

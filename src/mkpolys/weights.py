@@ -15,10 +15,10 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, le, sub
 
-from .galg import GAElem, chains
-from .roots import RootSystem, SatakeEntry, Weight, dot4, wneg, wsum
-from .scalars import (DEFAULT_PRECISION, Scalar, TruncSeries, _series, byte_width, p_from_int,
-                      scalar_to_series)
+from .galg import GAElem, chains, require_invariant
+from .roots import (RootSystem, SatakeEntry, Weight, dot4, orbit_size, wdiff, weyl_orbit, wneg,
+                    wsum)
+from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _series, byte_width, p_from_int
 
 
 class KLabel(namedtuple("KLabel", "k1 k2 k3 k4 k5 base_exp")):
@@ -423,19 +423,20 @@ def poch_to_gaelem(P: PochProduct) -> GAElem:
 # ---------------------------------------------------------------------------
 
 class InnerProductEngine:
-    """The expansion of a weight over a window, and the pairing it gives."""
+    """The expansion of a Weyl invariant weight over a window, a symmetric
+    box, and the pairing of orbit sums it gives; the rows are checked Weyl
+    invariant once, so a weight that is not raises."""
 
     def __init__(self, W: PochProduct, M: int, window):
         self.M = M
         self.exp = expand(W, M, window)
+        require_invariant(self.exp, "the weight")
 
-    def ct_pair(self, f: GAElem, g: GAElem) -> TruncSeries:
-        """ct(f bar(g) W) as a truncated series; exact when every weight of
-        f bar(g), negated, lies in the window."""
-        h = f * g.bar()
-        acc = TruncSeries.zero(self.M)
-        for w, c in h.terms.items():
-            row = self.exp.get(wneg(w))
-            if row is not None:
-                acc = acc + scalar_to_series(c, self.M) * _series(row, 1, self.M)
-        return acc
+    def ct_pair(self, mu: Weight, nu: Weight) -> TruncSeries:
+        """ct(m_mu bar(m_nu) W) as a truncated series, for dominant mu and
+        nu; exact when every y - mu, y in W nu, lies in the window.  As
+        W_(y - w mu) = W_(w^-1 y - mu), it is |W mu| times the sum of the
+        rows at y - mu over y in W nu."""
+        rows = filter(None, [self.exp.get(wdiff(y, mu)) for y in weyl_orbit(nu, len(nu))])
+        k = orbit_size(mu)
+        return _series([k * sum(c) for c in zip(*rows)] or [0] * (self.M + 1), 1, self.M)

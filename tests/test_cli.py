@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,17 @@ def test_compute_lambda_prints_the_line_of_the_full_run(family):
         lam = ",".join(map(str, json.loads(line)["lambda"]))
         out = run("compute", *family, "--bound", "4", "--lambda", lam)
         assert out.returncode == 0 and out.stdout == line + "\n"
+
+
+def test_compute_at_rank_nine_and_bound_zero_finishes():
+    # the one weight is 0, which the operator does not move: no cofactor
+    # is built, and no orbit lists the 2^9 * 9! signed permutations; the
+    # child's 1 GB address-space cap stops a build that lists them
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    out = subprocess.run(BASE + ["compute", "--family", "CI", "--n", "9", "--bound", "0"],
+                         capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert out.returncode == 0
+    assert [json.loads(line)["lambda"] for line in out.stdout.splitlines()] == [[0] * 9]
 
 
 def test_compute_open_family_fails_cleanly():

@@ -33,9 +33,11 @@ from mkpolys.roots import (
     wdiff,
     weyl_apply,
     weyl_group,
+    wneg,
     wsum,
 )
-from mkpolys.scalars import P_ONE, SC_ONE, Scalar, byte_width, p_from_int, p_make
+from mkpolys.scalars import (P_ONE, SC_ONE, Scalar, TruncSeries, byte_width, p_from_int, p_make,
+                             scalar_to_series)
 from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
@@ -57,6 +59,18 @@ def _engine(entry, l, M, span):
     rs = build_root_system(entry.n)
     W = shifted_weight(KLabel.from_entry(entry, 0), entry, l, rs)
     return InnerProductEngine(W, M, ([-2 * span] * entry.n, [2 * span] * entry.n))
+
+
+def _ct_oracle(eng, f, g):
+    """ct(f bar(g) W) for any two elements f, g, from the engine's rows:
+    h = f * bar(g) multiplied out, and the sum over the terms c e^w of h
+    of c times the row at -w; no orbit argument."""
+    acc = TruncSeries.zero(eng.M)
+    for w, c in (f * g.bar()).terms.items():
+        row = eng.exp.get(wneg(w))
+        if row is not None:
+            acc = acc + scalar_to_series(c, eng.M) * TruncSeries(row, eng.M)
+    return acc
 
 
 def test_constants_are_eigenfunctions():
@@ -340,9 +354,11 @@ def test_pieces_maps_one_cofactor_by_w(entry, l, sigma):
     assert _cofactor_images(pieces) == _per_image_cofactors(label, rs, pieces.width)
     for r in zip(*columns(pieces.cof[1], rs.n)):
         assert r[1:] == tuple(sorted(map(abs, r[1:]), reverse=True))
-    # norm bounds the sum over all of W: |W| times 2^(cofactor atoms)
+    # the sum over all of W is |S| times the sum over the images eta, and
+    # norm bounds the latter: their number times 2^(cofactor atoms)
     nums, dens = groups[pieces.direction]
-    assert pieces.norm == len(weyl_group(rs.n)) << len(nums) + sum((lcm - Counter(dens)).values())
+    assert pieces.stab == len(_stabilizer(rs.n))
+    assert pieces.norm == len(groups) << len(nums) + sum((lcm - Counter(dens)).values())
     # the premise of apply_qdiff's certificate: the divisors multiplied
     # out have v-degrees in [0, deg] and l1 norm at most 2^d
     divisors = [atom for line in pieces.lines for atom in line]
@@ -391,6 +407,30 @@ def test_a_doubled_orbit_coefficient_fails_the_build(monkeypatch, entry, l, boun
         monkeypatch.setattr(mkengine, "_QDIFF_CACHE", {(label, rs.n): pieces})
         with pytest.raises(ValueError, match="non-polynomial result"):
             build_family(entry, l, bound, verify=True)
+
+
+@pytest.mark.parametrize("entry,l,bound", [
+    (AIIIB2, 1, 4), (satake_catalog("CI", 2), 0, 4), (satake_catalog("EVII", 3), 0, 2)],
+    ids=["AIIIb n=2 l=1", "CI n=2 l=0", "EVII n=3 l=0"])
+def test_a_numerator_that_is_no_multiple_of_the_stabilizer_raises(monkeypatch, entry, l, bound):
+    # fault injection: one representative's orbit coefficient raised by
+    # one, at six representatives, one at a time; the sum over W is then
+    # no longer |S| times an integer polynomial, or the division fails
+    rs = build_root_system(entry.n)
+    label = KLabel.from_entry(entry, l)
+    reps = list(Pieces(label, rs).cof[1])
+    errors = set()
+    for x in reps[::max(1, len(reps) // 6)][:6]:
+        pieces = Pieces(label, rs)
+        e0, cof = pieces.cof
+        pieces.cof = e0, {**cof, x: cof[x] + 1}
+        monkeypatch.setattr(mkengine, "_QDIFF_CACHE", {(label, rs.n): pieces})
+        with pytest.raises(ValueError) as exc:
+            build_family(entry, l, bound, verify=True)
+        errors.add(str(exc.value))
+    assert "the numerator is not |S| times an integer polynomial" in errors
+    assert errors <= {"the numerator is not |S| times an integer polynomial",
+                      "non-polynomial result"}
 
 
 @COFACTOR_LABELS
@@ -581,7 +621,7 @@ def test_gram_matrix_is_the_orbit_sum_pairing(monkeypatch):
     for mu in basis:
         for nu in basis:
             assert G[(mu, nu)] is G[(nu, mu)]
-            assert G[(mu, nu)] == eng.ct_pair(orbit_sum(mu, 1), orbit_sum(nu, 1))
+            assert G[(mu, nu)] == _ct_oracle(eng, orbit_sum(mu, 1), orbit_sum(nu, 1))
 
 
 @pytest.mark.parametrize("first,second", [(6, 4), (4, 6)], ids=["wide-first", "narrow-first"])
@@ -596,7 +636,35 @@ def test_gram_memo_matches_a_fresh_pairing(monkeypatch, first, second):
         assert set(G) == {(mu, nu) for mu in basis for nu in basis}
         for mu in basis:
             for nu in basis:
-                assert G[(mu, nu)] == eng.ct_pair(orbit_sum(mu, n), orbit_sum(nu, n))
+                assert G[(mu, nu)] == _ct_oracle(eng, orbit_sum(mu, n), orbit_sum(nu, n))
+
+
+@pytest.mark.parametrize("f,l", [(f, l) for f in checks.TABLE for l in f.levels],
+                         ids=["%s n=%d l=%d" % (f.name, f.n, l)
+                              for f in checks.TABLE for l in f.levels])
+def test_one_orbit_pairing_is_the_double_sum(f, l):
+    # every Gram entry over the family's weights through its table bound,
+    # |W mu| times a sum of rows, against the pairing of the two orbit
+    # sums multiplied out, on the rows of the engine that gram_matrix holds
+    entry = satake_catalog(f.tag, f.n, f.m)
+    basis = dominant_weights_upto(f.n, f.bound)
+    G = gram_matrix(entry, l, basis, 40, f.sigma)
+    eng = mkengine._GRAM[(entry, l, f.sigma, 40)][1]
+    for mu in basis:
+        for nu in basis:
+            assert G[(mu, nu)] == _ct_oracle(eng, orbit_sum(mu, f.n), orbit_sum(nu, f.n))
+
+
+def test_gram_path_at_the_zero_weight_expands_no_weight(monkeypatch):
+    # nothing lies below the zero weight, so its solve is empty and it
+    # needs no Gram matrix
+    monkeypatch.setattr(mkengine, "_GRAM", {})
+    calls = []
+    real = weights.expand
+    monkeypatch.setattr(weights, "expand", lambda *args: calls.append(args) or real(*args))
+    for entry, n in ((AI1, 1), (AIIIB2, 2), (satake_catalog("EVII", 3), 3)):
+        assert build_polynomial_gs(entry, 1, (0,) * n, 20) == {(0,) * n: TruncSeries.one(20)}
+    assert calls == [] and mkengine._GRAM == {}
 
 
 def test_gram_memo_expands_each_weight_once(monkeypatch):
@@ -697,8 +765,8 @@ def test_orthogonality_rows_match_the_full_polynomial_pairing():
     fam[(4,)] = MKPolynomial((4,), coeffs, fam[(4,)].label, 1)
     eng = _engine(AI1, 1, 20, 6)
     lams = sorted(fam)
-    want = [orthogonality_row(lam, mu, eng.ct_pair(fam[lam].as_gaelem(1),
-                                                   fam[mu].as_gaelem(1)), 20)
+    want = [orthogonality_row(lam, mu, _ct_oracle(eng, fam[lam].as_gaelem(1),
+                                                  fam[mu].as_gaelem(1)), 20)
             for i, lam in enumerate(lams) for mu in lams[:i]]
     rows = verify_orthogonality(fam, AI1, 1, M=20)["pairs"]
     assert rows == want
@@ -752,8 +820,8 @@ def test_self_adjointness_mod_precision():
             Df, Dg = (from_m_basis(h, 1) for h in apply_qdiff(k, [fc, gc], RS1))
             shift = Scalar.v_pow(max(_pole_order(Df) + _pole_order(g),
                                      _pole_order(f) + _pole_order(Dg)))
-            lhs = eng.ct_pair(Df.scale(shift), g)
-            rhs = eng.ct_pair(f.scale(shift), Dg)
+            lhs = _ct_oracle(eng, Df.scale(shift), g)
+            rhs = _ct_oracle(eng, f.scale(shift), Dg)
             assert lhs == rhs
 
 

@@ -13,7 +13,9 @@ from mkpolys.roots import (
     dominance_leq,
     dominant_weights_below,
     is_dominant,
+    orbit_size,
     satake_catalog,
+    weyl_apply,
     weyl_group,
     weyl_orbit,
     weyl_sum,
@@ -67,6 +69,23 @@ def test_orbit_examples():
     assert weyl_orbit((2, 0), 2) == {(2, 0), (-2, 0), (0, 2), (0, -2)}
     assert weyl_orbit((0, 0, 0), 3) == {(0, 0, 0)}
     assert len(weyl_orbit((2, 2), 2)) == 4
+
+
+def test_orbit_is_the_set_of_images_under_the_listed_group():
+    # weyl_orbit lists no group element; orbit_size counts without listing
+    for n in (1, 2, 3, 4):
+        for lam in itertools.product((0, 1, 2, 4), repeat=n):
+            lam = tuple(sorted(lam, reverse=True))
+            orb = {weyl_apply(w, lam) for w in weyl_group(n)}
+            assert weyl_orbit(lam, n) == orb
+            assert orbit_size(lam) == len(orb)
+            assert orbit_size(tuple(-x for x in reversed(lam))) == len(orb)
+
+
+def test_orbit_at_rank_nine_lists_no_group():
+    assert weyl_orbit((0,) * 9, 9) == {(0,) * 9}
+    assert len(weyl_orbit((2,) + (0,) * 8, 9)) == 18 == orbit_size((2,) + (0,) * 8)
+    assert orbit_size((4, 2, 2) + (0,) * 6) == 9 * 8 * 7 // 2 * 8
 
 
 def test_orbit_size_divides_group_order():

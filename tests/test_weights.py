@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mkpolys.galg import GAElem
 from mkpolys.roots import build_root_system, satake_catalog
-from mkpolys.scalars import Scalar, TruncSeries
+from mkpolys.scalars import Scalar, TruncSeries, scalar_to_series
 from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
@@ -337,10 +337,35 @@ def test_level_one_pairing_of_units():
     assert not G0[unit].is_zero()
 
 
+def ct_oracle(eng, f, g):
+    """ct(f bar(g) W) from the engine's rows, one term c e^w of f * bar(g)
+    at a time, c times the row at -w; no orbit argument."""
+    acc = TruncSeries.zero(eng.M)
+    for (w,), c in (f * g.bar()).terms.items():
+        row = eng.exp.get((-w,))
+        if row is not None:
+            acc = acc + scalar_to_series(c, eng.M) * TruncSeries(row, eng.M)
+    return acc
+
+
 def test_inner_product_symmetry():
     from mkpolys.galg import orbit_sum
     k = KLabel.from_entry(AIV2, 0)
     eng = InnerProductEngine(koornwinder_weight(k, RS1), 20, ([-6], [6]))
     f, g = orbit_sum((2,), 1), orbit_sum((4,), 1)
-    assert eng.ct_pair(f, g) == eng.ct_pair(g, f)
-    assert not eng.ct_pair(f, g).is_zero()
+    assert eng.ct_pair((2,), (4,)) == eng.ct_pair((4,), (2,)) == ct_oracle(eng, f, g)
+    assert ct_oracle(eng, f, g) == ct_oracle(eng, g, f)
+    assert not eng.ct_pair((2,), (4,)).is_zero()
+
+
+@pytest.mark.parametrize("symbols,rank", [
+    ([((1, 1, (2,), 1), 1)], 1),
+    ([((1, 1, (2, 0), 1), 1), ((1, 1, (-2, 0), 1), 1)], 2)],
+    ids=["1 - v e^eps1", "sign-invariant, not permutation-invariant"])
+def test_a_weight_that_is_not_weyl_invariant_raises(symbols, rank):
+    # the one-orbit pairing reads W at one weight per orbit, so a weight
+    # must be Weyl invariant over the window, and one that is not raises
+    P = PochProduct(rank, 2, symbols)
+    assert expand(P, 6, ([-4] * rank, [4] * rank))
+    with pytest.raises(ValueError, match="the weight is not Weyl invariant"):
+        InnerProductEngine(P, 6, ([-4] * rank, [4] * rank))
