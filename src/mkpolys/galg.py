@@ -191,18 +191,6 @@ def from_m_basis(coeffs: dict, n: int) -> GAElem:
     return out
 
 
-def chains(terms: dict, w: Weight) -> dict:
-    """terms split into chains along w (nonzero): x0 -> {j: terms[x0 + j*w]},
-    with the base x0 of each chain fixed by its first nonzero coordinate
-    along w."""
-    i = next(k for k, x in enumerate(w) if x)
-    out = {}
-    for x, c in terms.items():
-        j = x[i] // w[i]
-        out.setdefault(tuple(a - j * b for a, b in zip(x, w)), {})[j] = c
-    return out
-
-
 RADIX, BOX = 16, 1 << 12    # bits per packed coordinate; pack's box |x| < BOX
 _MASK, _HALF = (1 << RADIX) - 1, 1 << (RADIX - 1)
 
@@ -211,17 +199,43 @@ def pack(w: Weight) -> int:
     """The weight w as one int, sum_k w[k] * 2^(16k), in balanced digits:
     Z-linear, and read back by columns.  Raises ValueError outside the box
     |w[k]| < BOX, which keeps sums of two packed weights inside the radix
-    rule of ga_divexact."""
+    rule of line_chains."""
     if any(abs(x) >= BOX for x in w):
         raise ValueError("weight %s is outside the packing box" % (w,))
     return sum(map(lshift, w, range(0, RADIX * len(w), RADIX)))
 
 
+def digit_bias(n: int) -> int:
+    """2^15 in each of n packed fields: added to a weight packed from
+    coordinates in [-2^15, 2^15), it leaves no borrow, and bit 15 of a
+    field is set exactly when its coordinate is >= 0."""
+    return _HALF * ((1 << RADIX * n) - 1) // _MASK
+
+
 def columns(xs, n: int) -> list:
     """The coordinate columns of the rank-n weights packed in the collection
-    xs, each in [-2^15, 2^15): 2^15 added in every digit leaves no borrow."""
-    bias = _HALF * ((1 << RADIX * n) - 1) // _MASK
+    xs, each in [-2^15, 2^15)."""
+    bias = digit_bias(n)
     return [[((x + bias >> s) & _MASK) - _HALF for x in xs] for s in range(0, RADIX * n, RADIX)]
+
+
+def line_chains(terms: dict, w: Weight) -> dict:
+    """{x0: {j: terms[x0 + j * pack(w)]}}: terms, keyed by packed weights,
+    split into the chains x0 + j*w along w (nonzero).
+
+    The radix rule: x has the base x - j*w, j = floor(x_i / w_i) for a
+    coordinate i of largest |w_i|, read from the key.  If the coordinates
+    of terms are at most K, |j*w_k| <= |j*w_i| <= K + max|w|, so two bases
+    differ by at most 4K + 2 max|w| per coordinate; below 2^16 they pack to
+    distinct keys (the lowest nonzero coordinate of a difference packing to
+    0, pack being linear, would be a multiple of 2^16)."""
+    i = max(range(len(w)), key=lambda k: abs(w[k]))
+    wi, pw, shift, bias = w[i], pack(w), RADIX * i, digit_bias(i + 1)
+    split = {}
+    for x, z in terms.items():
+        j = ((((x + bias) >> shift) & _MASK) - _HALF) // wi
+        split.setdefault(x - j * pw, {})[j] = z
+    return split
 
 
 def ga_divexact(f: GAElem, line, B: int) -> GAElem:
@@ -245,27 +259,15 @@ def ga_divexact(f: GAElem, line, B: int) -> GAElem:
     makes on that chain, so the line raises exactly when that sequence
     would.
 
-    The radix rule: chains are split on packed keys, x having the base
-    x - j*w, j = floor(x_i / w_i) for a coordinate i of largest |w_i|,
-    read from the key.  If f's coordinates are at most K, |j*w_k| <=
-    |j*w_i| <= K + max|w|, so two bases differ by at most 4K + 2 max|w|
-    per coordinate; below 2^16 they pack to distinct keys (the lowest
-    nonzero coordinate of a difference packing to 0, pack being linear,
-    would be a multiple of 2^16).  Sums of two packed weights have
-    K < 2^13, and a quotient's weights lie between two of its dividend's.
+    Chains are split by line_chains, whose radix rule holds: sums of two
+    packed weights have coordinates below 2^13, and a quotient's weights
+    lie between two of its dividend's.
     """
     w = line[0][2]
     if any(x != w and x != wneg(w) for _, _, x in line):
         raise ValueError("divisors are not on one line")
-    i = max(range(len(w)), key=lambda k: abs(w[k]))
-    wi, pw, shift = w[i], pack(w), RADIX * i
-    bias = _HALF * ((1 << shift + RADIX) - 1) // _MASK
-    split = {}
-    for x, z in f.terms.items():
-        j = ((((x + bias) >> shift) & _MASK) - _HALF) // wi
-        split.setdefault(x - j * pw, {})[j] = z
-    quo = {}
-    for base, cs in split.items():
+    pw, quo = pack(w), {}
+    for base, cs in line_chains(f.terms, w).items():
         j0 = min(cs)
         row = [cs.get(j, 0) for j in range(j0, max(cs) + 1)]
         for s, c, x in line:

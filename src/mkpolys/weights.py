@@ -7,15 +7,17 @@ base, keyed (s, c, w), with integer multiplicities.  A finite symbol
 (x;B)_L enters as the exact pair (x;B)_inf / (x B^L;B)_inf, which makes
 cancellation between a weight and its level-shift factor an identity of
 multisets.
+
+The expansion packs each weight and each row into one int (Harvey, JSC
+2009), at a slot width proven from the atoms' majorant (expand).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, le, sub
 
-from .galg import GAElem, chains, require_invariant
+from .galg import GAElem, columns, digit_bias, line_chains, pack, require_invariant
 from .roots import (RootSystem, SatakeEntry, Weight, dot4, orbit_size, wdiff, weyl_orbit, wneg,
                     wsum)
 from .scalars import DEFAULT_PRECISION, Scalar, TruncSeries, _series, byte_width, p_from_int
@@ -336,18 +338,31 @@ def _atoms_of(P: PochProduct, M: int):
     return atoms
 
 
-def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> dict:
-    """Expand to {weight: row}, a row being the M + 1 integer coefficients
-    of the weight's series mod v^(M+1); exact for every weight inside the
-    window, and a weight missing from the map has the zero series.  window
-    is (lo, hi) per-coordinate bounds on doubled coordinates; None
-    restricts to the zero weight only.
+def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None):
+    """Expand to (B, {weight: row}), a row being the M + 1 integer
+    coefficients of the weight's series mod v^(M+1) evaluated at v = 2^B,
+    in balanced digits; exact for every weight inside the window, and a
+    weight missing from the map has the zero series.  window is (lo, hi)
+    per-coordinate bounds on doubled coordinates; None restricts to the
+    zero weight only.
 
-    The expansion starts from the row 1 at weight 0.  A binomial atom subtracts a
-    shifted copy of each row at weight + w; a geometric atom runs the
-    recurrence out[j] = in[j] + s*v^c*out[j - 1] along each chain
-    x0 + j*w, for M // c steps past the chain's last input.  A weight is
-    dropped once the remaining atoms cannot move it back into the window.
+    From the row 1 at weight 0, a binomial atom adds -s*v^c times each row
+    at weight + w; a geometric atom runs out[j] = in[j] + s*v^c*out[j - 1]
+    along each chain x0 + j*w, for M // c steps past its last input.
+    v^c * z mod v^(M+1) is ((z << c*B) + H & MASK) - H, H = 2^((M+1)B - 1),
+    MASK = 2H - 1, while its digits stay below 2^(B-1).  They do: the
+    majorant prod (1 + v^c) over the binomials times prod 1/(1 - v^c) over
+    the geometric atoms bounds at each order the sum over all weights of
+    |coefficient| of every partial product, pruned or not, so with m its
+    largest coefficient mod v^(M+1) and B = byte_width(2m + 2), every
+    digit and every sum of distinct rows lies below 2^(B-1).
+
+    Weights are packed ints (galg.pack), dropped once the remaining atoms
+    cannot move them back into the window: lo <= x <= hi exactly when the
+    two digit masks (x - pack(lo) + bias) & (pack(hi) - x + bias) & bias
+    equal bias, 2^15 in each field.  That holds while coordinates differ
+    by less than 2^15, which pack's box keeps: pack raises ValueError on a
+    window corner, reach box or atom weight outside it.
     """
     if M < 0:
         raise ValueError("negative precision")
@@ -355,58 +370,58 @@ def expand(P: PochProduct, M: int = DEFAULT_PRECISION, window=None) -> dict:
     lo, hi = window or ([0] * rank, [0] * rank)
     atoms = _atoms_of(_split_rescue(P), M)
 
+    maj = [1] + [0] * M
+    for _, c, _, reps in atoms:
+        for j in range(c, M + 1) if reps else range(M, c - 1, -1):
+            maj[j] += maj[j - c]
+    B = byte_width(2 * max(maj) + 2)
+    H, MASK = 1 << (M + 1) * B - 1, (1 << (M + 1) * B) - 1
+
     # boxes[k]: the weights from which atoms k, k+1, ... can still reach
-    # the window
-    boxes = [(list(lo), list(hi))]
+    # the window, packed with the bias folded in
+    bias = digit_bias(rank)
+    boxes = [(pack(lo) - bias, pack(hi) + bias)]
     for _, _, w, reps in reversed(atoms):
-        blo, bhi = boxes[-1]
         k = max(reps, 1)
-        boxes.append(([a - max(0, k * x) for a, x in zip(blo, w)],
-                      [b - min(0, k * x) for b, x in zip(bhi, w)]))
+        lo = [a - max(0, k * x) for a, x in zip(lo, w)]
+        hi = [b - min(0, k * x) for b, x in zip(hi, w)]
+        boxes.append((pack(lo) - bias, pack(hi) + bias))
     boxes.reverse()
 
-    def inside(wt, box):
-        return all(map(le, box[0], wt)) and all(map(le, wt, box[1]))
-
-    zero = (0,) * rank
-    rows = {zero: [1] + [0] * M} if inside(zero, boxes[0]) else {}
-
-    for (s, c, w, reps), box in zip(atoms, boxes[1:]):
+    plo, phi = boxes[0]
+    rows = {0: 1} if -plo & phi & bias == bias else {}
+    for (s, c, w, reps), (plo, phi) in zip(atoms, boxes[1:]):
+        shift, pw = c * B, pack(w)
         if not reps:
-            new = {wt: row for wt, row in rows.items() if inside(wt, box)}
-            for wt, row in rows.items():
-                tail = row[: M + 1 - c]
-                wt2 = tuple(map(add, wt, w))
-                if any(tail) and inside(wt2, box):
-                    old = new.get(wt2)
-                    if old is None:
-                        new[wt2] = [0] * c + ([-x for x in tail] if s > 0 else tail)
-                    else:
-                        new[wt2] = old[:c] + list(map(sub if s > 0 else add, old[c:], tail))
+            new = {x: z for x, z in rows.items() if (x - plo) & (phi - x) & bias == bias}
+            for x, z in rows.items():
+                y = x + pw
+                if (y - plo) & (phi - y) & bias == bias:
+                    t = (((z << shift) + H) & MASK) - H
+                    if t:
+                        new[y] = new.get(y, 0) - t if s > 0 else new.get(y, 0) + t
         else:
             new = {}
-            for x0, ins in chains(rows, w).items():
-                out, seen = None, False
-                last = max(ins)
+            for x0, ins in line_chains(rows, w).items():
+                out, seen, last, x = 0, False, max(ins), x0 + min(ins) * pw
                 for j in range(min(ins), last + reps + 1):
-                    row = ins.get(j)
-                    if out is not None:
-                        tail = out[: M + 1 - c]
-                        shifted = [0] * c + (tail if s > 0 else [-x for x in tail])
-                        row = shifted if row is None else list(map(add, row, shifted))
-                    out = row
-                    if not any(row):
-                        if j >= last:
-                            break
-                        continue
-                    wt = tuple(a + j * b for a, b in zip(x0, w))
-                    if inside(wt, box):
-                        new[wt] = row
-                        seen = True
-                    elif seen:
-                        break       # a chain meets the box in one segment
+                    z = ins.get(j, 0)
+                    if out:
+                        t = (((out << shift) + H) & MASK) - H
+                        z = z + t if s > 0 else z - t
+                    out = z
+                    if z:
+                        if (x - plo) & (phi - x) & bias == bias:
+                            new[x] = z
+                            seen = True
+                        elif seen:
+                            break       # a chain meets the box in one segment
+                    elif j >= last:
+                        break
+                    x += pw
         rows = new
-    return {wt: row for wt, row in rows.items() if any(row)}
+    rows = {x: z for x, z in rows.items() if z}
+    return B, dict(zip(zip(*columns(rows, rank)), rows.values()))
 
 
 def poch_to_gaelem(P: PochProduct) -> GAElem:
@@ -424,19 +439,21 @@ def poch_to_gaelem(P: PochProduct) -> GAElem:
 
 class InnerProductEngine:
     """The expansion of a Weyl invariant weight over a window, a symmetric
-    box, and the pairing of orbit sums it gives; the rows are checked Weyl
-    invariant once, so a weight that is not raises."""
+    box, and the pairing of orbit sums it gives; the rows, expand's ints
+    of width B, are checked Weyl invariant once, so a weight that is not
+    raises."""
 
     def __init__(self, W: PochProduct, M: int, window):
         self.M = M
-        self.exp = expand(W, M, window)
+        self.B, self.exp = expand(W, M, window)
         require_invariant(self.exp, "the weight")
 
     def ct_pair(self, mu: Weight, nu: Weight) -> TruncSeries:
         """ct(m_mu bar(m_nu) W) as a truncated series, for dominant mu and
         nu; exact when every y - mu, y in W nu, lies in the window.  As
         W_(y - w mu) = W_(w^-1 y - mu), it is |W mu| times the sum of the
-        rows at y - mu over y in W nu."""
-        rows = filter(None, [self.exp.get(wdiff(y, mu)) for y in weyl_orbit(nu, len(nu))])
-        k = orbit_size(mu)
-        return _series([k * sum(c) for c in zip(*rows)] or [0] * (self.M + 1), 1, self.M)
+        rows at y - mu over y in W nu: the rows are distinct, so their sum
+        is one int whose digits stay below 2^(B-1), read once."""
+        z = sum(self.exp.get(wdiff(y, mu), 0) for y in weyl_orbit(nu, len(nu)))
+        k, M = orbit_size(mu), self.M
+        return _series([k * c for c in (p_from_int(z, self.B) + [0] * (M + 1))[: M + 1]], 1, M)

@@ -67,10 +67,15 @@ def _ct_oracle(eng, f, g):
     of c times the row at -w; no orbit argument."""
     acc = TruncSeries.zero(eng.M)
     for w, c in (f * g.bar()).terms.items():
-        row = eng.exp.get(wneg(w))
-        if row is not None:
-            acc = acc + scalar_to_series(c, eng.M) * TruncSeries(row, eng.M)
+        z = eng.exp.get(wneg(w))
+        if z is not None:
+            acc = acc + scalar_to_series(c, eng.M) * TruncSeries(_row(z, eng.B, eng.M), eng.M)
     return acc
+
+
+def _row(z, B, M):
+    """The M + 1 coefficients of a row of the engine, read from its int."""
+    return (p_from_int(z, B) + [0] * (M + 1))[: M + 1]
 
 
 def test_constants_are_eigenfunctions():

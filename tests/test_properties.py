@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkpolys import mkengine
-from mkpolys.galg import BOX, GAElem, chains, columns, ga_divexact, pack
+from mkpolys.galg import BOX, GAElem, columns, ga_divexact, pack
 from mkpolys.roots import build_root_system, dominant_weights_upto, satake_catalog
 from mkpolys.scalars import (
     SC_ONE,
@@ -203,6 +203,18 @@ def test_divexact_of_a_binomial_product_one_atom_at_a_time(data):
     for a in data.draw(st.permutations(line)):
         prod = divexact(prod, [a], B)
     assert prod == f
+
+
+def chains(terms, w):
+    """terms split into chains along w (nonzero): x0 -> {j: terms[x0 + j*w]},
+    with the base x0 of each chain fixed by its first nonzero coordinate
+    along w."""
+    i = next(k for k, x in enumerate(w) if x)
+    out = {}
+    for x, c in terms.items():
+        j = x[i] // w[i]
+        out.setdefault(tuple(a - j * b for a, b in zip(x, w)), {})[j] = c
+    return out
 
 
 def divide_by_binomial(f, atom):

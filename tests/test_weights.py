@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mkpolys.galg import GAElem
+from mkpolys.galg import BOX, GAElem
 from mkpolys.roots import build_root_system, satake_catalog
-from mkpolys.scalars import Scalar, TruncSeries, scalar_to_series
+from mkpolys.scalars import Scalar, TruncSeries, p_from_int, scalar_to_series
 from mkpolys.weights import (
     InnerProductEngine,
     KLabel,
@@ -33,6 +33,17 @@ RS1 = build_root_system(1)
 def binom(rank, w, sign, vexp):
     """1 - sign * v^vexp * e^w"""
     return GAElem.unit(rank) + GAElem.monomial(rank, w, Scalar.monomial(-sign, vexp))
+
+
+def digits(z, B, M):
+    """The M + 1 coefficients of a row of expand, read from its int."""
+    return (p_from_int(z, B) + [0] * (M + 1))[: M + 1]
+
+
+def as_rows(expansion, M):
+    """expand's (B, {weight: int}) as {weight: its M + 1 coefficients}."""
+    B, rows = expansion
+    return {w: digits(z, B, M) for w, z in rows.items()}
 
 
 # --- independent expansion oracle -----------------------------------------
@@ -169,17 +180,17 @@ def test_poch_ratio_non_collapsing_raises():
 # --- expansion -------------------------------------------------------------
 
 def test_expand_trivial_cases():
-    assert expand(PochProduct(1, 4), 6, ([-2], [2])) == {(0,): [1, 0, 0, 0, 0, 0, 0]}
+    assert as_rows(expand(PochProduct(1, 4), 6, ([-2], [2])), 6) == {(0,): [1, 0, 0, 0, 0, 0, 0]}
     # single binomial at order zero
     P = PochProduct(1, 4, [((-1, 0, (2,), 1), 1)])  # 1 + e^w
-    assert expand(P, 4, ([-2], [2])) == {(0,): [1, 0, 0, 0, 0], (2,): [1, 0, 0, 0, 0]}
+    assert as_rows(expand(P, 4, ([-2], [2])), 4) == {(0,): [1, 0, 0, 0, 0], (2,): [1, 0, 0, 0, 0]}
 
 
 def test_expand_matches_oracle_on_weight():
     M, wmax = 10, 6
     k = KLabel.from_entry(AIV2, 0)
     W = koornwinder_weight(k, RS1)
-    got = expand(W, M, ([-wmax], [wmax]))
+    got = as_rows(expand(W, M, ([-wmax], [wmax])), M)
     # feed the oracle the irreducible collapsed form (after splitting)
     from mkpolys.weights import _split_rescue
     num, den, tails = _split_rescue(W).collapsed()
@@ -192,15 +203,15 @@ def test_expand_matches_oracle_on_weight():
             assert coeffs[o] == want.get(((w,), o), Fraction(0)), (w, o)
 
 
-directions = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
-
-
 @st.composite
-def rank_two_products(draw):
+def products(draw, lows=((-4, 2),) * 2):
     """(symbols, base, M, window): finite and infinite numerator and
     denominator symbols under one base, along nonzero directions whose
     first coordinate may be zero or negative, and a window that may cut
-    the chains."""
+    the chains, its lower corner drawn coordinate-wise from the ranges
+    lows, whose number is the rank."""
+    rank = len(lows)
+    directions = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
     base = draw(st.integers(1, 3))
     symbols = []
     for _ in range(draw(st.integers(1, 4))):
@@ -208,20 +219,20 @@ def rank_two_products(draw):
         symbols.append((draw(st.sampled_from((1, -1))),
                         draw(st.integers(0 if mult > 0 else 1, 3)), draw(directions),
                         draw(st.one_of(st.none(), st.integers(1, 3))), mult))
-    lo = [draw(st.integers(-4, 2)) for _ in range(2)]
+    lo = [draw(st.integers(*span)) for span in lows]
     hi = [a + draw(st.integers(0, 4)) for a in lo]
     return symbols, base, draw(st.integers(0, 6)), (lo, hi)
 
 
-def rank_two_product(symbols, base):
-    return PochProduct(2, base, [((s, c, w, L), m) for s, c, w, L, m in symbols])
+def product(symbols, base, rank=2):
+    return PochProduct(rank, base, [((s, c, w, L), m) for s, c, w, L, m in symbols])
 
 
 @settings(max_examples=60, deadline=None)
-@given(rank_two_products())
+@given(products())
 def test_a_product_is_rebuilt_from_its_collapsed_form(case):
     symbols, base, _, _ = case
-    P = rank_two_product(symbols, base)
+    P = product(symbols, base)
     num, den, tails = P.collapsed()
     rebuilt = PochProduct(2, base, [((s, c, w, 1), 1) for s, c, w in num]
                           + [((s, c, w, 1), -1) for s, c, w in den]
@@ -230,19 +241,19 @@ def test_a_product_is_rebuilt_from_its_collapsed_form(case):
 
 
 @settings(max_examples=20, deadline=None)
-@given(rank_two_products())
+@given(products())
 def test_a_length_zero_symbol_is_the_empty_product(case):
     symbols, base, _, _ = case
-    empty = rank_two_product([(s, c, w, 0, m) for s, c, w, _, m in symbols], base)
+    empty = product([(s, c, w, 0, m) for s, c, w, _, m in symbols], base)
     assert empty == PochProduct(2, base) and not empty.factors
 
 
 @settings(max_examples=20, deadline=None)
-@given(rank_two_products())
+@given(products())
 def test_products_under_two_bases_or_ranks_do_not_multiply(case):
     symbols, base, _, _ = case
-    P = rank_two_product(symbols, base)
-    for other in (rank_two_product(symbols, base % 3 + 1), PochProduct(1, base)):
+    P = product(symbols, base)
+    for other in (product(symbols, base % 3 + 1), PochProduct(1, base)):
         with pytest.raises(ValueError, match="rank or base mismatch"):
             P * other
 
@@ -252,21 +263,74 @@ def test_products_under_two_bases_or_ranks_do_not_multiply(case):
 @example(([(1, 0, (4, 0), None, 1), (1, 0, (2, 0), None, 1),
            (1, 1, (2, 0), None, -1), (1, 1, (1, 0), None, -1)], 4, 6, ([-4, -2], [4, 2])))
 @settings(max_examples=60, deadline=None)
-@given(rank_two_products())
+@given(products())
 def test_expand_matches_oracle_at_rank_two(case):
     symbols, base, M, (lo, hi) = case
-    got = expand(rank_two_product(symbols, base), M, (lo, hi))
+    got = as_rows(expand(product(symbols, base), M, (lo, hi)), M)
     want = oracle_expand(symbols, M, 2, base)
     assert all(lo[i] <= wt[i] <= hi[i] for wt in got for i in (0, 1))
     for wt in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
         assert got.get(wt, [0] * (M + 1)) == [want.get((wt, o), 0) for o in range(M + 1)], wt
 
 
+# the window's corners pack to digits of both signs, so a borrow across
+# the fields of the box masks would show
+@example(([(1, 1, (1, -2, 2), None, -1), (-1, 0, (-2, 1, 1), 2, 1)], 2, 6,
+          ([-3, 1, -4], [1, 2, -1])))
+@settings(max_examples=40, deadline=None)
+@given(products(((-4, -1), (0, 2), (-4, 2))))
+def test_expand_matches_oracle_at_rank_three(case):
+    symbols, base, M, (lo, hi) = case
+    got = as_rows(expand(product(symbols, base, 3), M, (lo, hi)), M)
+    want = oracle_expand(symbols, M, 3, base)
+    assert all(lo[i] <= wt[i] <= hi[i] for wt in got for i in range(3))
+    for wt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        assert got.get(wt, [0] * (M + 1)) == [want.get((wt, o), 0) for o in range(M + 1)], wt
+
+
+@pytest.mark.parametrize("count,B", [(9, 8), (10, 16)])
+def test_a_row_at_the_slot_bound_reads_back_exactly(count, B):
+    # (1 + v e^2)^count: every atom has s = -1, so no coefficient cancels
+    # and the majorant (1 + v)^count is attained at one weight per order;
+    # its largest coefficient m = C(9, 4) = 126 is the largest whose
+    # 2m + 2 fits one byte, and C(10, 5) = 252 needs the next one
+    from math import comb
+    M = 8
+    got = expand(PochProduct(1, 4, [((-1, 1, (2,), 1), count)]), M, ([-40], [40]))
+    rows = as_rows(got, M)
+    assert got[0] == B
+    assert rows == {(2 * k,): [0] * k + [comb(count, k)] + [0] * (M - k) for k in range(M + 1)}
+    assert max(max(row) for row in rows.values()) == comb(count, count // 2)
+
+
+def test_a_weight_or_box_corner_outside_the_packing_box_raises():
+    # rows read through the masks right up to pack's box, and a window
+    # corner, an atom's weight or a reach box past it raises instead of
+    # wrapping into a neighbouring field
+    P = PochProduct(2, 4, [((1, 1, (2, -2), None), -1), ((-1, 0, (0, 2), 1), 1)])
+    M, edge = 6, BOX - 1
+    # mod v^7 the atoms move a weight by up to 6 + 1 steps of (2, -2) and
+    # one of (0, 2): the reach box of a window (lo, hi) is
+    # (lo - (14, 2), hi + (0, 14))
+    lo, hi = [-edge + 14, -edge + 2], [edge, edge - 14]
+    want = as_rows(expand(P, M, ([-20, -20], [20, 20])), M)
+    assert want and as_rows(expand(P, M, (lo, hi)), M) == want
+    assert as_rows(expand(P, M, ([edge - 8, lo[1]], hi)), M) == {}
+    assert as_rows(expand(P, M, ([lo[0], 0], [0, hi[1]])), M) == {
+        w: r for w, r in want.items() if w[0] <= 0 <= w[1]}
+    for window in (([lo[0] - 1, lo[1]], hi), (lo, [hi[0], hi[1] + 1]), (lo, [BOX, hi[1]])):
+        with pytest.raises(ValueError, match="outside the packing box"):
+            expand(P, M, window)
+    wide = PochProduct(2, 4, [((1, 1, (BOX, 0), 1), 1)])
+    with pytest.raises(ValueError, match="outside the packing box"):
+        expand(wide, M, ([-2, -2], [2, 2]))
+
+
 def test_expand_constant_term_order_zero():
     # at order zero only the two valuation-zero binomials act: (1-e)(1-1/e)
     k = KLabel.from_entry(AIV2, 0)
     W = koornwinder_weight(k, RS1)
-    assert expand(W, 6, None)[(0,)][0] == 2
+    assert as_rows(expand(W, 6, None), 6)[(0,)][0] == 2
 
 
 def test_expand_product_multiplicativity():
@@ -280,9 +344,9 @@ def test_expand_product_multiplicativity():
         Q = PochProduct(1, 4, [(s2, -1)])
         M, inner, outer = 8, 4, 36
         zero = [0] * (M + 1)
-        pq = expand(P * Q, M, ([-inner], [inner]))
-        p = expand(P, M, ([-outer], [outer]))
-        q = expand(Q, M, ([-outer], [outer]))
+        pq = as_rows(expand(P * Q, M, ([-inner], [inner])), M)
+        p = as_rows(expand(P, M, ([-outer], [outer])), M)
+        q = as_rows(expand(Q, M, ([-outer], [outer])), M)
         for w in range(-inner, inner + 1, 2):
             acc = [Fraction(0)] * (M + 1)
             for w1, row in p.items():
@@ -301,7 +365,7 @@ def test_expand_numerator_of_negative_valuation():
 def test_expand_rejects_a_negative_precision():
     with pytest.raises(ValueError, match="negative precision"):
         expand(PochProduct(1, 4), -1)
-    assert expand(PochProduct(1, 4), 0) == {(0,): [1]}
+    assert as_rows(expand(PochProduct(1, 4), 0), 0) == {(0,): [1]}
 
 
 def test_expand_rejects_divergent_denominator():
@@ -342,9 +406,9 @@ def ct_oracle(eng, f, g):
     at a time, c times the row at -w; no orbit argument."""
     acc = TruncSeries.zero(eng.M)
     for (w,), c in (f * g.bar()).terms.items():
-        row = eng.exp.get((-w,))
-        if row is not None:
-            acc = acc + scalar_to_series(c, eng.M) * TruncSeries(row, eng.M)
+        z = eng.exp.get((-w,))
+        if z is not None:
+            acc = acc + scalar_to_series(c, eng.M) * TruncSeries(digits(z, eng.B, eng.M), eng.M)
     return acc
 
 
@@ -366,6 +430,6 @@ def test_a_weight_that_is_not_weyl_invariant_raises(symbols, rank):
     # the one-orbit pairing reads W at one weight per orbit, so a weight
     # must be Weyl invariant over the window, and one that is not raises
     P = PochProduct(rank, 2, symbols)
-    assert expand(P, 6, ([-4] * rank, [4] * rank))
+    assert as_rows(expand(P, 6, ([-4] * rank, [4] * rank)), 6)
     with pytest.raises(ValueError, match="the weight is not Weyl invariant"):
         InnerProductEngine(P, 6, ([-4] * rank, [4] * rank))
