@@ -7,13 +7,13 @@ plain data, and the function that decides one case at series precision
 M.  Families and rank-one modules are built once, on first use, and
 shared for the life of the process; importing this module builds nothing.
 
-The orthogonality, bar, eigenvalue, connection and soundness rows are
-the family table TABLE times those suites, with the arguments (tag, n, m,
-sigma, l) and the id "<suite> <name> n=<n> l=<l>"; a suite that applies
-to only some families says so with a predicate on the table row.  Gram
-matrices come from mkengine.gram_matrix, which keeps one expansion of
-each weight and every pair it has computed, each entry |W mu| times a
-sum of that expansion's rows.
+The orthogonality, bar, eigenvalue, spectrum, connection and soundness
+rows are the family table TABLE times those suites, with the arguments
+(tag, n, m, sigma, l) and the id "<suite> <name> n=<n> l=<l>"; a suite
+that applies to only some families says so with a predicate on the
+table row.  Gram matrices come from mkengine.gram_matrix, which keeps
+one expansion of each weight and every pair it has computed, each entry
+|W mu| times a sum of that expansion's rows.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .mkengine import (
     check_bar_invariance,
     connection_coeffs,
     dual_path_agree,
+    eigenvalue_closed_form_check,
     eigenvalue_identity_check,
     verify_orthogonality,
 )
@@ -166,9 +167,12 @@ def _bar(M, tag, n, m, sigma, l):
 
 def _eigenvalue(M, tag, n, m, sigma, l):
     # the level-0 family's weights are the ambient weights
-    families = {i: family(tag, n, m, sigma, i) for i in (0, 1, 2)}
-    rep = eigenvalue_identity_check(satake_catalog(tag, n, m), list(families[0]), families)
+    rep = eigenvalue_identity_check(satake_catalog(tag, n, m), list(family(tag, n, m, sigma, 0)))
     return rep["pass"] and rep["N"] == 1
+
+
+def _spectrum(M, tag, n, m, sigma, l):
+    return eigenvalue_closed_form_check(family(tag, n, m, sigma, l))
 
 
 def _connection(M, tag, n, m, sigma, l):
@@ -228,6 +232,9 @@ CHECKS = (
           "ambient Weyl sum equals N times the restricted sum; the level shift "
           "moves the spectral vector by l/2 per entry",
           _table("eigenvalue", _ambient), _eigenvalue),
+    Check("spectrum",
+          "every eigenvalue equals the closed form at the label's spectral vector, exactly",
+          _table("spectrum"), _spectrum),
     Check("connection",
           "expansion in the next level has exactly two terms with unit leading "
           "coefficient",

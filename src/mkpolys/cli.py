@@ -143,7 +143,11 @@ def cmd_verify(args) -> int:
     names = SUITES + ("all",)
     if args.suite not in names:
         return _usage_error("unknown suite %r (choose from %s)" % (args.suite, ", ".join(names)))
-    rows = [check.row(case, args.precision) for check, case in cases(args.suite)]
+    try:
+        rows = [check.row(case, args.precision) for check, case in cases(args.suite)]
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     rows.sort(key=lambda r: r["id"])
     if args.format == "json":
         print(json.dumps(rows, indent=2))

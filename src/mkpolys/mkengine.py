@@ -2,10 +2,11 @@
 q-difference operator obtained by conjugating a translation with the
 positive-root half density, and as a truncated Gram-style oracle from the
 constant-term inner product.  Also: orthogonality verification, the
-v -> 1/v coefficient symmetry, the central-character eigenvalue identity,
-and connection coefficients between neighbouring levels.  The operator
-runs on ints, with v evaluated at 2^B and weights packed into ints
-(apply_qdiff, mkpolys.qdiff, galg.pack): a batch's numerator is one
+v -> 1/v coefficient symmetry, the eigenvalues' closed form at the
+label's spectral vector (KLabel.rho), the central-character eigenvalue
+identity, and connection coefficients between neighbouring levels.  The
+operator runs on ints, with v evaluated at 2^B and weights packed into
+ints (apply_qdiff, mkpolys.qdiff, galg.pack): a batch's numerator is one
 product and one Weyl sum, built and divided at its product width, one
 line of binomial atoms (s, c, w) at a time, and the quotient's digits
 are certified after the division.
@@ -455,42 +456,15 @@ def check_bar_invariance(P: MKPolynomial) -> bool:
     return all(c.bar() == c for c in P.coeffs.values())
 
 
-def pin_rho(family: dict):
-    """Read the spectral data (rho, center) off the eigenvalues of a family
-    at the staircase weights (2, ..., 2, 0, ..., 0).
-
-    The eigenvalue at lam is v^center * (S(lam/2 + rho) - S(rho)), S the
-    exponential Weyl sum of eps_1 at scale b (roots.weyl_sum).  Consecutive
-    staircase weights differ by 2 in coordinate k, so their difference has
-    the extreme exponents center +- b*(rho_k + 1).  Nothing else is read:
-    eigenvalue_closed_form_check compares every eigenvalue with the pin.
-    """
-    n = len(next(iter(family)))
-    b = next(iter(family.values())).label.base_exp
-    stairs = [(2,) * k + (0,) * (n - k) for k in range(n + 1)]
-    for lam in stairs:
-        if lam not in family:
-            raise ValueError("weight %s out of range of the family" % (lam,))
-    rho = []
-    for low, high in zip(stairs, stairs[1:]):
-        delta = family[high].eigenvalue - family[low].eigenvalue
-        if not delta or len(delta.d) != 1:
-            raise ValueError("cannot pin the spectral shift")
-        lo, hi = delta.e, delta.e + len(delta.n) - 1
-        rho.append(Fraction(hi - lo, 2 * b) - 1)
-    return tuple(rho), Fraction(hi + lo, 2)
-
-
-def eigenvalue_closed_form_check(family: dict, pinned) -> bool:
-    """Every eigenvalue of the family equals v^center * (S(lam/2 + rho) -
-    S(rho)), S the exponential Weyl sum of eps_1 at scale b; pinned is the
-    (rho, center) of pin_rho."""
-    rho, center = pinned
-    if center.denominator != 1:
-        return False
+def eigenvalue_closed_form_check(family: dict) -> bool:
+    """Every eigenvalue of the family equals v^(b rho_1) * (S(lam/2 + rho)
+    - S(rho)), S the exponential Weyl sum of eps_1 at scale b = base_exp
+    and rho the spectral vector of the polynomials' label (KLabel.rho)."""
+    label = next(iter(family.values())).label
+    b, rho = label.base_exp, label.rho(len(next(iter(family))))
+    center = b * rho[0]         # an exponent of S(rho), so weyl_sum raises unless it is integral
     eps1 = (1,) + (0,) * (len(rho) - 1)
     for lam, P in family.items():
-        b = P.label.base_exp
         try:
             terms = weyl_sum(eps1, [Fraction(c, 2) + r for c, r in zip(lam, rho)], b)
             terms.subtract(weyl_sum(eps1, rho, b))
@@ -502,20 +476,19 @@ def eigenvalue_closed_form_check(family: dict, pinned) -> bool:
     return True
 
 
-def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams, families: dict) -> dict:
+def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams) -> dict:
     """The central-character identity: the ambient Weyl sum of
     q^((w mu, lam + rho)) equals N times the restricted Weyl sum of
-    B^((w mu~, lam~ + rho')) with rho' pinned from the eigenvalues of the
-    level-0 family.  At every level l of families, {level: family}, the
-    eigenvalues follow the closed form from the rho' pinned there, and
+    B^((w mu~, lam~ + rho')), rho' the spectral vector of the level-0
+    label; and the labels at l = 0, 1, 2 follow the shift law
     rho'(l) = rho'(0) + (l/2)(1,...,1).
     """
     if not entry.reduced:
         raise ValueError("identity requires a reduced entry")
     data = ambient_data(entry.family, entry.n)
-    pinned = {l: pin_rho(fam) for l, fam in families.items()}
-    rho_res = pinned[0][0]
-    b = KLabel.from_entry(entry, 0).base_exp
+    rhos = {l: KLabel.from_entry(entry, l).rho(entry.n) for l in (0, 1, 2)}
+    rho_res = rhos[0]
+    b = entry.base_exp()
     N = len(weyl_group(len(data.rho))) // len(weyl_group(entry.n))
     mu_half = [Fraction(c, 2) for c in data.restrict(data.mu)]
 
@@ -535,13 +508,9 @@ def eigenvalue_identity_check(entry: SatakeEntry, ambient_lams, families: dict) 
         if not ok:
             report["pass"] = False
 
-    report["shift_law"] = []
-    for l, (rho_l, center_l) in pinned.items():
-        ok = (rho_l == tuple(r + Fraction(l, 2) for r in rho_res)
-              and eigenvalue_closed_form_check(families[l], (rho_l, center_l)))
-        report["shift_law"].append({"level": l, "match": bool(ok)})
-        if not ok:
-            report["pass"] = False
+    report["shift_law"] = [{"level": l, "match": rho == tuple(r + Fraction(l, 2) for r in rho_res)}
+                           for l, rho in rhos.items()]
+    report["pass"] = report["pass"] and all(s["match"] for s in report["shift_law"])
     return report
 
 

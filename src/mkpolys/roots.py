@@ -209,11 +209,13 @@ class SatakeEntry(namedtuple("SatakeEntry", "family n aux reduced long_mult med_
         """Koornwinder parameter 5-tuple (k1..k5) for the level-l family.
 
         Reduced families carry (1, 0, 0, |l|, med_mult/2): the spectral
-        vector of the family must match the half sum of multiplicity-
-        weighted restricted roots, which pins the long-orbit parameter to
-        the long multiplicity and the medium parameter to half the medium
-        multiplicity (the medium orbit sits at half weights relative to
-        the lattice the polynomials live on).
+        vector of the level-0 label (KLabel.rho) must match the half sum
+        of multiplicity-weighted restricted roots, which pins the
+        long-orbit parameter to the long multiplicity and the medium
+        parameter to half the medium multiplicity (the medium orbit sits
+        at half weights relative to the lattice the polynomials live on),
+        and k4 = |l| moves it by l/2 per entry.  The eigenvalue rows check
+        both (mkengine.eigenvalue_identity_check).
         """
         if self.family in _OPEN_FAMILIES:
             raise ValueError("identification open in source")

@@ -62,6 +62,13 @@ class KLabel(namedtuple("KLabel", "k1 k2 k3 k4 k5 base_exp")):
     def ks(self):
         return (self.k1, self.k2, self.k3, self.k4, self.k5)
 
+    def rho(self, n: int):
+        """The spectral vector at rank n, rho_i = (k1+k2+k3+k4)/2 + (n-i) k5
+        (Koornwinder, Contemp. Math. 138, 1992; van Diejen, Compositio
+        Math. 95, 1995)."""
+        half = (self.k1 + self.k2 + self.k3 + self.k4) / 2
+        return tuple(half + (n - i) * self.k5 for i in range(1, n + 1))
+
 
 class PochProduct:
     """A product of infinite symbols under one base: factors maps (s, c, w)

@@ -20,9 +20,9 @@ def test_check(check, case):
 
 @pytest.mark.parametrize("tag,n,level,failing", [
     ("AIIIb", 2, 1, ["bar AIIIb n=2 l=1", "orthogonality AIIIb n=2 l=1",
-                     "soundness AIIIb n=2 l=1"]),
-    ("CI", 2, 1, ["bar CI n=2 l=1", "eigenvalue CI n=2 l=0", "orthogonality CI n=2 l=1",
-                  "soundness CI n=2 l=1"]),
+                     "soundness AIIIb n=2 l=1", "spectrum AIIIb n=2 l=1"]),
+    ("CI", 2, 1, ["bar CI n=2 l=1", "orthogonality CI n=2 l=1", "soundness CI n=2 l=1",
+                  "spectrum CI n=2 l=1"]),
 ], ids=["AIIIb", "CI"])
 def test_a_failing_self_check_fails_exactly_the_rows_reading_its_family(
         monkeypatch, tag, n, level, failing):

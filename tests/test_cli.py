@@ -98,6 +98,22 @@ def test_compute_out_of_memory_is_one_error_line(monkeypatch, capsys):
     assert out == "" and err == "error: out of memory\n"
 
 
+def test_verify_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # a row that runs out of memory (orthogonality at --precision
+    # 100000000000 does, in expanding a coefficient to a series) exits 1
+    # with one error line, not a traceback
+    from mkpolys import checks, cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(checks, "CHECKS", tuple(
+        c._replace(holds=out_of_memory) if c.suite == "bar" else c for c in checks.CHECKS))
+    assert cli.main(["verify", "bar"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"
+
+
 def test_usage_error_is_exit_two():
     assert run("verify", "nonsense").returncode == 2
     assert run().returncode == 2

@@ -19,7 +19,6 @@ from mkpolys.mkengine import (
     gram_matrix,
     operator_action,
     orthogonality_row,
-    pin_rho,
     verify_orthogonality,
     _qdiff_pieces,
 )
@@ -505,21 +504,18 @@ def test_family_eigenvalues_are_the_operator_diagonal(entry, n, bound):
     assert all(P.eigenvalue == M[(lam, lam)] for lam, P in fam.items())
 
 
-def test_spectral_pinning_and_closed_form():
-    for entry, n, want in ((AI1, 1, (Fraction(1, 2),)),
-                           (AIIIB2, 2, (Fraction(3, 2), Fraction(1, 2))),
-                           (satake_catalog("CI", 2), 2, (Fraction(1), Fraction(1, 2)))):
-        fam = build_family(entry, 0, 4)
-        rho, center = pin_rho(fam)
-        assert rho == want
-        assert eigenvalue_closed_form_check(fam, (rho, center))
+def test_label_rho():
+    for entry, want in ((AI1, (Fraction(1, 2),)),
+                        (AIIIB2, (Fraction(3, 2), Fraction(1, 2))),
+                        (satake_catalog("CI", 2), (Fraction(1), Fraction(1, 2)))):
+        assert KLabel.from_entry(entry, 0).rho(entry.n) == want
 
 
-def test_pin_rho_names_a_staircase_weight_missing_from_the_family():
+def test_a_family_below_the_staircase_passes_the_closed_form():
     # (2, 2) has coordinate sum 4, beyond the bound
     fam = build_family(satake_catalog("CI", 2), 0, 2)
-    with pytest.raises(ValueError, match=r"\(2, 2\)"):
-        pin_rho(fam)
+    assert (2, 2) not in fam
+    assert eigenvalue_closed_form_check(fam)
 
 
 def test_a_polynomial_without_an_eigenvalue_compares_unequal():
@@ -830,31 +826,56 @@ def test_self_adjointness_mod_precision():
             assert lhs == rhs
 
 
-def test_eigenvalue_identity_reports():
-    rep = eigenvalue_identity_check(
-        AI1, [(Fraction(0),), (Fraction(2),), (Fraction(4),), (Fraction(6),)],
-        {l: build_family(AI1, l, 6) for l in (0, 1, 2)})
+def test_eigenvalue_identity_reports(monkeypatch):
+    lams = [(Fraction(0),), (Fraction(2),), (Fraction(4),), (Fraction(6),)]
+    rep = eigenvalue_identity_check(AI1, lams)
     assert rep["pass"] and rep["N"] == 1
     assert rep["rho_restricted"] == ["1/2"]
     assert rep["shift_law"] == [{"level": l, "match": True} for l in (0, 1, 2)]
     with pytest.raises(ValueError, match="reduced"):
-        eigenvalue_identity_check(AIV2, [(Fraction(0),)], {})
+        eigenvalue_identity_check(AIV2, [(Fraction(0),)])
+    # a spectral vector that ignores the level breaks the shift law at l = 1, 2 only
+    rho = KLabel.rho
+    monkeypatch.setattr(KLabel, "rho", lambda label, n: rho(label._replace(k4=Fraction(0)), n))
+    rep = eigenvalue_identity_check(AI1, lams)
+    assert rep["pass"] is False and all(x["match"] for x in rep["lambdas"])
+    assert [x["match"] for x in rep["shift_law"]] == [True, False, False]
 
 
-@pytest.mark.parametrize("tag,n", [args[:2] for _, (_, args) in checks.cases("eigenvalue")])
-def test_every_single_corrupted_eigenvalue_fails_the_identity_report(tag, n):
-    """The eigenvalue rows' families, with one eigenvalue at one level
-    moved by v^40: the report fails, and raises nothing, for every choice."""
-    entry = satake_catalog(tag, n)
-    families = {l: checks.family(tag, n, 0, Fraction(0), l) for l in (0, 1, 2)}
-    ambient_lams = list(families[0])
-    assert eigenvalue_identity_check(entry, ambient_lams, families)["pass"] is True
-    for l, fam in families.items():
-        for lam, P in fam.items():
-            bad = dict(fam)
-            bad[lam] = P._replace(eigenvalue=P.eigenvalue + Scalar.v_pow(40))
-            rep = eigenvalue_identity_check(entry, ambient_lams, {**families, l: bad})
-            assert rep["pass"] is False, (l, lam)
+SPECTRUM = checks.cases("spectrum")
+
+
+@pytest.mark.parametrize("check,case", SPECTRUM, ids=[case[0] for _, case in SPECTRUM])
+def test_every_single_corrupted_eigenvalue_fails_its_spectrum_row(monkeypatch, check, case):
+    """Each spectrum row's family, with one eigenvalue moved by v^40: the
+    row fails, and raises nothing, for every choice."""
+    _, key = case
+    fam = checks.family(*key)
+    assert check.row(case, 40)["pass"] is True
+    for lam, P in fam.items():
+        bad = dict(fam)
+        bad[lam] = P._replace(eigenvalue=P.eigenvalue + Scalar.v_pow(40))
+        monkeypatch.setitem(checks._FAMILIES, key, bad)
+        row = check.row(case, 40)
+        assert row["pass"] is False and "error" not in row, lam
+
+
+@pytest.mark.parametrize("dsum,dk5", [(1, 0), (Fraction(1, 2), 0), (0, 1)])
+def test_a_shifted_spectral_vector_fails_the_spectrum_rows(monkeypatch, dsum, dk5):
+    """A test-local copy of KLabel.rho with k1+k2+k3+k4 or k5 shifted fails
+    every spectrum and eigenvalue row; k5 does not enter at rank 1, where
+    its rows pass."""
+    def rho(label, n, dsum=0, dk5=0):
+        half = (label.k1 + label.k2 + label.k3 + label.k4 + dsum) / 2
+        return tuple(half + (n - i) * (label.k5 + dk5) for i in range(1, n + 1))
+
+    rows = SPECTRUM + checks.cases("eigenvalue")
+    monkeypatch.setattr(KLabel, "rho", rho)
+    assert all(check.row(case, 40)["pass"] for check, case in rows)
+    monkeypatch.setattr(KLabel, "rho", lambda label, n: rho(label, n, dsum, dk5))
+    for check, case in rows:
+        n = case[1][1]
+        assert check.row(case, 40)["pass"] is (dsum == 0 and n == 1), case[0]
 
 
 def test_connection_coefficients():
